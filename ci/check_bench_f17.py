@@ -23,7 +23,7 @@ claim end to end:
    every quarantine -> fail-fast -> mediated /svc/health/release -> restored
    cycle succeeded.
 
-No committed baseline: like F15, this is an absolute claim about the
+No committed baseline: like F14, this is an absolute claim about the
 mechanism, not a regression bound.
 
 Usage: check_bench_f17.py <fresh.json> [--max-ratio 1.10]

@@ -7,14 +7,14 @@
 # --quick restricts the sanitizer ctest runs to the monitor + concurrency
 # tests (the multithreaded surface, including the striped MonitorStats
 # counters, the mediated StatsService tree, the subscription channels, the
-# cooperative-cancellation paths, the fault-injection suites, the
-# mediation-ring transport, and the compiled-policy + differential-fuzz
-# suites) plus the policy round-trip tests; the default runs everything
-# everywhere.
+# cooperative-cancellation paths, the fault-injection suites, and the
+# compiled-policy + differential-fuzz suites) plus the policy round-trip
+# tests; the default runs everything everywhere.
 #
 # --faults runs only the randomized fault-injection sweep: the fault suites
-# (Failpoint|FaultService|AuditResilience|PolicyCrash|RingFault|AuditFanOut)
-# plus the DiffFuzz differential oracle under ASan+UBSan and TSan with a randomized
+# (Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|
+# AuditFanOut|ShardClearRace|Supervisor|Quarantine) plus the DiffFuzz
+# differential oracle under ASan+UBSan and TSan with a randomized
 # XSEC_FAULT_SEED. The seed is printed so a failing sweep replays exactly:
 # XSEC_FAULT_SEED=<seed> ci/run_checks.sh --faults.
 #
@@ -37,9 +37,6 @@
 #   BENCH_f14.json   bench_f14_compiled results (compiled vs interpreted
 #                    cache-miss decisions; ci/check_bench_f14.py requires
 #                    the compiled miss to be materially faster)
-#   BENCH_f15.json   bench_f15_ring results (shared-ring batched mediation;
-#                    ci/check_bench_f15.py requires batched per-item cost
-#                    <= per-call at batch >= 8 and stuck-shard isolation)
 #   BENCH_f16.json   bench_f16_shard results (sharded stamp domains;
 #                    ci/check_bench_f16.py requires zero cross-shard stale
 #                    evictions, a live same-shard control, the 1M-principal
@@ -61,7 +58,7 @@ FAULTS=0
 
 # DiffFuzz (tests/diff_fuzz_test.cc) rides in the fault sweep: it arms the
 # same failpoints and must never observe a compiled/interpreted divergence.
-FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|DiffFuzz|RingFault|ShardClearRace|AuditFanOut|Supervisor|Quarantine|Watchdog'
+FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|DiffFuzz|ShardClearRace|AuditFanOut|Supervisor|Quarantine'
 
 # Randomized but replayable in every mode: the differential fuzzer and the
 # failpoint sweeps read XSEC_FAULT_SEED from the environment and print it in
@@ -75,7 +72,7 @@ run_ctest() {
   local dir="$1"
   if [[ "$QUICK" == 1 ]]; then
     (cd "$dir" && ctest --output-on-failure -j "$JOBS" \
-        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|CompiledPolicy|MediationRing|Shard|${FAULT_RE}")
+        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|CompiledPolicy|Shard|${FAULT_RE}")
   else
     (cd "$dir" && ctest --output-on-failure -j "$JOBS")
   fi
@@ -139,14 +136,6 @@ echo "== F14: compiled vs interpreted cache-miss decisions =="
 echo "== F14 gate (compiled miss must beat interpreted miss) =="
 python3 ci/check_bench_f14.py BENCH_f14.json
 
-echo "== F15: shared-ring batched mediation =="
-./build-release/bench/bench_f15_ring \
-    --benchmark_out=BENCH_f15.json --benchmark_out_format=json \
-    --benchmark_min_time=0.25 --benchmark_repetitions=3
-
-echo "== F15 gate (batched per-item <= per-call; stuck shard isolates) =="
-python3 ci/check_bench_f15.py BENCH_f15.json
-
 echo "== F16: sharded stamp domains =="
 ./build-release/bench/bench_f16_shard \
     --benchmark_out=BENCH_f16.json --benchmark_out_format=json \
@@ -176,4 +165,4 @@ echo "== F12: subscription fan-out on the publish path =="
 echo "== F12 gate (publisher ~flat 1->64 subs; 2-sink drain >= 1.5x; stitch == 0) =="
 python3 ci/check_bench_f12.py BENCH_f12.json
 
-echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f11.json, BENCH_f12.json, BENCH_f14.json, BENCH_f15.json, BENCH_f16.json, BENCH_f17.json."
+echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f11.json, BENCH_f12.json, BENCH_f14.json, BENCH_f16.json, BENCH_f17.json."

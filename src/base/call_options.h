@@ -1,9 +1,7 @@
 // Per-call deadline/cancellation options, shared by every blocking surface:
 // kernel invocation (src/extsys/kernel.h re-exports this as the options of
-// Invoke/CallCapability/RaiseEvent), the stats watch/poll waits, and the
-// mediation ring's completion wait (src/monitor/mediation_ring.h). Living in
-// src/base lets the monitor layer accept the same options the kernel plumbs
-// without depending on the extension-system headers.
+// Invoke/CallCapability/RaiseEvent) and the stats watch/poll waits. Living in
+// src/base keeps it free of any dependency on the extension-system headers.
 //
 // `deadline_ns` is an absolute timestamp on the MonotonicNowNs clock; 0
 // means no deadline. A call whose deadline has already passed is rejected

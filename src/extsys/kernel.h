@@ -33,9 +33,9 @@
 
 namespace xsec {
 
-// CallOptions (deadline + cancellation flag) now lives in
-// src/base/call_options.h so the monitor's mediation ring can accept the
-// same per-call options the kernel plumbs into handlers via CallContext.
+// CallOptions (deadline + cancellation flag) lives in
+// src/base/call_options.h; the kernel plumbs it into handlers via
+// CallContext.
 
 class ExtensionSupervisor;
 

@@ -592,74 +592,6 @@ void AuditLog::Record(AuditRecord record) {
   }
 }
 
-void AuditLog::RecordBatch(std::vector<AuditRecord> records) {
-  if (records.empty()) {
-    return;
-  }
-  uint64_t denials = 0;
-  for (const AuditRecord& record : records) {
-    if (!record.allowed) {
-      ++denials;
-    }
-  }
-  CountBatch(records.size(), denials);
-  // One policy read for the whole batch: a racing set_policy applies to the
-  // next batch, never to half of this one.
-  AuditPolicy p = policy();
-  if (p == AuditPolicy::kOff) {
-    return;
-  }
-  if (p == AuditPolicy::kDenialsOnly) {
-    records.erase(std::remove_if(records.begin(), records.end(),
-                                 [](const AuditRecord& r) { return r.allowed; }),
-                  records.end());
-    if (records.empty()) {
-      return;
-    }
-  }
-  // Same sync-mode ordering discipline as Record: sink_mu_ before the stamp.
-  std::unique_lock<std::mutex> serialize(sink_mu_, std::defer_lock);
-  if (sync_sink_active_.load(std::memory_order_acquire)) {
-    serialize.lock();
-  }
-  std::shared_ptr<const Sink> sink;
-  std::vector<AuditRecord> for_sink;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (AuditRecord& record : records) {
-      record.sequence = next_sequence_++;
-      EnqueueFanOutLocked(record);  // same ordering discipline as Record
-    }
-    if (sink_ != nullptr) {
-      if (drain_running_) {
-        for (const AuditRecord& record : records) {
-          if (XSEC_FAILPOINT_FIRED("audit.drain.enqueue") ||
-              drain_queue_.size() >= drain_options_.queue_capacity) {
-            sink_dropped_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            drain_queue_.push_back(record);
-          }
-        }
-        drain_cv_.notify_one();
-      } else {
-        sink = sink_;
-        for_sink = records;
-      }
-    }
-    for (AuditRecord& record : records) {
-      RingInsertLocked(std::move(record));
-    }
-  }
-  if (sink != nullptr) {
-    if (!serialize.owns_lock()) {
-      serialize.lock();
-    }
-    for (const AuditRecord& record : for_sink) {
-      (*sink)(record);
-    }
-  }
-}
-
 void AuditLog::set_sink(Sink sink) {
   std::lock_guard<std::mutex> lock(mu_);
   sink_ = sink ? std::make_shared<const Sink>(std::move(sink)) : nullptr;

@@ -306,30 +306,11 @@ class AuditLog {
     return p == AuditPolicy::kAll || (p == AuditPolicy::kDenialsOnly && !allowed);
   }
 
-  // Records a whole batch of decisions in one stamping critical section
-  // (the mediation-ring worker path): every record is counted, then those
-  // the current policy retains are sequence-stamped contiguously, handed to
-  // the sink/drain, and ring-inserted under ONE acquisition of the ring
-  // mutex. Ordering semantics are identical to N Record() calls performed
-  // back-to-back by one thread. Consumes `records`.
-  void RecordBatch(std::vector<AuditRecord> records);
-
   // Maintains counters without retaining a record. Lock-free.
   void Count(bool allowed) {
     total_checks_.fetch_add(1, std::memory_order_relaxed);
     if (!allowed) {
       total_denials_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Batched Count: `checks` decisions of which `denials` denied, in two
-  // fetch_adds total. For batch paths whose records the policy discards.
-  void CountBatch(uint64_t checks, uint64_t denials) {
-    if (checks != 0) {
-      total_checks_.fetch_add(checks, std::memory_order_relaxed);
-    }
-    if (denials != 0) {
-      total_denials_.fetch_add(denials, std::memory_order_relaxed);
     }
   }
 

@@ -106,8 +106,7 @@ class DecisionCache {
   // before wiping slots, so an insert that raced a clear either lands before
   // the wipe (and is wiped) or observes the bumped epoch and refuses —
   // either way no pre-clear decision re-enters the cache. The ReferenceMonitor
-  // check paths (including CheckBatch, which reads stamps once per batch)
-  // use this form; see ShardClearRaceTest.
+  // check path uses this form; see ShardClearRaceTest.
   void Insert(const Subject& subject, NodeId node, AccessModeSet modes,
               const CacheStamps& current, CachedDecision decision,
               uint64_t observed_clear_epoch);

@@ -43,7 +43,7 @@ void MonitorStats::RecordLatencyNs(uint64_t ns) {
 
 template <typename Fn>
 uint64_t MonitorStats::ReadStable(Fn&& read, uint64_t* generation_out) const {
-  for (;;) {
+  for (int pass = 0; pass < kOptimisticReads; ++pass) {
     uint64_t before = reset_generation_.load(std::memory_order_acquire);
     if ((before & 1) != 0) {
       std::this_thread::yield();  // a Reset is zeroing the slots
@@ -58,6 +58,13 @@ uint64_t MonitorStats::ReadStable(Fn&& read, uint64_t* generation_out) const {
       return value;
     }
   }
+  // A Reset storm kept moving the generation. Reset holds reset_mu_ through
+  // its zeroing, so under the lock the generation is even and stays put.
+  std::lock_guard<std::mutex> lock(reset_mu_);
+  if (generation_out != nullptr) {
+    *generation_out = reset_generation_.load(std::memory_order_acquire);
+  }
+  return read();
 }
 
 uint64_t MonitorStats::checks_total() const {

@@ -27,7 +27,8 @@
 // pass, ordered so that its invariants (allowed + denied == checks_total,
 // sum(by_mode) >= checks_total, sum(latency_buckets) >= latency_samples)
 // hold even under concurrent recording, and it retries around a concurrent
-// Reset() via the reset generation stamp (docs/MODEL.md §11).
+// Reset() via the reset generation stamp, a bounded number of times before
+// falling back to the Reset lock (docs/MODEL.md §11).
 
 #ifndef XSEC_SRC_MONITOR_MONITOR_STATS_H_
 #define XSEC_SRC_MONITOR_MONITOR_STATS_H_
@@ -113,48 +114,6 @@ class MonitorStats {
     BumpRelease(slot, slot.by_reason[static_cast<size_t>(reason)]);
   }
 
-  // Thread-local accumulator for batched recording (the mediation-ring
-  // worker path): the worker tallies a whole batch of decisions here, then
-  // flushes once with RecordBatch — one slot-cache probe and one release
-  // store per batch instead of one per decision.
-  struct BatchCounts {
-    uint32_t by_mode[kAccessModeCount] = {};
-    uint32_t by_reason[kDenyReasonCount] = {};
-    uint32_t total = 0;
-
-    void Add(AccessModeSet modes, DenyReason reason) {
-      uint32_t bits = modes.bits();
-      while (bits != 0) {
-        ++by_mode[static_cast<unsigned>(__builtin_ctz(bits))];
-        bits &= bits - 1;
-      }
-      ++by_reason[static_cast<size_t>(reason)];
-      ++total;
-    }
-  };
-
-  // Flushes a batch accumulator in one pass. Ordering mirrors
-  // RecordDecision extended to counts > 1: all mode adds land relaxed
-  // first, then the reason adds with release, so a snapshot reader that
-  // observes the batch's reasons (acquire) also observes its modes and the
-  // sum(by_mode) >= checks_total invariant survives mid-batch reads.
-  void RecordBatch(const BatchCounts& counts) {
-    if (counts.total == 0) {
-      return;
-    }
-    Slot& slot = *LocalEntry().slot;
-    for (size_t m = 0; m < kAccessModeCount; ++m) {
-      if (counts.by_mode[m] != 0) {
-        BumpN(slot, slot.by_mode[m], counts.by_mode[m]);
-      }
-    }
-    for (size_t r = 0; r < kDenyReasonCount; ++r) {
-      if (counts.by_reason[r] != 0) {
-        BumpReleaseN(slot, slot.by_reason[r], counts.by_reason[r]);
-      }
-    }
-  }
-
   // True once per kSampleEvery calls on this thread *for this instance*; the
   // caller then times the check and reports it via RecordLatencyNs. The
   // clock lives in the per-thread slot-cache entry, keyed by instance_id_:
@@ -214,7 +173,8 @@ class MonitorStats {
 
   // Zeroes every counter. Safe against concurrent readers: the reset
   // generation goes odd for the duration, and readers retry until it is even
-  // and unchanged across their pass. Concurrent *recording* is tolerated but
+  // and unchanged across their pass (or read under the Reset lock once
+  // their retries run out). Concurrent *recording* is tolerated but
   // not synchronized — a decision in flight during the reset may leave a
   // late increment behind (documented in docs/MODEL.md §11).
   void Reset();
@@ -249,25 +209,6 @@ class MonitorStats {
       counter.fetch_add(1, std::memory_order_release);
     } else {
       counter.store(counter.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_release);
-    }
-  }
-
-  // N-at-a-time flavors for RecordBatch; same single-writer/overflow split.
-  static void BumpN(Slot& slot, std::atomic<uint64_t>& counter, uint64_t n) {
-    if (slot.shared) {
-      counter.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      counter.store(counter.load(std::memory_order_relaxed) + n,
-                    std::memory_order_relaxed);
-    }
-  }
-
-  static void BumpReleaseN(Slot& slot, std::atomic<uint64_t>& counter, uint64_t n) {
-    if (slot.shared) {
-      counter.fetch_add(n, std::memory_order_release);
-    } else {
-      counter.store(counter.load(std::memory_order_relaxed) + n,
                     std::memory_order_release);
     }
   }
@@ -314,17 +255,21 @@ class MonitorStats {
 
   // Runs `read` under the reset-generation seqlock: retries while a Reset is
   // in flight or completed mid-read, so the pass never observes half-zeroed
-  // slots. `generation_out` (optional) receives the even generation the pass
-  // ran under.
+  // slots. After kOptimisticReads failed passes it reads under reset_mu_
+  // instead, so a Reset storm cannot starve a reader. `generation_out`
+  // (optional) receives the even generation the pass ran under.
   template <typename Fn>
   uint64_t ReadStable(Fn&& read, uint64_t* generation_out = nullptr) const;
+  static constexpr int kOptimisticReads = 8;
 
   const uint64_t instance_id_;
   std::atomic<uint32_t> next_slot_{0};
   // Even = stable; odd = a Reset is zeroing the slots. Readers retry until
   // they complete a pass under one unchanged even generation.
   std::atomic<uint64_t> reset_generation_{0};
-  std::mutex reset_mu_;  // serializes Reset() against itself
+  // Serializes Reset() against itself, and is held across its zeroing, so a
+  // reader holding it sees no Reset in flight (the bounded-retry fallback).
+  mutable std::mutex reset_mu_;
   Slot slots_[kSlots + 1];  // +1: the shared overflow slot
 };
 

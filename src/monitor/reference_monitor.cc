@@ -275,92 +275,6 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
   return decision;
 }
 
-void ReferenceMonitor::CheckBatch(const BatchCheckRequest* requests, size_t n, Decision* out) {
-  if (n == 0) {
-    return;
-  }
-  // One clear-epoch read and at most one stamp read *per validity domain*
-  // per batch (a batch routed onto one monitor shard reads exactly one
-  // shard-local stamp set — the MediationRing's shard-affine routing exists
-  // to make that the common case). Sound for the same reason as the per-call
-  // read-stamps-then-evaluate order: a store mutating after this read bumps
-  // its stamp, so entries inserted below carry stamps that are already
-  // stale — a redundant future re-evaluation, never a wrong cached decision.
-  uint64_t clear_epoch = options_.cache_enabled ? cache_.clear_epoch() : 0;
-  std::array<CacheStamps, kMonitorShardCount + 1> domain_stamps;
-  std::array<bool, kMonitorShardCount + 1> have_stamps{};
-  MonitorStats::BatchCounts counts;
-  std::vector<AuditRecord> pending;   // retained records awaiting one RecordBatch
-  uint64_t counted_checks = 0;        // decisions the policy discards
-  uint64_t counted_denials = 0;
-  for (size_t i = 0; i < n; ++i) {
-    // Flush earlier items' retained records BEFORE this item's fail-closed
-    // probe: a sink trip their emission causes must be visible to this
-    // item. This is what makes audit_required per-request, not per-batch;
-    // under the default denials-only policy an all-allow batch never
-    // flushes here and keeps full amortization.
-    if (!pending.empty()) {
-      audit_.RecordBatch(std::move(pending));
-      pending.clear();
-    }
-    const BatchCheckRequest& req = requests[i];
-    Decision& decision = out[i];
-    ShardId domain = DomainOf(req.node);
-    size_t di = IsConcreteShard(domain) ? domain : kMonitorShardCount;
-    shard_checks_[di].fetch_add(1, std::memory_order_relaxed);
-    if (options_.cache_enabled) {
-      if (!have_stamps[di]) {
-        domain_stamps[di] = CurrentStampsFor(domain);
-        have_stamps[di] = true;
-      }
-      const CacheStamps& stamps = domain_stamps[di];
-      DecisionCache::CachedDecision cached;
-      if (cache_.Lookup(req.subject, req.node, req.modes, stamps, &cached)) {
-        decision = Decision{cached.allowed, cached.reason, ""};
-      } else {
-        if (!TryCompiledCheck(req.subject, req.node, req.modes, domain, &decision)) {
-          decision = CheckUncached(req.subject, req.node, req.modes);
-        }
-        cache_.Insert(req.subject, req.node, req.modes, stamps,
-                      DecisionCache::CachedDecision{decision.allowed, decision.reason},
-                      clear_epoch);
-      }
-    } else if (!TryCompiledCheck(req.subject, req.node, req.modes, domain, &decision)) {
-      decision = CheckUncached(req.subject, req.node, req.modes);
-    }
-    // After the cache, per request, like CheckUnsampled.
-    ApplyAuditAvailability(&decision);
-    ApplyLockdown(&decision, req.modes);
-    if (options_.stats_enabled) {
-      counts.Add(req.modes, decision.allowed ? DenyReason::kNone : decision.reason);
-    }
-    if (audit_.WouldRetain(decision.allowed)) {
-      AuditRecord record;
-      record.principal = req.subject.principal;
-      record.thread_id = req.subject.thread_id;
-      record.node = req.node;
-      record.path = name_space_->PathOf(req.node);
-      record.modes = req.modes;
-      record.allowed = decision.allowed;
-      record.reason = decision.reason;
-      record.detail = decision.detail;
-      pending.push_back(std::move(record));
-    } else {
-      ++counted_checks;
-      if (!decision.allowed) {
-        ++counted_denials;
-      }
-    }
-  }
-  if (!pending.empty()) {
-    audit_.RecordBatch(std::move(pending));
-  }
-  audit_.CountBatch(counted_checks, counted_denials);
-  if (options_.stats_enabled) {
-    stats_.RecordBatch(counts);
-  }
-}
-
 bool ReferenceMonitor::TryCompiledCheck(const Subject& subject, NodeId node, AccessModeSet modes,
                                         ShardId domain, Decision* out) {
   if (!options_.compiled_enabled) {
@@ -565,10 +479,12 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
     Audit(subject, NodeId{}, std::string(path), modes, decision);
     return decision;
   }
+  // The inner checks are unsampled: CheckPath times the whole resolution as
+  // one sample, so the traversal steps must not also tick the sample clock.
   NodeId cur = name_space_->root();
   for (const std::string& component : *components) {
     if (options_.check_traversal) {
-      Decision step = Check(subject, cur, AccessMode::kList);
+      Decision step = CheckUnsampled(subject, cur, AccessMode::kList);
       if (!step.allowed) {
         Decision decision{false, DenyReason::kTraversal,
                           StrFormat("denied while resolving '%s': %s",
@@ -588,7 +504,7 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
   if (resolved != nullptr) {
     *resolved = cur;
   }
-  return Check(subject, cur, modes);
+  return CheckUnsampled(subject, cur, modes);
 }
 
 std::string ReferenceMonitor::Explain(const Subject& subject, NodeId node,

@@ -117,32 +117,6 @@ class ReferenceMonitor {
   // Checks `modes` on an already-resolved node (no traversal checks).
   Decision Check(const Subject& subject, NodeId node, AccessModeSet modes);
 
-  // -- Batched checks (the mediation-ring worker path, MODEL.md §14) ---------
-
-  struct BatchCheckRequest {
-    Subject subject;
-    NodeId node;
-    AccessModeSet modes;
-  };
-
-  // Decides `n` requests in one pass, writing out[i] for requests[i]. Each
-  // decision is semantically identical to Check() on the same request; what
-  // the batch amortizes is the bookkeeping around the decisions:
-  //   - the cache stamp vector is read once per batch (a policy mutation
-  //     mid-batch makes later inserts spuriously stale, never wrongly
-  //     fresh — the same one-sided race Check() already tolerates);
-  //   - MonitorStats lands as one striped-counter flush per batch
-  //     (RecordBatch); batched checks are not latency-sampled;
-  //   - retained audit records are sequence-stamped in one ring-mutex
-  //     critical section per run of consecutive retained records
-  //     (AuditLog::RecordBatch), and discarded ones in two fetch_adds.
-  // The `audit_required` fail-closed probe runs PER REQUEST, after that
-  // request's cache step, and pending audit records are flushed before each
-  // probe — so a sink trip caused by an earlier record in this very batch
-  // denies every subsequent would-be allow, and the transient denial is
-  // never cached (satellite regression: RingFaultTest.MidBatchSinkTrip...).
-  void CheckBatch(const BatchCheckRequest* requests, size_t n, Decision* out);
-
   // Resolves `path` and checks; on success *resolved (if non-null) is set.
   Decision CheckPath(const Subject& subject, std::string_view path, AccessModeSet modes,
                      NodeId* resolved = nullptr);
@@ -234,17 +208,16 @@ class ReferenceMonitor {
   void NotePolicyReload();
   uint64_t policy_epoch() const { return policy_epoch_.load(std::memory_order_acquire); }
 
-  // Attempts a compiled-table decision: false when disabled, no tables are
   // The validity domain used to stamp decisions about `node`: its monitor
   // shard, or kAggregateShard with shard_stamps off / for non-concrete
-  // shards (unknown node ids, the root). Lock-free. The mediation transport
-  // routes by this and the grant table gates on it.
+  // shards (unknown node ids, the root). Lock-free.
   ShardId DomainOf(NodeId node) const;
 
   // The stamp vector of one validity domain: the shard's own generations
   // when `shard` is concrete, else the legacy aggregate stamps.
   CacheStamps CurrentStampsFor(ShardId shard) const;
 
+  // Attempts a compiled-table decision: false when disabled, no tables are
   // installed, their stamps are stale, or the tables do not cover the input
   // (then the caller must take the interpreted path). Public for the
   // differential fuzzer, which holds this against CheckInterpreted.

@@ -1,15 +1,15 @@
 // Shard-local interning of principal names (docs/MODEL.md §15).
 //
 // A million-subject policy repeats the same principal names across ACL
-// entries, grant tables, and telemetry. NameArena packs interned names into
+// entries and telemetry. NameArena packs interned names into
 // large flat chunks (no per-name heap node, no capacity slack), and
 // PrincipalInternPool deduplicates them into dense local ids, so a shard's
 // working set of principal metadata stays contiguous and cache-resident
 // instead of scattered across a heap of small strings.
 //
-// Thread safety: none. Each monitor shard owns its own pool and accesses it
-// under the owning structure's lock (see ShardGrantTable); that is the point
-// of shard-local pools — no cross-shard synchronisation on the hot path.
+// Thread safety: none. Each owner keeps one pool per monitor shard and
+// accesses it under its own lock; that is the point of shard-local pools —
+// no cross-shard synchronisation on the hot path.
 
 #ifndef XSEC_SRC_PRINCIPAL_INTERN_POOL_H_
 #define XSEC_SRC_PRINCIPAL_INTERN_POOL_H_

@@ -78,29 +78,6 @@ TEST(AuditFanOutTest, EverySinkSeesEveryRecordInExactSequenceOrder) {
   EXPECT_EQ(log.fanout_stitch_violations(), 0u);
 }
 
-TEST(AuditFanOutTest, RecordBatchStitchesContiguouslyAcrossShards) {
-  AuditLog log;
-  log.set_policy(AuditPolicy::kAll);
-  auto ring = std::make_shared<AuditMemoryRing>(4096);
-  log.AddSink("batch", MakeMemoryRingSink(ring));
-  AuditFanOutOptions options;
-  options.shards = 3;  // batches of 10 wrap the shard count unevenly
-  log.StartFanOut(options);
-  for (int batch = 0; batch < 20; ++batch) {
-    std::vector<AuditRecord> records;
-    for (int i = 0; i < 10; ++i) {
-      records.push_back(MakeRecord(false, DenyReason::kMacFlow));
-    }
-    log.RecordBatch(std::move(records));
-  }
-  log.StopFanOut();
-  std::vector<uint64_t> seqs = SequencesInOrder(ring->records());
-  ASSERT_EQ(seqs.size(), 200u);
-  EXPECT_EQ(seqs.front(), 0u);
-  EXPECT_EQ(seqs.back(), 199u);
-  EXPECT_EQ(log.fanout_stitch_violations(), 0u);
-}
-
 TEST(AuditFanOutTest, ConcurrentRecordersKeepEveryLaneInOrder) {
   AuditLog log(/*capacity=*/8192);
   log.set_policy(AuditPolicy::kAll);

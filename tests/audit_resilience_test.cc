@@ -301,54 +301,5 @@ TEST_F(AuditResilienceTest, SyncSinkEmitsInExactSequenceOrder) {
   }
 }
 
-TEST_F(AuditResilienceTest, SyncSinkOrderHoldsForBatchedRecorders) {
-  // Batched stamping (ReferenceMonitor::CheckBatch → AuditLog::RecordBatch)
-  // shares the same contract: per-batch contiguous sequences, globally
-  // emitted in order, interleaved freely with per-record recorders.
-  AuditLog log;
-  std::vector<uint64_t> emitted;
-  log.set_sink([&emitted](const AuditRecord& record) {
-    emitted.push_back(record.sequence);
-  });
-  log.set_policy(AuditPolicy::kAll);
-
-  constexpr int kThreads = 6;
-  constexpr int kBatches = 60;
-  constexpr int kBatchSize = 5;
-  std::vector<std::thread> recorders;
-  recorders.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    recorders.emplace_back([&log, t] {
-      for (int b = 0; b < kBatches; ++b) {
-        if (t % 2 == 0) {
-          std::vector<AuditRecord> batch(kBatchSize);
-          for (AuditRecord& record : batch) {
-            record.thread_id = static_cast<uint64_t>(t);
-            record.allowed = false;
-            record.reason = DenyReason::kMacFlow;
-          }
-          log.RecordBatch(std::move(batch));
-        } else {
-          for (int i = 0; i < kBatchSize; ++i) {
-            AuditRecord record;
-            record.thread_id = static_cast<uint64_t>(t);
-            record.allowed = false;
-            record.reason = DenyReason::kDacNoGrant;
-            log.Record(std::move(record));
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : recorders) {
-    t.join();
-  }
-
-  ASSERT_EQ(emitted.size(), static_cast<size_t>(kThreads * kBatches * kBatchSize));
-  for (size_t i = 1; i < emitted.size(); ++i) {
-    ASSERT_EQ(emitted[i], emitted[i - 1] + 1);
-  }
-}
-
 }  // namespace
 }  // namespace xsec

@@ -326,42 +326,6 @@ TEST(AuditLogTest, RetainedGaugeCountsWithoutCopying) {
   EXPECT_EQ(log.retained(), 0u);
 }
 
-TEST(AuditLogTest, RecordBatchStampsContiguouslyAndAppliesThePolicy) {
-  AuditLog log;  // default: denials only
-  std::vector<uint64_t> emitted;
-  log.set_sink([&emitted](const AuditRecord& r) { emitted.push_back(r.sequence); });
-
-  // One batch: [allow, deny, allow, deny]. Under denials-only the allows
-  // are dropped before stamping, so the denials get CONTIGUOUS sequence
-  // numbers — a batch costs exactly what it retains.
-  std::vector<AuditRecord> batch;
-  batch.push_back(MakeRecord(true));
-  batch.push_back(MakeRecord(false, DenyReason::kDacNoGrant));
-  batch.push_back(MakeRecord(true));
-  batch.push_back(MakeRecord(false, DenyReason::kMacFlow));
-  log.RecordBatch(std::move(batch));
-
-  ASSERT_EQ(emitted.size(), 2u);
-  EXPECT_EQ(emitted[1], emitted[0] + 1);
-  EXPECT_EQ(log.retained(), 2u);
-  // The batch counted every decision it was handed, retained or not; a
-  // caller that filtered records out beforehand tops the counters up with
-  // CountBatch.
-  EXPECT_EQ(log.total_checks(), 4u);
-  EXPECT_EQ(log.total_denials(), 2u);
-  log.CountBatch(/*checks=*/2, /*denials=*/0);
-  EXPECT_EQ(log.total_checks(), 6u);
-  EXPECT_EQ(log.total_denials(), 2u);
-
-  // A later batch continues the sequence right after a per-record Record.
-  log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
-  std::vector<AuditRecord> second;
-  second.push_back(MakeRecord(false, DenyReason::kDacNoGrant));
-  log.RecordBatch(std::move(second));
-  ASSERT_EQ(emitted.size(), 4u);
-  EXPECT_EQ(emitted[3], emitted[2] + 1);
-}
-
 class NdjsonRotationTest : public ::testing::Test {
  protected:
   NdjsonRotationTest() {

@@ -328,6 +328,24 @@ TEST_F(MonitorStatsIntegrationTest, SamplingPopulatesHistogramOnTheCheckPath) {
   EXPECT_LE(monitor_->stats().latency_samples(), 3u);
 }
 
+TEST_F(MonitorStatsIntegrationTest, CheckPathIsSampledOnceNotPerTraversalStep) {
+  // Root grants list|read and every level inherits it, so each CheckPath
+  // below runs three traversal checks plus the leaf check.
+  Acl acl;
+  acl.AddEntry({AclEntryType::kAllow, user_, AccessMode::kList | AccessMode::kRead});
+  ASSERT_TRUE(ns_.SetAclRef(ns_.root(), acls_.Create(std::move(acl))).ok());
+  ASSERT_TRUE(ns_.BindPath("/a/b/c", NodeKind::kFile, user_).ok());
+  Subject subject{user_, labels_.Bottom(), 1};
+  constexpr uint64_t kCalls = 4 * MonitorStats::kSampleEvery;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(monitor_->CheckPath(subject, "/a/b/c", AccessMode::kRead).allowed);
+  }
+  // One sample clock tick per CheckPath, not one per nested decision...
+  EXPECT_LE(monitor_->stats().latency_samples(), kCalls / MonitorStats::kSampleEvery + 1);
+  // ...while every nested decision is still counted.
+  EXPECT_EQ(monitor_->stats().checks_total(), 4 * kCalls);
+}
+
 TEST_F(MonitorStatsIntegrationTest, DisabledStatsRecordNothing) {
   MonitorOptions options;
   options.stats_enabled = false;

@@ -1,14 +1,14 @@
-// Regression tests for the Clear()/in-flight-check race (ISSUE 8, satellite):
-// a CheckBatch (or single check) that captured its stamps before a
-// DecisionCache::Clear() must not be able to re-insert its pre-clear decision
-// afterwards. Clear() bumps clear_epoch_ BEFORE wiping, and the epoch-carrying
-// Insert refuses under the shard lock when the epoch moved — so a stale
-// insert either lands before the wipe (and is wiped) or refuses. Both
-// interleavings leave the cache empty of pre-clear decisions, which makes the
-// property deterministically testable despite the race.
+// Regression tests for the Clear()/in-flight-check race: a check that
+// captured its stamps before a DecisionCache::Clear() must not be able to
+// re-insert its pre-clear decision afterwards. Clear() bumps clear_epoch_
+// BEFORE wiping, and the epoch-carrying Insert refuses under the shard lock
+// when the epoch moved — so a stale insert either lands before the wipe (and
+// is wiped) or refuses. Both interleavings leave the cache empty of
+// pre-clear decisions, which makes the property deterministically testable
+// despite the race.
 //
-// This file rides in xsec_ring_tests alongside mediation_ring_test.cc so the
-// sanitizer jobs (TSan in particular) run the concurrent hammer.
+// The --faults and --quick sanitizer sweeps (TSan in particular) run the
+// concurrent hammer: ctest -R ShardClearRace.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/monitor/decision_cache.h"
-#include "src/monitor/mediation_ring.h"
 #include "src/monitor/reference_monitor.h"
 
 namespace xsec {
@@ -81,12 +80,12 @@ TEST(ShardClearRaceTest, ClearRacingInsertNeverResurrectsPreClearDecision) {
   }
 }
 
-// The end-to-end shape the fix exists for: CheckBatch captures its stamp set
-// and clear epoch once at batch start; a concurrent Clear() plus ACL
-// tightening must not let the batch re-install its pre-clear allows. The
-// hammer runs ring submissions against cache clears and policy mutations,
-// then proves quiescent agreement with the final (deny) policy.
-TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
+// The end-to-end shape the fix exists for: Check captures its stamps and
+// clear epoch before evaluating; a concurrent Clear() plus ACL tightening
+// must not let an in-flight check re-install its pre-clear allow. The hammer
+// runs checking threads against cache clears and policy mutations, then
+// proves quiescent agreement with the final (deny) policy.
+TEST(ShardClearRaceTest, ChecksRacingClearConvergeOnFinalPolicy) {
   NameSpace ns;
   AclStore acls;
   PrincipalRegistry principals;
@@ -109,23 +108,14 @@ TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
     refs.push_back(ref);
   }
 
-  MediationRingOptions options;
-  options.shards = 2;
-  MediationRing ring(&monitor, options);
-
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
   for (int t = 0; t < 3; ++t) {
     clients.emplace_back([&, t] {
-      auto client = ring.NewClient();
       uint64_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
         NodeId node = nodes[(i + t) % kNodes];
-        auto ticket =
-            ring.SubmitCheck(*client, TestSubject(user, t + 1), node, AccessMode::kRead);
-        if (ticket.ok()) {
-          (void)ring.Wait(*client, *ticket);
-        }
+        (void)monitor.Check(TestSubject(user, t + 1), node, AccessMode::kRead);
         ++i;
       }
     });
@@ -138,7 +128,7 @@ TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
   });
 
   // Tighten policy under load: strip the allow entry from every node, with
-  // cache clears racing the in-flight batches the whole time.
+  // cache clears racing the in-flight checks the whole time.
   for (int i = 0; i < kNodes; ++i) {
     ASSERT_TRUE(acls.Replace(refs[i], Acl()).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -150,7 +140,7 @@ TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
   }
   clearer.join();
 
-  // Quiescent: every node now denies, and no raced batch left a stale allow
+  // Quiescent: every node now denies, and no raced check left a stale allow
   // behind — a final Clear()-free probe must agree with the final policy.
   for (NodeId node : nodes) {
     Decision d = monitor.Check(TestSubject(user), node, AccessMode::kRead);
