@@ -7,9 +7,12 @@
 // checking on and off (and with the decision cache on and off), so the
 // per-level cost and the cache's ability to absorb it are both visible.
 //
-// Expected shape: with traversal off, CheckPath is ~flat in depth (one name
-// resolution per component but a single access check); with traversal on it
-// grows linearly with one extra (cached: cheap) check per level.
+// Expected shape: resolution costs one child lookup per component in every
+// configuration. With traversal off there is a single access check; with
+// traversal on and the cache warm, a resolved-path cache entry answers the
+// whole walk with one probe, so cached traversal costs about the same as no
+// traversal at any depth (ci/check_bench_f9.py holds depth 8 within 1.2x).
+// Uncached, each level adds a full check.
 
 #include <benchmark/benchmark.h>
 

@@ -23,7 +23,18 @@ perf_event — fall back to median cpu_time.
 Fails (exit 1) when the fresh ratio exceeds the baseline ratio by more
 than --tolerance (default 10%).
 
+A second gate reads the fresh file alone: Kernel::Invoke by a 3-component
+path against a call through a capability to the same procedure,
+
+    invoke ratio = median cpu_time(BM_InvokePath)
+                 / median cpu_time(BM_CapabilityCall)   must be <= --max-invoke-ratio
+
+The two differ by CheckPath's resolution and traversal checks, which a
+resolved-path cache entry answers with one probe. Same-run figures, so host
+speed cancels.
+
 Usage: check_bench_f1.py <fresh.json> <baseline.json> [--tolerance 0.10]
+                         [--max-invoke-ratio 3.5]
 """
 
 import argparse
@@ -33,6 +44,8 @@ import sys
 
 CACHED = "BM_CheckNode_DacMacCached"
 NOSTATS = "BM_CheckNode_DacMacCached_NoStats"
+INVOKE = "BM_InvokePath"
+CAPABILITY = "BM_CapabilityCall"
 COUNTER = "INSTRUCTIONS"
 
 
@@ -93,11 +106,11 @@ def metric(data, path, name, key):
     return statistics.median(values)
 
 
-def ratio(data, path, key):
-    on = metric(data, path, CACHED, key)
-    off = metric(data, path, NOSTATS, key)
+def ratio(data, path, key, numerator=CACHED, denominator=NOSTATS):
+    on = metric(data, path, numerator, key)
+    off = metric(data, path, denominator, key)
     if off <= 0:
-        raise ValueError(f"{path}: non-positive {key} for {NOSTATS}")
+        raise ValueError(f"{path}: non-positive {key} for {denominator}")
     return on / off
 
 
@@ -107,6 +120,8 @@ def main():
     parser.add_argument("baseline")
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed relative ratio regression (default 0.10)")
+    parser.add_argument("--max-invoke-ratio", type=float, default=3.5,
+                        help="BM_InvokePath/BM_CapabilityCall ceiling (default 3.5)")
     args = parser.parse_args()
 
     try:
@@ -120,8 +135,16 @@ def main():
                else "cpu_time")
         fresh = ratio(fresh_data, args.fresh, key)
         base = ratio(base_data, args.baseline, key)
+        invoke = ratio(fresh_data, args.fresh, "cpu_time", INVOKE, CAPABILITY)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
         print(f"check_bench_f1: {err}", file=sys.stderr)
+        return 1
+
+    print(f"invoke-by-path/capability-call ratio [cpu_time]: {invoke:.3f} "
+          f"(limit {args.max_invoke_ratio})")
+    if invoke > args.max_invoke_ratio:
+        print(f"check_bench_f1: FAIL — Invoke by path costs {invoke:.2f}x a "
+              f"capability call (limit {args.max_invoke_ratio})", file=sys.stderr)
         return 1
 
     overhead = (fresh - 1.0) * 100.0

@@ -29,6 +29,11 @@
 #                    Collected with instructions-retired perf counters when
 #                    the benchmark library + kernel support them; the gate
 #                    prefers that metric and falls back to median cpu_time)
+#                    The same gate holds Invoke by path within 3.5x of a
+#                    capability call (BM_InvokePath / BM_CapabilityCall).
+#   BENCH_f9.json    bench_f9_traversal at depth 8 (ci/check_bench_f9.py
+#                    requires cached traversal checks within 1.2x of no
+#                    traversal checks: a warm path is one cache probe)
 #   BENCH_f11.json   bench_f11_parallel results from the release build
 #   BENCH_f12.json   bench_f12_subscription results (publish fan-out cost +
 #                    multi-sink audit drain; ci/check_bench_f12.py requires
@@ -128,6 +133,15 @@ fi
 echo "== F1 regression gate (stats overhead ratio vs committed baseline) =="
 python3 ci/check_bench_f1.py BENCH_f1.json ci/bench_f1_baseline.json
 
+echo "== F9: hierarchy traversal protection at depth 8 =="
+./build-release/bench/bench_f9_traversal \
+    --benchmark_filter='BM_Path(NoTraversal|TraversalCached)/8$' \
+    --benchmark_out=BENCH_f9.json --benchmark_out_format=json \
+    --benchmark_min_time=0.25 --benchmark_repetitions=5
+
+echo "== F9 gate (cached traversal <= 1.2x no traversal at depth 8) =="
+python3 ci/check_bench_f9.py BENCH_f9.json
+
 echo "== F14: compiled vs interpreted cache-miss decisions =="
 ./build-release/bench/bench_f14_compiled \
     --benchmark_out=BENCH_f14.json --benchmark_out_format=json \
@@ -165,4 +179,4 @@ echo "== F12: subscription fan-out on the publish path =="
 echo "== F12 gate (publisher ~flat 1->64 subs; 2-sink drain >= 1.5x; stitch == 0) =="
 python3 ci/check_bench_f12.py BENCH_f12.json
 
-echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f11.json, BENCH_f12.json, BENCH_f14.json, BENCH_f16.json, BENCH_f17.json."
+echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f9.json, BENCH_f11.json, BENCH_f12.json, BENCH_f14.json, BENCH_f16.json, BENCH_f17.json."

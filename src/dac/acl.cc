@@ -239,7 +239,13 @@ Status AclStore::AddEntry(AclRef ref, const AclEntry& entry) {
   if (ref >= acls_.size()) {
     return NotFoundError("no such ACL");
   }
-  acls_[ref].acl.AddEntry(entry);
+  // Edit a copy and publish it whole: a stored entry list is never changed
+  // in place. CopyAcl hands out shared copies that are read after the lock
+  // is released, and the relaxed use_count() Acl's copy-on-write consults
+  // cannot order those reads before an in-place edit.
+  Acl edited = acls_[ref].acl;
+  edited.AddEntry(entry);
+  acls_[ref].acl = std::move(edited);
   BumpLocked(acls_[ref]);
   return OkStatus();
 }
@@ -249,7 +255,9 @@ Status AclStore::RemoveEntriesFor(AclRef ref, PrincipalId who) {
   if (ref >= acls_.size()) {
     return NotFoundError("no such ACL");
   }
-  acls_[ref].acl.RemoveEntriesFor(who);
+  Acl edited = acls_[ref].acl;  // never in place; see AddEntry
+  edited.RemoveEntriesFor(who);
+  acls_[ref].acl = std::move(edited);
   BumpLocked(acls_[ref]);
   return OkStatus();
 }

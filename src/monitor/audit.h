@@ -306,11 +306,12 @@ class AuditLog {
     return p == AuditPolicy::kAll || (p == AuditPolicy::kDenialsOnly && !allowed);
   }
 
-  // Maintains counters without retaining a record. Lock-free.
-  void Count(bool allowed) {
-    total_checks_.fetch_add(1, std::memory_order_relaxed);
+  // Maintains counters without retaining a record, for `decisions` equal
+  // decisions at once. Lock-free.
+  void Count(bool allowed, uint64_t decisions = 1) {
+    total_checks_.fetch_add(decisions, std::memory_order_relaxed);
     if (!allowed) {
-      total_denials_.fetch_add(1, std::memory_order_relaxed);
+      total_denials_.fetch_add(decisions, std::memory_order_relaxed);
     }
   }
 

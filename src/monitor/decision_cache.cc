@@ -19,7 +19,7 @@ DecisionCache::DecisionCache(size_t slot_count_pow2) {
   }
 }
 
-uint64_t DecisionCache::KeyHash(const Subject& subject, NodeId node, AccessModeSet modes) {
+uint64_t DecisionCache::KeyHash(const Subject& subject, NodeId node, uint64_t mode_key) {
   uint64_t h = 14695981039346656037ULL;
   auto mix = [&h](uint64_t v) {
     h ^= v;
@@ -27,19 +27,26 @@ uint64_t DecisionCache::KeyHash(const Subject& subject, NodeId node, AccessModeS
   };
   mix(subject.principal.value);
   mix(node.value);
-  mix(modes.bits());
+  mix(mode_key);
   mix(subject.security_class.Hash());
+  // murmur3's fmix64 finalizer.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 
 bool DecisionCache::Lookup(const Subject& subject, NodeId node, AccessModeSet modes,
-                           const CacheStamps& current, CachedDecision* out) {
-  uint64_t hash = KeyHash(subject, node, modes);
+                           const CacheStamps& current, CachedDecision* out, bool via_path) {
+  uint64_t mode_key = ModeKey(modes, via_path);
+  uint64_t hash = KeyHash(subject, node, mode_key);
   Shard& shard = shards_[hash & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mu);
   Slot& slot = shard.slots[(hash >> shard_bits_) & slot_mask_];
   if (!slot.occupied || slot.key_hash != hash || slot.principal != subject.principal.value ||
-      slot.node != node.value || slot.modes != modes.bits() ||
+      slot.node != node.value || slot.modes != mode_key ||
       !(slot.subject_class == subject.security_class)) {
     ++shard.misses;
     return false;
@@ -91,8 +98,9 @@ void DecisionCache::Insert(const Subject& subject, NodeId node, AccessModeSet mo
 
 void DecisionCache::Insert(const Subject& subject, NodeId node, AccessModeSet modes,
                            const CacheStamps& current, CachedDecision decision,
-                           uint64_t observed_clear_epoch) {
-  uint64_t hash = KeyHash(subject, node, modes);
+                           uint64_t observed_clear_epoch, bool via_path) {
+  uint64_t mode_key = ModeKey(modes, via_path);
+  uint64_t hash = KeyHash(subject, node, mode_key);
   Shard& shard = shards_[hash & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mu);
   // Clear() bumps the epoch before it wipes any shard, and the wipe takes
@@ -110,7 +118,7 @@ void DecisionCache::Insert(const Subject& subject, NodeId node, AccessModeSet mo
   slot.key_hash = hash;
   slot.principal = subject.principal.value;
   slot.node = node.value;
-  slot.modes = modes.bits();
+  slot.modes = mode_key;
   slot.subject_class = subject.security_class;
   slot.stamps = current;
   slot.decision = decision;

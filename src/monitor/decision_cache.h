@@ -1,6 +1,7 @@
 // A decision cache for the reference monitor.
 //
-// Keyed by (principal, node, requested modes, subject class); an entry also
+// Keyed by (principal, node, requested modes, subject class, and whether the
+// entry covers the node alone or the whole path walk to it); an entry also
 // snapshots the validity stamps — name-space generation, ACL-store
 // generation, membership epoch, label epoch — plus the *domain* the stamps
 // were read from. In the legacy aggregate domain any policy-relevant
@@ -94,8 +95,11 @@ class DecisionCache {
   };
 
   // Probes the cache; returns true and fills `out` on a valid hit.
+  // `via_path` selects the resolved-path entry of the same tuple (the whole
+  // CheckPath walk that ends at `node`, ReferenceMonitor::CheckPath) instead
+  // of the per-node entry; the two are distinct keys sharing one table.
   bool Lookup(const Subject& subject, NodeId node, AccessModeSet modes,
-              const CacheStamps& current, CachedDecision* out);
+              const CacheStamps& current, CachedDecision* out, bool via_path = false);
 
   void Insert(const Subject& subject, NodeId node, AccessModeSet modes,
               const CacheStamps& current, CachedDecision decision);
@@ -109,7 +113,7 @@ class DecisionCache {
   // check path uses this form; see ShardClearRaceTest.
   void Insert(const Subject& subject, NodeId node, AccessModeSet modes,
               const CacheStamps& current, CachedDecision decision,
-              uint64_t observed_clear_epoch);
+              uint64_t observed_clear_epoch, bool via_path = false);
 
   void Clear();
 
@@ -150,7 +154,17 @@ class DecisionCache {
 
   static constexpr size_t kMaxShards = 64;
 
-  static uint64_t KeyHash(const Subject& subject, NodeId node, AccessModeSet modes);
+  // The key's mode word: the requested modes, plus kViaPathBit for a
+  // resolved-path entry.
+  static constexpr uint64_t kViaPathBit = uint64_t{1} << 32;
+  static uint64_t ModeKey(AccessModeSet modes, bool via_path) {
+    return modes.bits() | (via_path ? kViaPathBit : 0);
+  }
+
+  // FNV-1a over the key, then a full avalanche: FNV's multiply carries a
+  // difference only upward, so without it a key difference confined to
+  // high bits (kViaPathBit) never reaches the shard and slot index bits.
+  static uint64_t KeyHash(const Subject& subject, NodeId node, uint64_t mode_key);
 
   // Shards are allocated once in the constructor and never resized (Shard
   // holds a mutex, so the container must never move them).

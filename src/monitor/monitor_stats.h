@@ -105,13 +105,18 @@ class MonitorStats {
   // under concurrent recording.
   void RecordDecision(AccessModeSet modes, DenyReason reason) {
     Slot& slot = *LocalEntry().slot;
-    uint32_t bits = modes.bits();
-    while (bits != 0) {
-      unsigned b = static_cast<unsigned>(__builtin_ctz(bits));
-      Bump(slot, slot.by_mode[b]);
-      bits &= bits - 1;
-    }
+    BumpModes(slot, modes, 1);
     BumpRelease(slot, slot.by_reason[static_cast<size_t>(reason)]);
+  }
+
+  // Counts a CheckPath that a resolved-path cache entry answered exactly as
+  // its walk would have: `list_steps` allowed `list` decisions, then one
+  // allowed decision on `modes`. Same release discipline as RecordDecision.
+  void RecordAllowedPath(uint64_t list_steps, AccessModeSet modes) {
+    Slot& slot = *LocalEntry().slot;
+    BumpModes(slot, AccessMode::kList, list_steps);
+    BumpModes(slot, modes, 1);
+    BumpRelease(slot, slot.by_reason[static_cast<size_t>(DenyReason::kNone)], list_steps + 1);
   }
 
   // True once per kSampleEvery calls on this thread *for this instance*; the
@@ -192,23 +197,33 @@ class MonitorStats {
 
   // Single-writer slots use a plain load+store (no locked RMW); the shared
   // overflow slot needs the atomic RMW for correctness.
-  static void Bump(Slot& slot, std::atomic<uint64_t>& counter) {
+  static void Bump(Slot& slot, std::atomic<uint64_t>& counter, uint64_t n = 1) {
     if (slot.shared) {
-      counter.fetch_add(1, std::memory_order_relaxed);
+      counter.fetch_add(n, std::memory_order_relaxed);
     } else {
-      counter.store(counter.load(std::memory_order_relaxed) + 1,
+      counter.store(counter.load(std::memory_order_relaxed) + n,
                     std::memory_order_relaxed);
+    }
+  }
+
+  // Adds `n` to the counter of every mode in `modes`.
+  static void BumpModes(Slot& slot, AccessModeSet modes, uint64_t n) {
+    uint32_t bits = modes.bits();
+    while (bits != 0) {
+      unsigned b = static_cast<unsigned>(__builtin_ctz(bits));
+      Bump(slot, slot.by_mode[b], n);
+      bits &= bits - 1;
     }
   }
 
   // Release flavor for the counter that *completes* a record (the reason, or
   // the latency sample count): pairs with the snapshot reader's acquire
   // loads so a completed record's earlier relaxed bumps are visible with it.
-  static void BumpRelease(Slot& slot, std::atomic<uint64_t>& counter) {
+  static void BumpRelease(Slot& slot, std::atomic<uint64_t>& counter, uint64_t n = 1) {
     if (slot.shared) {
-      counter.fetch_add(1, std::memory_order_release);
+      counter.fetch_add(n, std::memory_order_release);
     } else {
-      counter.store(counter.load(std::memory_order_relaxed) + 1,
+      counter.store(counter.load(std::memory_order_relaxed) + n,
                     std::memory_order_release);
     }
   }

@@ -236,8 +236,7 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
                                           AccessModeSet modes) {
   Decision decision;
   ShardId domain = DomainOf(node);
-  shard_checks_[IsConcreteShard(domain) ? domain : kMonitorShardCount].fetch_add(
-      1, std::memory_order_relaxed);
+  shard_checks_[ShardSlot(domain)].fetch_add(1, std::memory_order_relaxed);
   if (options_.cache_enabled) {
     // The cache clear epoch and the stamps are read (acquire) BEFORE
     // evaluating. If a store mutates mid-evaluation its bump lands after our
@@ -471,40 +470,97 @@ Decision ReferenceMonitor::CheckPath(const Subject& subject, std::string_view pa
   return CheckPathUnsampled(subject, path, modes, resolved);
 }
 
+bool ReferenceMonitor::PathEntryUsable(AccessModeSet modes, ShardId leaf_domain) const {
+  // The entry replays a walk's allows as counts only. Where the walk could
+  // differ per step, take the walk: allows retained as audit records, the
+  // audit-availability override, or lockdown refusing this request's
+  // extend. Without traversal checks the leaf's own entry is the whole path.
+  // A hit counts every non-root step in the leaf's domain, as the walk does
+  // only while that domain is a concrete shard or sharding is off: a leaf
+  // past the published shard-id capacity reports the aggregate domain while
+  // its ancestors keep their shard.
+  return options_.cache_enabled && options_.check_traversal &&
+         (IsConcreteShard(leaf_domain) || !options_.shard_stamps) &&
+         !audit_.WouldRetain(true) && !audit_.SinkTripped() &&
+         !(lockdown_.load(std::memory_order_relaxed) && modes.Contains(AccessMode::kExtend));
+}
+
+void ReferenceMonitor::CountAllowedPath(size_t steps, ShardId leaf_domain, AccessModeSet modes) {
+  // Exactly what the walk records. Its first step is the root, whose domain
+  // is never concrete; every later step shares the leaf's shard.
+  shard_checks_[kMonitorShardCount].fetch_add(1, std::memory_order_relaxed);
+  shard_checks_[ShardSlot(leaf_domain)].fetch_add(steps, std::memory_order_relaxed);
+  if (options_.stats_enabled) {
+    stats_.RecordAllowedPath(steps, modes);
+  }
+  audit_.Count(true, steps + 1);
+}
+
 Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::string_view path,
                                               AccessModeSet modes, NodeId* resolved) {
-  auto components = ParsePath(path);
-  if (!components.ok()) {
-    Decision decision{false, DenyReason::kNotFound, components.status().message()};
+  // Resolve once: every component under one name-space lock acquisition,
+  // with no allocation. `chain` is the ancestors (root first), down to the
+  // node lacking the next component when resolution fails.
+  AncestorBuffer chain;
+  StatusOr<NodeId> leaf = name_space_->LookupWithAncestors(path, &chain);
+  if (!leaf.ok() && chain.empty()) {
+    // Not a canonical absolute path: nothing to traverse.
+    Decision decision{false, DenyReason::kNotFound, leaf.status().message()};
     Audit(subject, NodeId{}, std::string(path), modes, decision);
     return decision;
   }
-  // The inner checks are unsampled: CheckPath times the whole resolution as
-  // one sample, so the traversal steps must not also tick the sample clock.
-  NodeId cur = name_space_->root();
-  for (const std::string& component : *components) {
-    if (options_.check_traversal) {
-      Decision step = CheckUnsampled(subject, cur, AccessMode::kList);
+
+  // Probe once: the resolved-path entry holds "every step and the leaf
+  // allowed" for this tuple. It is stamped with the leaf's domain, which
+  // covers every step (docs/MODEL.md §15). As in CheckUnsampled, the stamps
+  // and the clear epoch are read before any step is checked.
+  const ShardId domain = leaf.ok() ? DomainOf(*leaf) : kAggregateShard;
+  const bool path_entry = leaf.ok() && !chain.empty() && PathEntryUsable(modes, domain);
+  uint64_t clear_epoch = 0;
+  CacheStamps stamps;
+  if (path_entry) {
+    clear_epoch = cache_.clear_epoch();
+    stamps = CurrentStampsFor(domain);
+    DecisionCache::CachedDecision cached;
+    if (cache_.Lookup(subject, *leaf, modes, stamps, &cached, /*via_path=*/true)) {
+      CountAllowedPath(chain.size(), domain, modes);
+      if (resolved != nullptr) {
+        *resolved = *leaf;
+      }
+      return Decision{true, DenyReason::kNone, ""};
+    }
+  }
+
+  // The walk. The steps are unsampled: CheckPath times the whole resolution
+  // as one sample, so they must not also tick the sample clock. Traversal is
+  // checked on every ancestor before a missing component is reported.
+  if (options_.check_traversal) {
+    for (size_t i = 0; i < chain.size(); ++i) {
+      Decision step = CheckUnsampled(subject, chain[i], AccessMode::kList);
       if (!step.allowed) {
         Decision decision{false, DenyReason::kTraversal,
                           StrFormat("denied while resolving '%s': %s",
-                                    name_space_->PathOf(cur).c_str(), step.detail.c_str())};
-        Audit(subject, cur, std::string(path), modes, decision);
+                                    name_space_->PathOf(chain[i]).c_str(), step.detail.c_str())};
+        Audit(subject, chain[i], std::string(path), modes, decision);
         return decision;
       }
     }
-    auto child = name_space_->Child(cur, component);
-    if (!child.ok()) {
-      Decision decision{false, DenyReason::kNotFound, child.status().message()};
-      Audit(subject, cur, std::string(path), modes, decision);
-      return decision;
-    }
-    cur = *child;
+  }
+  if (!leaf.ok()) {
+    Decision decision{false, DenyReason::kNotFound, leaf.status().message()};
+    Audit(subject, chain.back(), std::string(path), modes, decision);
+    return decision;
   }
   if (resolved != nullptr) {
-    *resolved = cur;
+    *resolved = *leaf;
   }
-  return CheckUnsampled(subject, cur, modes);
+  Decision decision = CheckUnsampled(subject, *leaf, modes);
+  if (path_entry && decision.allowed) {
+    cache_.Insert(subject, *leaf, modes, stamps,
+                  DecisionCache::CachedDecision{true, DenyReason::kNone}, clear_epoch,
+                  /*via_path=*/true);
+  }
+  return decision;
 }
 
 std::string ReferenceMonitor::Explain(const Subject& subject, NodeId node,

@@ -17,8 +17,11 @@
 //      the system by exercising discretionary access control" (§2.2);
 //   4. record the decision in the audit log.
 //
-// Decisions are cached (src/monitor/decision_cache.h); any policy mutation
-// invalidates the cache via generation stamps.
+// Decisions are cached (src/monitor/decision_cache.h) under generation
+// stamps of the node's validity domain, so a mutation invalidates the
+// decisions it can affect. CheckPath resolves the whole path once and, when
+// the walk is warm and fully allowed, answers it with one resolved-path
+// cache entry (docs/MODEL.md §15).
 //
 // Thread safety: Check/CheckPath/CheckFloating and the administrative
 // operations may be called concurrently from any number of threads. The
@@ -250,8 +253,7 @@ class ReferenceMonitor {
   // domain: unknown nodes, the root, or all checks with shard_stamps off).
   // Feeds the /sys/monitor/shard/<i>/checks telemetry leaves.
   uint64_t shard_checks(ShardId shard) const {
-    size_t i = IsConcreteShard(shard) ? shard : kMonitorShardCount;
-    return shard_checks_[i].load(std::memory_order_relaxed);
+    return shard_checks_[ShardSlot(shard)].load(std::memory_order_relaxed);
   }
 
   // The currently installed tables (null if none); for tests and stats.
@@ -284,6 +286,16 @@ class ReferenceMonitor {
   Decision CheckUnsampled(const Subject& subject, NodeId node, AccessModeSet modes);
   Decision CheckPathUnsampled(const Subject& subject, std::string_view path,
                               AccessModeSet modes, NodeId* resolved);
+  // True when a resolved-path cache entry may answer a CheckPath for `modes`
+  // to a leaf in `leaf_domain` right now; false where the walk's per-step
+  // records or overrides differ.
+  bool PathEntryUsable(AccessModeSet modes, ShardId leaf_domain) const;
+  // Records a path-entry hit as the walk of `steps` list checks plus the
+  // leaf check: stats, audit counts and per-shard check counts.
+  void CountAllowedPath(size_t steps, ShardId leaf_domain, AccessModeSet modes);
+  static size_t ShardSlot(ShardId shard) {
+    return IsConcreteShard(shard) ? shard : kMonitorShardCount;
+  }
   CacheStamps CurrentStamps() const;
   // All domains' stamps at one instant (compiled-table validation set).
   ShardStampSet CurrentStampSet() const;

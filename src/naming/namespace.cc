@@ -249,21 +249,25 @@ StatusOr<NodeId> NameSpace::Lookup(std::string_view path) const {
 
 StatusOr<NodeId> NameSpace::LookupWithAncestors(std::string_view path,
                                                 AncestorBuffer* ancestors) const {
-  auto components = ParsePath(path);
-  if (!components.ok()) {
-    return components.status();
+  Status valid = ValidatePath(path);
+  if (!valid.ok()) {
+    return valid;
   }
   std::shared_lock<std::shared_mutex> lock(mu_);
   NodeId cur = root();
-  for (const std::string& component : *components) {
+  const Node* node = &nodes_[cur.value];
+  std::string_view component;
+  while (NextComponent(&path, &component)) {
     if (ancestors != nullptr) {
       ancestors->push_back(cur);
     }
-    auto next = ChildLocked(cur, component);
-    if (!next.ok()) {
-      return next.status();
+    auto it = node->children.find(component);
+    if (it == node->children.end()) {
+      return ChildLocked(cur, component).status();
     }
-    cur = *next;
+    // Children maps hold only live nodes: Unbind erases the entry.
+    cur = it->second;
+    node = &nodes_[cur.value];
   }
   return cur;
 }

@@ -127,8 +127,11 @@ class NameSpace {
 
   // Resolution that also reports the ancestor chain (root first, excluding
   // the target). The monitor checks traversal rights on each ancestor. The
-  // buffer is inline up to kAncestorInlineDepth, so typical lookups do not
-  // allocate.
+  // whole walk runs under one shared-lock acquisition over views into
+  // `path`, and the buffer is inline up to kAncestorInlineDepth, so typical
+  // lookups do not allocate. On NotFound the buffer holds the chain down to
+  // the node that lacks the next component; on an invalid path it is
+  // untouched.
   StatusOr<NodeId> LookupWithAncestors(std::string_view path,
                                        AncestorBuffer* ancestors) const;
 

@@ -19,14 +19,13 @@ bool IsValidComponent(std::string_view name) {
   return true;
 }
 
-StatusOr<std::vector<std::string>> ParsePath(std::string_view path) {
+Status ValidatePath(std::string_view path) {
   if (path.empty() || path[0] != '/') {
     return InvalidArgumentError(
         StrFormat("path must be absolute: '%s'", std::string(path).c_str()));
   }
-  std::vector<std::string> components;
   if (path == "/") {
-    return components;
+    return OkStatus();
   }
   size_t start = 1;
   while (start <= path.size()) {
@@ -37,7 +36,6 @@ StatusOr<std::vector<std::string>> ParsePath(std::string_view path) {
       return InvalidArgumentError(
           StrFormat("path '%s' has an invalid component", std::string(path).c_str()));
     }
-    components.emplace_back(piece);
     if (pos == std::string_view::npos) {
       break;
     }
@@ -46,6 +44,30 @@ StatusOr<std::vector<std::string>> ParsePath(std::string_view path) {
       return InvalidArgumentError(
           StrFormat("path '%s' has a trailing slash", std::string(path).c_str()));
     }
+  }
+  return OkStatus();
+}
+
+bool NextComponent(std::string_view* rest, std::string_view* component) {
+  if (rest->size() <= 1) {
+    return false;
+  }
+  rest->remove_prefix(1);
+  size_t pos = rest->find('/');
+  *component = rest->substr(0, pos);
+  rest->remove_prefix(pos == std::string_view::npos ? rest->size() : pos);
+  return true;
+}
+
+StatusOr<std::vector<std::string>> ParsePath(std::string_view path) {
+  Status valid = ValidatePath(path);
+  if (!valid.ok()) {
+    return valid;
+  }
+  std::vector<std::string> components;
+  std::string_view component;
+  while (NextComponent(&path, &component)) {
+    components.emplace_back(component);
   }
   return components;
 }

@@ -20,6 +20,16 @@ namespace xsec {
 // "/" yields an empty vector. "/svc/fs/read" yields {"svc","fs","read"}.
 StatusOr<std::vector<std::string>> ParsePath(std::string_view path);
 
+// ParsePath's validation alone, with its error messages; allocates only to
+// build an error.
+Status ValidatePath(std::string_view path);
+
+// Splits the first component off a path ValidatePath accepted, or off what
+// an earlier call left of one: "/svc/fs" yields "svc" and leaves "/fs".
+// False once nothing is left ("/" or ""). Never allocates, so resolution
+// can walk a path as views into the caller's string.
+bool NextComponent(std::string_view* rest, std::string_view* component);
+
 // True iff `name` is a legal single component: nonempty, no '/', not "." or "..".
 bool IsValidComponent(std::string_view name);
 

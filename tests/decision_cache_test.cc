@@ -189,6 +189,30 @@ TEST(DecisionCacheTest, ProbeAccountingInvariant) {
   EXPECT_LE(cache.stale_hits(), cache.misses());
 }
 
+// A resolved-path entry and the per-node entry of the same (subject, node,
+// modes) are distinct keys, and they must not evict each other. Before the
+// hash gained a final avalanche, the via-path flag (a high key bit) never
+// reached the slot index, so the two always shared one slot.
+TEST(DecisionCacheTest, PathEntryAndNodeEntryBothHit) {
+  DecisionCache cache;
+  Subject s = MakeSubject(1);
+  CacheStamps stamps{1, 1, 1, 1};
+  DecisionCache::CachedDecision out;
+  for (uint32_t n = 0; n < 16; ++n) {
+    NodeId node{n};
+    cache.Insert(s, node, AccessMode::kExecute, stamps, {false, DenyReason::kMacFlow}, 0);
+    EXPECT_FALSE(cache.Lookup(s, node, AccessMode::kExecute, stamps, &out, /*via_path=*/true))
+        << "a per-node entry must not answer a path probe";
+    cache.Insert(s, node, AccessMode::kExecute, stamps, {true, DenyReason::kNone}, 0,
+                 /*via_path=*/true);
+    ASSERT_TRUE(cache.Lookup(s, node, AccessMode::kExecute, stamps, &out)) << n;
+    EXPECT_FALSE(out.allowed);
+    ASSERT_TRUE(cache.Lookup(s, node, AccessMode::kExecute, stamps, &out, /*via_path=*/true))
+        << n;
+    EXPECT_TRUE(out.allowed);
+  }
+}
+
 TEST(DecisionCacheTest, CollisionOverwrites) {
   // A 1-slot cache: every distinct key collides.
   DecisionCache cache(1);

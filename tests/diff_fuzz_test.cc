@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -230,6 +231,115 @@ class RandomWorld {
     }
   }
 
+  // Unbinds a random childless node, or rebinds a path unbound earlier (the
+  // new node gets a fresh id: ids are never reused).
+  void UnbindOrRebindLeaf() {
+    if (!unbound_paths_.empty() && rng_.NextBool(1, 2)) {
+      auto id = ns_.BindPath(unbound_paths_.back(), NodeKind::kFile, RandomPrincipal());
+      unbound_paths_.pop_back();
+      if (id.ok()) {
+        nodes_.push_back(*id);
+      }
+      return;
+    }
+    NodeId node = nodes_[rng_.NextBelow(nodes_.size())];
+    auto children = ns_.List(node);
+    if (node == ns_.root() || !children.ok() || !children->empty()) {
+      return;
+    }
+    std::string path = ns_.PathOf(node);
+    if (ns_.Unbind(node).ok()) {
+      unbound_paths_.push_back(std::move(path));
+    }
+  }
+
+  // An ACL granting every principal the modes a walk and a kernel call need.
+  Acl OpenAcl() {
+    Acl acl;
+    for (PrincipalId p : principals_pool_) {
+      acl.AddEntry({AclEntryType::kAllow, p,
+                    AccessMode::kList | AccessMode::kRead | AccessMode::kExecute |
+                        AccessMode::kExtend});
+    }
+    return acl;
+  }
+
+  // Makes most directories traversable: most containers get the open ACL
+  // and drop their own label (inheriting the root's ⊥), so random requests
+  // mostly reach their leaf and the leaf's own policy decides.
+  void OpenUp() {
+    for (NodeId node : containers_) {
+      if (rng_.NextBool(3, 4)) {
+        (void)ns_.SetAclRef(node, acls_.Create(OpenAcl()));
+      }
+      if (node != ns_.root() && rng_.NextBool(3, 4)) {
+        (void)ns_.SetLabelRef(node, kNoRef);
+      }
+    }
+  }
+
+  // Replaces the ACL of the root (or of a random container) with either a
+  // random one or the open one, so paths flip between traversable and not.
+  void ReplaceAncestorAcl(bool root) {
+    NodeId node = root ? ns_.root() : containers_[rng_.NextBelow(containers_.size())];
+    (void)ns_.SetAclRef(node, acls_.Create(rng_.NextBool(1, 2) ? OpenAcl() : RandomAcl()));
+  }
+
+  // Whether CheckPath would allow the request now, asked of a private
+  // cache-off, audit-off monitor so no monitor under test is touched.
+  bool WouldAllow(const Subject& subject, std::string_view path, AccessModeSet modes) {
+    if (scout_ == nullptr) {
+      MonitorOptions options = monitor_->options();
+      options.cache_enabled = false;
+      options.audit_policy = AuditPolicy::kOff;
+      scout_ = std::make_unique<ReferenceMonitor>(&ns_, &acls_, &principals_, &labels_, options);
+    }
+    return scout_->CheckPath(subject, path, modes).allowed;
+  }
+
+  // One event on the chain `path` resolves through: the root, an ancestor or
+  // the node itself gets a new ACL or label, or the node (if childless) is
+  // unbound.
+  void EditOnPath(std::string_view path) {
+    AncestorBuffer chain;
+    auto leaf = ns_.LookupWithAncestors(path, &chain);
+    if (!leaf.ok()) {
+      return;
+    }
+    size_t pick = rng_.NextBelow(chain.size() + 1);
+    NodeId node = pick < chain.size() ? chain[pick] : *leaf;
+    switch (rng_.NextBelow(3)) {
+      case 0:
+        (void)ns_.SetAclRef(node, acls_.Create(RandomAcl()));
+        break;
+      case 1:
+        (void)ns_.SetLabelRef(node, labels_.StoreLabel(RandomClass()));
+        break;
+      case 2:
+        if (node == *leaf && node != ns_.root() && ns_.Unbind(node).ok()) {
+          unbound_paths_.emplace_back(path);
+        }
+        break;
+    }
+  }
+
+  // A path to a live or dead node, a missing child, or not a path at all.
+  std::string RandomPath() {
+    switch (rng_.NextBelow(16)) {
+      case 0:
+        return JoinPath(ns_.PathOf(containers_[rng_.NextBelow(containers_.size())]), "absent");
+      case 1:
+        return rng_.NextBool(1, 2) ? "relative/path" : "/bad//path";
+      case 2:
+        if (!unbound_paths_.empty()) {
+          return unbound_paths_[rng_.NextBelow(unbound_paths_.size())];
+        }
+        [[fallthrough]];
+      default:
+        return ns_.PathOf(nodes_[rng_.NextBelow(nodes_.size())]);
+    }
+  }
+
   ReferenceMonitor& monitor() { return *monitor_; }
   Rng& rng() { return rng_; }
 
@@ -251,10 +361,12 @@ class RandomWorld {
   LabelAuthority labels_;
   std::unique_ptr<ReferenceMonitor> monitor_;
   std::unique_ptr<ReferenceMonitor> shadow_;
+  std::unique_ptr<ReferenceMonitor> scout_;
   std::vector<PrincipalId> principals_pool_;
   std::vector<NodeId> nodes_;
   std::vector<NodeId> containers_;
   std::vector<SecurityClass> interned_pool_;
+  std::vector<std::string> unbound_paths_;
   size_t mutation_serial_ = 0;
 };
 
@@ -431,6 +543,219 @@ TEST(DiffFuzz, MutationWithoutRecompileIsNeverServedStale) {
   }
   // The sweep must actually have exercised the staleness diversion.
   EXPECT_GT(world.monitor().compiled_counters().stale, 0u);
+}
+
+// Every counter a CheckPath moves, read from one monitor.
+struct PathCounters {
+  MonitorStats::Snapshot stats;
+  uint64_t audit_checks = 0;
+  uint64_t audit_denials = 0;
+  uint64_t audit_records = 0;
+  std::array<uint64_t, kMonitorShardCount + 1> shard_checks{};
+
+  explicit PathCounters(ReferenceMonitor& m)
+      : stats(m.stats().TakeSnapshot()),
+        audit_checks(m.audit().total_checks()),
+        audit_denials(m.audit().total_denials()),
+        audit_records(m.audit().retained()) {
+    for (ShardId s = 0; s <= kMonitorShardCount; ++s) {
+      shard_checks[s] = m.shard_checks(s);
+    }
+  }
+};
+
+// Asserts that two monitors moved every counter by the same amount between
+// their `before` and `after` readings.
+void ExpectSameDeltas(const PathCounters& on_before, const PathCounters& on_after,
+                      const PathCounters& off_before, const PathCounters& off_after) {
+  ASSERT_EQ(on_after.stats.checks_total - on_before.stats.checks_total,
+            off_after.stats.checks_total - off_before.stats.checks_total)
+      << "checks_total delta diverged";
+  for (size_t r = 0; r < kDenyReasonCount; ++r) {
+    ASSERT_EQ(on_after.stats.by_reason[r] - on_before.stats.by_reason[r],
+              off_after.stats.by_reason[r] - off_before.stats.by_reason[r])
+        << "by_reason delta diverged for reason " << r;
+  }
+  for (size_t m = 0; m < kAccessModeCount; ++m) {
+    ASSERT_EQ(on_after.stats.by_mode[m] - on_before.stats.by_mode[m],
+              off_after.stats.by_mode[m] - off_before.stats.by_mode[m])
+        << "by_mode delta diverged for mode bit " << m;
+  }
+  ASSERT_EQ(on_after.audit_checks - on_before.audit_checks,
+            off_after.audit_checks - off_before.audit_checks)
+      << "audit total_checks delta diverged";
+  ASSERT_EQ(on_after.audit_denials - on_before.audit_denials,
+            off_after.audit_denials - off_before.audit_denials)
+      << "audit total_denials delta diverged";
+  ASSERT_EQ(on_after.audit_records - on_before.audit_records,
+            off_after.audit_records - off_before.audit_records)
+      << "retained audit records diverged";
+  for (ShardId s = 0; s <= kMonitorShardCount; ++s) {
+    ASSERT_EQ(on_after.shard_checks[s] - on_before.shard_checks[s],
+              off_after.shard_checks[s] - off_before.shard_checks[s])
+        << "shard_checks delta diverged for shard " << s;
+  }
+}
+
+// An audit sink that is down for good: it trips on its first record and
+// never probes again, so the monitor's audit-availability override holds.
+std::shared_ptr<ResilientSink> DeadSink() {
+  ResilientSinkOptions options;
+  options.max_attempts = 1;
+  options.trip_after = 1;
+  options.reopen_after_ns = 0;
+  return std::make_shared<ResilientSink>(
+      [](const AuditRecord&) -> Status { return UnavailableError("sink down"); }, options);
+}
+
+TEST(DiffFuzz, CheckPathCacheOnMatchesCacheOff) {
+  // Equivalence oracle for the resolved-path cache entry: a cache-on and a
+  // cache-off monitor over the SAME stores must agree on every CheckPath's
+  // outcome and on every counter it moves (checks_total, per reason, per
+  // mode, audit totals, per-shard checks), across the events that could
+  // make a path entry wrong: root and ancestor ACL edits, relabels, leaf
+  // unbind and rebind, membership changes, audit-all, lockdown, and a
+  // tripped audit sink. Hot tuples are re-issued so path entries are both
+  // admitted and served.
+  const uint64_t seed = SeedFromEnv(0x9a7e5u);
+  SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  uint64_t checks = 0;
+  uint64_t path_hits = 0;
+
+  const size_t worlds = 4;
+  const size_t rounds = 24;
+  for (size_t w = 0; w < worlds; ++w) {
+    MonitorOptions on_options = RandomOptions(rng);
+    on_options.cache_enabled = true;
+    on_options.stats_enabled = true;
+    on_options.audit_required = rng.NextBool(1, 2);
+    on_options.audit_capacity = size_t{1} << 16;  // retained counts never saturate
+    RandomWorld world(rng, on_options);
+    world.OpenUp();
+    ReferenceMonitor& on = world.monitor();
+    MonitorOptions off_options = on_options;
+    off_options.cache_enabled = false;
+    ReferenceMonitor& off = world.ShadowMonitor(off_options);
+    bool sink_installed = false;
+
+    // Hot tuples outlive the rounds, so path entries admitted before an
+    // event are probed again after it. They are mostly allowed when picked
+    // (only allowed walks make path entries) and favour the modes the
+    // kernel asks for: execute, and extend, which lockdown refuses.
+    struct Probe {
+      Subject subject;
+      std::string path;
+      AccessModeSet modes;
+    };
+    auto random_probe = [&world] {
+      return Probe{world.RandomSubject(), world.RandomPath(), world.RandomModes()};
+    };
+    auto hot_probe = [&] {
+      Probe probe = random_probe();
+      for (int tries = 0; tries < 64 && rng.NextBool(3, 4); ++tries) {
+        switch (rng.NextBelow(3)) {
+          case 0:
+            probe.modes = AccessMode::kExecute;
+            break;
+          case 1:
+            probe.modes = AccessMode::kExtend;
+            break;
+        }
+        if (world.WouldAllow(probe.subject, probe.path, probe.modes)) {
+          break;
+        }
+        probe = random_probe();
+      }
+      return probe;
+    };
+    std::vector<Probe> hot;
+    for (size_t i = 0; i < 8; ++i) {
+      hot.push_back(hot_probe());
+    }
+
+    // The dead sink stays tripped, which turns path entries off for good,
+    // so it only goes in during the second half.
+    auto event = [&](size_t round) {
+      switch (rng.NextBelow(10)) {
+        case 0:
+          world.ReplaceAncestorAcl(/*root=*/true);
+          break;
+        case 1:
+          world.ReplaceAncestorAcl(/*root=*/false);
+          break;
+        case 2:
+        case 3:  // an ACL edit, relabel or unbind on a hot path itself
+          world.EditOnPath(hot[rng.NextBelow(hot.size())].path);
+          break;
+        case 4:
+          world.UnbindOrRebindLeaf();
+          break;
+        case 5: {
+          AuditPolicy policy = rng.NextBool(1, 3) ? AuditPolicy::kAll : AuditPolicy::kDenialsOnly;
+          on.set_audit_policy(policy);
+          off.set_audit_policy(policy);
+          break;
+        }
+        case 6:
+          on.set_lockdown(!on.lockdown());
+          off.set_lockdown(on.lockdown());
+          break;
+        case 7:
+          if (!sink_installed && 2 * round >= rounds && rng.NextBool(1, 2)) {
+            on.audit().InstallResilientSink(DeadSink());
+            off.audit().InstallResilientSink(DeadSink());
+            sink_installed = true;
+          }
+          break;
+        default:  // relabels, membership, ACL edits in place, binds, owners
+          world.Mutate();
+          break;
+      }
+    };
+
+    for (size_t round = 0; round < rounds; ++round) {
+      if (rng.NextBool(1, 3)) {
+        world.OpenUp();  // undo some of the events' damage to traversability
+      }
+      hot[rng.NextBelow(hot.size())] = hot_probe();
+      if (rng.NextBool(1, 2)) {
+        (void)on.RecompileNow();
+      }
+      for (size_t i = 0; i < 256; ++i) {
+        if (i % 64 == 63) {
+          event(round);
+        }
+        Probe probe = rng.NextBool(4, 5) ? hot[rng.NextBelow(hot.size())] : random_probe();
+        PathCounters on_before(on);
+        PathCounters off_before(off);
+        uint64_t hits_before = on.cache().hits();
+        uint64_t misses_before = on.cache().misses();
+        NodeId on_node, off_node;
+        Decision with_cache = on.CheckPath(probe.subject, probe.path, probe.modes, &on_node);
+        Decision without = off.CheckPath(probe.subject, probe.path, probe.modes, &off_node);
+        ASSERT_EQ(with_cache.allowed, without.allowed)
+            << "cache-on/cache-off CheckPath divergence: path=" << probe.path
+            << " principal=" << probe.subject.principal.value
+            << " modes=" << probe.modes.ToString();
+        ASSERT_EQ(with_cache.reason, without.reason) << "reason divergence: path=" << probe.path;
+        if (with_cache.allowed) {
+          ASSERT_EQ(on_node, off_node) << "resolved to different nodes: path=" << probe.path;
+        }
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectSameDeltas(on_before, PathCounters(on), off_before, PathCounters(off)));
+        // A served path entry is the only way an allowed CheckPath below the
+        // root costs exactly one cache probe (traversal checks are on).
+        if (with_cache.allowed && probe.path != "/" && on.cache().hits() == hits_before + 1 &&
+            on.cache().misses() == misses_before) {
+          ++path_hits;
+        }
+        ++checks;
+      }
+    }
+  }
+  EXPECT_GE(checks, 24000u);
+  EXPECT_GT(path_hits, 0u) << "no CheckPath was served by a path entry; the oracle is vacuous";
 }
 
 // Fault sweep: injected policy-I/O, recompile, and stats failures must never
