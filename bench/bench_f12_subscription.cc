@@ -10,24 +10,28 @@
 //                                   under kDropOldest, none draining
 //   SubscribeUnsubscribe            admission check + channel mount/unmount
 //                                   round trip (the control-plane cost)
-//   MultiSinkDrain/sinks:<n>        audit fan-out: one batch recorded, n
+//   MultiSinkDrain/sinks:<n>        audit delivery: one batch recorded, n
 //                                   registered sinks each ~20us per record,
-//                                   lanes drain in parallel until Flush
+//                                   their delivery threads run in parallel
+//                                   until Flush
 //
 // Expected shape: with the RCU-published epoch pointer the publisher's cost
 // is ~flat in n — the fan-out step per channel is a pointer push, so the
 // n:64 cell should sit within ~10% of n:1 (ci/check_bench_f12.py gates
 // this). items_per_second counts published epochs.
 //
-// MultiSinkDrain uses real time: each lane's sink sleeps ~20us per record,
-// so with 2 lanes the sleeps overlap across drainer threads and total
-// sink-deliveries/sec should be >= 1.5x the single-sink lane even on one
-// core (the gate in ci/check_bench_f12.py). stitch_violations must be 0.
+// MultiSinkDrain uses real time: each sink sleeps ~20us per record, so with
+// 2 sinks the sleeps overlap across delivery threads and total
+// sink-deliveries/sec should be >= 1.5x the single sink even on one core
+// (the gate in ci/check_bench_f12.py). Each sink checks that the sequences
+// it is handed strictly increase; order_violations must be 0.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -112,14 +116,23 @@ void BM_MultiSinkDrain(benchmark::State& state) {
   const int64_t sinks = state.range(0);
   AuditLog log(/*capacity=*/1 << 16);
   log.set_policy(AuditPolicy::kAll);
+  auto order_violations = std::make_shared<std::atomic<uint64_t>>(0);
   for (int64_t i = 0; i < sinks; ++i) {
     // A sink that costs ~20us per record: the drain time is sleep-dominated,
-    // so parallel lanes overlap their sleeps even on a single core.
-    log.AddSink("bench" + std::to_string(i), [](const AuditRecord&) {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    });
+    // so parallel delivery threads overlap their sleeps even on one core.
+    // Calls to one sink are serialized, so `last` needs no lock.
+    auto last = std::make_shared<uint64_t>(0);
+    log.AddSink("bench" + std::to_string(i),
+                [order_violations, last, first = true](const AuditRecord& record) mutable {
+                  if (!first && record.sequence <= *last) {
+                    order_violations->fetch_add(1, std::memory_order_relaxed);
+                  }
+                  first = false;
+                  *last = record.sequence;
+                  std::this_thread::sleep_for(std::chrono::microseconds(20));
+                });
   }
-  log.StartFanOut();
+  log.StartDrain();
   AuditRecord record;
   record.principal = PrincipalId{1};
   record.thread_id = 7;
@@ -133,18 +146,16 @@ void BM_MultiSinkDrain(benchmark::State& state) {
     for (int i = 0; i < kBatch; ++i) {
       log.Record(record);
     }
-    // Flush blocks until every lane has emptied its shards, so an iteration
-    // measures enqueue + full parallel drain.
+    // Flush blocks until every sink's cursor reaches the head, so an
+    // iteration measures append + full parallel delivery.
     log.Flush();
   }
-  log.StopFanOut();
-  // Each lane delivers the whole stream: total sink-deliveries scale with
-  // the sink count while wall time stays ~flat when lanes overlap.
+  log.StopDrain();
+  // Each sink is handed the whole stream: total sink-deliveries scale with
+  // the sink count while wall time stays ~flat when deliveries overlap.
   state.SetItemsProcessed(state.iterations() * kBatch * sinks);
-  state.counters["stitch_violations"] =
-      static_cast<double>(log.fanout_stitch_violations());
-  state.counters["fanout_dropped"] =
-      static_cast<double>(log.fanout_dropped());
+  state.counters["order_violations"] = static_cast<double>(order_violations->load());
+  state.counters["sink_dropped"] = static_cast<double>(log.sink_dropped());
 }
 BENCHMARK(BM_MultiSinkDrain)
     ->ArgName("sinks")

@@ -16,9 +16,9 @@ makes about the telemetry publish path:
    claim is about work *it* does per epoch.
 
 2. Parallel drain. Registering a second audit sink must actually buy
-   parallel drain, not serialize behind the first lane. Each bench sink
-   sleeps ~20us per record, so lanes overlap their sleeps even on a
-   single core and total sink-deliveries/sec should scale:
+   parallel delivery, not serialize behind the first sink. Each bench sink
+   sleeps ~20us per record, so delivery threads overlap their sleeps even
+   on a single core and total sink-deliveries/sec should scale:
 
        speedup = median items_per_second(BM_MultiSinkDrain/sinks:2)
                / median items_per_second(BM_MultiSinkDrain/sinks:1)
@@ -27,10 +27,11 @@ makes about the telemetry publish path:
    computed from real time (the bench uses UseRealTime), which is what
    overlapping sleeps improve.
 
-3. Stitch integrity. Every MultiSinkDrain repetition must report
-   stitch_violations == 0 — a nonzero counter means a lane emitted
-   records out of global sequence order, which no amount of throughput
-   excuses.
+3. Delivery order. Every MultiSinkDrain repetition must report
+   order_violations == 0. Each bench sink counts the records it was handed
+   whose sequence did not strictly increase; a nonzero counter means a sink
+   saw records out of global sequence order, which no amount of throughput
+   excuses. A repetition without the counter fails the gate too.
 
 Both ratios come from the same run on the same machine, so CPU speed and
 virtualization noise cancel; there is no committed baseline. Medians over
@@ -125,10 +126,13 @@ def main():
                              f"{one}")
         drain_speedup = two / one
 
-        stitch = 0.0
+        violations = 0.0
         for name in (DRAIN_ONE, DRAIN_TWO):
             for row in rows(data, name):
-                stitch += float(row.get("stitch_violations", 0.0))
+                if "order_violations" not in row:
+                    raise ValueError(f"{name}: a repetition carries no "
+                                     "order_violations counter")
+                violations += float(row["order_violations"])
     except ValueError as err:
         print(f"F12 gate: ERROR: {err}", file=sys.stderr)
         return 1
@@ -137,8 +141,8 @@ def main():
           f"{publish_ratio:.3f} (ceiling {args.max_publish_ratio:.2f})")
     print(f"F12 gate: 2-sink/1-sink drain throughput = "
           f"{drain_speedup:.2f}x (floor {args.min_drain_speedup:.2f}x)")
-    print(f"F12 gate: total stitch_violations across drain reps = "
-          f"{stitch:.0f}")
+    print(f"F12 gate: total order_violations across drain reps = "
+          f"{violations:.0f}")
 
     failed = False
     if publish_ratio > args.max_publish_ratio:
@@ -149,13 +153,12 @@ def main():
         failed = True
     if drain_speedup < args.min_drain_speedup:
         print("F12 gate: FAIL — a second sink did not speed up the drain; "
-              "lanes are serializing (shared lock on the delivery path?) "
+              "sinks are serializing (shared lock on the delivery path?) "
               "instead of draining in parallel", file=sys.stderr)
         failed = True
-    if stitch != 0:
-        print("F12 gate: FAIL — a lane emitted records out of global "
-              "sequence order; the stitcher's ordering proof is broken",
-              file=sys.stderr)
+    if violations != 0:
+        print("F12 gate: FAIL — a sink was handed records out of global "
+              "sequence order", file=sys.stderr)
         failed = True
     if failed:
         return 1

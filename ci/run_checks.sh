@@ -38,7 +38,7 @@
 #   BENCH_f12.json   bench_f12_subscription results (publish fan-out cost +
 #                    multi-sink audit drain; ci/check_bench_f12.py requires
 #                    the publisher ~flat 1->64 subscribers, a 2-sink drain
-#                    >= 1.5x one sink, and zero stitch violations)
+#                    >= 1.5x one sink, and zero order violations)
 #   BENCH_f14.json   bench_f14_compiled results (compiled vs interpreted
 #                    cache-miss decisions; ci/check_bench_f14.py requires
 #                    the compiled miss to be materially faster)
@@ -176,7 +176,7 @@ echo "== F12: subscription fan-out on the publish path =="
     --benchmark_out=BENCH_f12.json --benchmark_out_format=json \
     --benchmark_min_time=0.1 --benchmark_repetitions=3
 
-echo "== F12 gate (publisher ~flat 1->64 subs; 2-sink drain >= 1.5x; stitch == 0) =="
+echo "== F12 gate (publisher ~flat 1->64 subs; 2-sink drain >= 1.5x; order_violations == 0) =="
 python3 ci/check_bench_f12.py BENCH_f12.json
 
 echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f9.json, BENCH_f11.json, BENCH_f12.json, BENCH_f14.json, BENCH_f16.json, BENCH_f17.json."

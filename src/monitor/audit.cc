@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <ostream>
 #include <thread>
+#include <utility>
 
 #include "src/base/failpoint.h"
 #include "src/base/strings.h"
@@ -112,19 +113,21 @@ void NdjsonFileRotator::RotateIfNeeded(size_t next_line_bytes) {
       std::rename(path_.c_str(), StrFormat("%s.1", path_.c_str()).c_str());
     }
   }
-  ++rotations_;
-  (void)Open();  // max_keep == 0 lands here too: truncate in place
+  ++rotations_;  // Write reopens the file (max_keep == 0: truncate in place)
 }
 
 void NdjsonFileRotator::Write(const AuditRecord& record) {
-  if (out_ == nullptr) {
-    return;  // Open() failed or was never called; drop rather than crash
-  }
   std::string line = record.ToJson();
   line += '\n';
-  RotateIfNeeded(line.size());
-  if (out_ == nullptr) {
-    return;  // reopen after rotation failed
+  if (out_ != nullptr) {
+    RotateIfNeeded(line.size());
+  }
+  if (out_ == nullptr && !Open().ok()) {
+    // No file to write to (a failed open or reopen after rotation): drop the
+    // line as a write failure, so a fallible sink reports it, and retry the
+    // open on the next write.
+    ++write_failures_;
+    return;
   }
   // Disk-full simulation point: an armed `audit.ndjson.write` takes zero
   // bytes, like a device with no space left; a real short fwrite lands in
@@ -237,258 +240,6 @@ void ResilientSink::Write(const AuditRecord& record) {
   }
 }
 
-// One fan-out lane: a registered sink, its sharded queues, and the drainer
-// that stitches the shards back into global sequence order. `mu` guards the
-// queue state; the counters are atomics so gauge reads never touch a lane
-// lock; last_emitted_seq/emitted_any are drainer-thread-only. Lock order is
-// always AuditLog::mu_ → lane->mu; no path holds a lane lock while taking
-// another lane's (lanes are independent by design).
-struct AuditLog::SinkLane {
-  uint64_t id = 0;
-  std::string name;
-  Sink sink;
-
-  std::mutex mu;
-  std::condition_variable cv;       // wakes the lane drainer
-  std::condition_variable idle_cv;  // wakes Flush waiters
-  // Records are shared immutable copies: one allocation per record serves
-  // every lane, and a pop is a pointer move.
-  std::vector<std::deque<std::shared_ptr<const AuditRecord>>> shards;
-  size_t shard_capacity = 0;
-  size_t queued = 0;  // records across all shards
-  bool stop = false;
-  bool running = false;
-  bool busy = false;  // the drainer is mid-sink-call outside mu
-  std::thread drainer;
-
-  std::atomic<uint64_t> delivered{0};
-  std::atomic<uint64_t> dropped{0};
-  // Emissions whose sequence did not strictly increase. The stitched order
-  // is proven, not assumed: this stays 0 in a correct run and tests/CI pin
-  // it there.
-  std::atomic<uint64_t> stitch_violations{0};
-  uint64_t last_emitted_seq = 0;
-  bool emitted_any = false;
-};
-
-void AuditLog::EnqueueFanOutLocked(const AuditRecord& record) {
-  if (!fanout_running_ || lanes_.empty()) {
-    return;
-  }
-  std::shared_ptr<const AuditRecord> shared;  // built lazily, shared by lanes
-  for (const std::shared_ptr<SinkLane>& lane : lanes_) {
-    std::lock_guard<std::mutex> lock(lane->mu);
-    if (!lane->running || lane->stop) {
-      continue;
-    }
-    std::deque<std::shared_ptr<const AuditRecord>>& shard =
-        lane->shards[record.sequence % lane->shards.size()];
-    // Failpoint first, so an injected enqueue failure is exercised even when
-    // the shard has room (mirrors audit.drain.enqueue). A drop leaves a gap
-    // in THIS lane's stream, never a reordering.
-    if (XSEC_FAILPOINT_FIRED("audit.fanout.enqueue") ||
-        shard.size() >= lane->shard_capacity) {
-      lane->dropped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (shared == nullptr) {
-      shared = std::make_shared<const AuditRecord>(record);
-    }
-    shard.push_back(shared);
-    ++lane->queued;
-    lane->cv.notify_one();
-  }
-}
-
-void AuditLog::LaneLoop(SinkLane* lane) {
-  std::unique_lock<std::mutex> lock(lane->mu);
-  for (;;) {
-    lane->cv.wait(lock, [lane] { return lane->stop || lane->queued > 0; });
-    if (lane->queued == 0) {
-      return;  // stop requested and every shard drained
-    }
-    // The stitcher: pop the minimum-sequence shard head. Enqueues happen
-    // inside the log's stamping critical section, so pushes arrive in
-    // strictly increasing global sequence order across shards — the minimum
-    // head IS the globally next queued record, and an empty shard can only
-    // ever receive a larger sequence later. Drops create gaps, which the
-    // minimum still steps over in order.
-    std::deque<std::shared_ptr<const AuditRecord>>* best = nullptr;
-    for (auto& shard : lane->shards) {
-      if (shard.empty()) {
-        continue;
-      }
-      if (best == nullptr ||
-          shard.front()->sequence < best->front()->sequence) {
-        best = &shard;
-      }
-    }
-    std::shared_ptr<const AuditRecord> record = std::move(best->front());
-    best->pop_front();
-    --lane->queued;
-    lane->busy = true;
-    lock.unlock();
-    if (lane->emitted_any && record->sequence <= lane->last_emitted_seq) {
-      lane->stitch_violations.fetch_add(1, std::memory_order_relaxed);
-    }
-    lane->last_emitted_seq = record->sequence;
-    lane->emitted_any = true;
-    lane->sink(*record);  // outside mu: a slow sink throttles only this lane
-    lane->delivered.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-    lane->busy = false;
-    if (lane->queued == 0) {
-      lane->idle_cv.notify_all();
-    }
-  }
-}
-
-void AuditLog::StartLaneLocked(const std::shared_ptr<SinkLane>& lane) {
-  {
-    std::lock_guard<std::mutex> lock(lane->mu);
-    lane->shards.assign(fanout_options_.shards, {});
-    lane->shard_capacity = fanout_options_.shard_queue_capacity;
-    lane->queued = 0;
-    lane->stop = false;
-    lane->running = true;
-    lane->emitted_any = false;
-  }
-  // Raw pointer is safe: the joining side (StopFanOut/RemoveSink) holds a
-  // shared_ptr across the join, so the lane outlives its drainer.
-  lane->drainer = std::thread([this, raw = lane.get()] { LaneLoop(raw); });
-}
-
-uint64_t AuditLog::AddSink(std::string name, Sink sink) {
-  auto lane = std::make_shared<SinkLane>();
-  lane->name = std::move(name);
-  lane->sink = std::move(sink);
-  std::lock_guard<std::mutex> lock(mu_);
-  lane->id = next_lane_id_++;
-  lanes_.push_back(lane);
-  if (fanout_running_) {
-    StartLaneLocked(lane);
-  }
-  return lane->id;
-}
-
-bool AuditLog::RemoveSink(uint64_t id) {
-  std::shared_ptr<SinkLane> lane;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
-      if ((*it)->id == id) {
-        lane = *it;
-        lanes_.erase(it);
-        break;
-      }
-    }
-  }
-  if (lane == nullptr) {
-    return false;
-  }
-  // Unregistered (no new enqueues can reach it) — flush and join.
-  {
-    std::lock_guard<std::mutex> lock(lane->mu);
-    lane->stop = true;
-  }
-  lane->cv.notify_all();
-  if (lane->drainer.joinable()) {
-    lane->drainer.join();
-  }
-  return true;
-}
-
-void AuditLog::StartFanOut(AuditFanOutOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fanout_running_) {
-    return;
-  }
-  if (options.shards == 0) {
-    options.shards = 1;
-  }
-  if (options.shard_queue_capacity == 0) {
-    options.shard_queue_capacity = 1;
-  }
-  fanout_options_ = options;
-  fanout_running_ = true;
-  for (const std::shared_ptr<SinkLane>& lane : lanes_) {
-    StartLaneLocked(lane);
-  }
-}
-
-void AuditLog::StopFanOut() {
-  std::vector<std::shared_ptr<SinkLane>> lanes;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!fanout_running_) {
-      return;
-    }
-    fanout_running_ = false;
-    lanes = lanes_;  // lanes stay registered; only the drainers stop
-  }
-  for (const std::shared_ptr<SinkLane>& lane : lanes) {
-    {
-      std::lock_guard<std::mutex> lock(lane->mu);
-      lane->stop = true;
-    }
-    lane->cv.notify_all();
-    if (lane->drainer.joinable()) {
-      lane->drainer.join();  // the drainer flushes its shards before exiting
-    }
-    std::lock_guard<std::mutex> lock(lane->mu);
-    lane->running = false;
-  }
-}
-
-size_t AuditLog::fanout_sinks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lanes_.size();
-}
-
-uint64_t AuditLog::fanout_delivered() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const std::shared_ptr<SinkLane>& lane : lanes_) {
-    total += lane->delivered.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t AuditLog::fanout_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const std::shared_ptr<SinkLane>& lane : lanes_) {
-    total += lane->dropped.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t AuditLog::fanout_stitch_violations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const std::shared_ptr<SinkLane>& lane : lanes_) {
-    total += lane->stitch_violations.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::vector<AuditSinkLaneStats> AuditLog::FanOutStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AuditSinkLaneStats> out;
-  out.reserve(lanes_.size());
-  for (const std::shared_ptr<SinkLane>& lane : lanes_) {
-    AuditSinkLaneStats stats;
-    stats.id = lane->id;
-    stats.name = lane->name;
-    stats.delivered = lane->delivered.load(std::memory_order_relaxed);
-    stats.dropped = lane->dropped.load(std::memory_order_relaxed);
-    stats.stitch_violations =
-        lane->stitch_violations.load(std::memory_order_relaxed);
-    out.push_back(std::move(stats));
-  }
-  return out;
-}
-
 AuditMemoryRing::AuditMemoryRing(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -521,6 +272,31 @@ std::function<void(const AuditRecord&)> MakeMemoryRingSink(
   return [ring](const AuditRecord& record) { ring->Write(record); };
 }
 
+// A registered sink and its cursor into the delivery log. `mu` serializes
+// delivery to this sink and guards `batch` and `spent`; `next` advances only
+// under it, and is atomic so other cursors' deliveries and the delivery
+// thread's wake predicate can read it under AuditLog::mu_. `end` is written
+// under both `mu` and AuditLog::mu_, so either lock reads it; `stop` is
+// guarded by AuditLog::mu_ and `thread` by AuditLog::ctl_mu_.
+struct AuditLog::Cursor {
+  uint64_t id = 0;
+  std::string name;
+  Sink sink;
+
+  std::mutex mu;
+  std::condition_variable advanced;  // wakes Flush waiters
+  std::atomic<uint64_t> next{0};     // the next sequence this sink is owed
+  std::vector<RecordPtr> batch;      // records gathered for the sink
+  std::vector<RecordPtr> spent;      // log slots released, freed off mu_
+
+  uint64_t end = UINT64_MAX;  // one past the last sequence owed, once removed
+  bool stop = false;          // the delivery thread's final pass is due
+  std::thread thread;
+
+  std::atomic<uint64_t> delivered{0};
+  std::atomic<uint64_t> dropped{0};
+};
+
 void AuditLog::RingInsertLocked(AuditRecord record) {
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(record));
@@ -539,76 +315,222 @@ void AuditLog::Record(AuditRecord record) {
   if (!WouldRetain(record.allowed)) {
     return;
   }
-  // Sequence-order fix: when the sink runs synchronously (no drain), acquire
-  // sink_mu_ BEFORE stamping, so the stamp and the sink call form one
-  // critical section and two racing recorders cannot stamp in one order and
-  // emit in the other. The drained path gets the same guarantee from
-  // enqueueing inside the stamping critical section below.
-  std::unique_lock<std::mutex> serialize(sink_mu_, std::defer_lock);
-  if (sync_sink_active_.load(std::memory_order_acquire)) {
-    serialize.lock();
-  }
-  std::shared_ptr<const Sink> sink;
-  AuditRecord for_sink;
+  RecordPtr evicted;  // destroyed after mu_ is released
+  std::shared_ptr<const CursorList> deliver;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     record.sequence = next_sequence_++;
-    // Fan-out enqueue shares the stamping critical section, so every lane's
-    // shard queues see pushes in strictly increasing global sequence order —
-    // the invariant the lane stitcher relies on.
-    EnqueueFanOutLocked(record);
-    if (sink_ != nullptr) {
-      if (drain_running_) {
-        // Only enqueue under mu_; the drainer does the sink I/O. Enqueueing
-        // in the same critical section that stamps the sequence is what
-        // keeps drained output exactly sequence-ordered. The failpoint is
-        // evaluated first so an injected enqueue failure (or latency — it
-        // runs under mu_, deliberately stalling recorders like a contended
-        // queue would) is exercised even when the queue has room.
-        if (XSEC_FAILPOINT_FIRED("audit.drain.enqueue") ||
-            drain_queue_.size() >= drain_options_.queue_capacity) {
-          sink_dropped_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          drain_queue_.push_back(record);
-          drain_cv_.notify_one();
-        }
+    if (!cursors_->empty()) {
+      evicted = std::exchange(log_[record.sequence % log_.size()],
+                              std::make_shared<const AuditRecord>(record));
+      if (draining_) {
+        wake = true;
       } else {
-        sink = sink_;     // invoke outside the lock, on a copy
-        for_sink = record;
+        deliver = cursors_;
       }
     }
     RingInsertLocked(std::move(record));
   }
-  if (sink != nullptr) {
-    // Recorders are never blocked on file I/O while holding the ring mutex;
-    // they may still wait on each other (sink_mu_), which is what the async
-    // drain removes entirely. A sink installed between the pre-check above
-    // and here is serialized late (that one racing record may emit out of
-    // order; sinks are setup-time by contract).
-    if (!serialize.owns_lock()) {
-      serialize.lock();
+  if (wake) {
+    work_cv_.notify_all();
+  } else if (deliver != nullptr) {
+    for (const std::shared_ptr<Cursor>& cursor : *deliver) {
+      Deliver(cursor.get());
     }
-    (*sink)(for_sink);
   }
 }
 
+uint64_t AuditLog::GatherLocked(Cursor* cursor) {
+  uint64_t next = cursor->next.load(std::memory_order_relaxed);
+  uint64_t head = std::min(next_sequence_, cursor->end);
+  // Records older than the log's window were overwritten before this sink
+  // reached them; inside it, a slot holding another sequence was too.
+  uint64_t oldest = next_sequence_ - std::min<uint64_t>(next_sequence_, log_.size());
+  uint64_t lost = 0;
+  if (next < oldest) {
+    lost = std::min(oldest, head) - next;
+    next = std::min(oldest, head);
+  }
+  for (uint64_t seq = next; seq < head; ++seq) {
+    const RecordPtr& slot = log_[seq % log_.size()];
+    if (slot != nullptr && slot->sequence == seq) {
+      cursor->batch.push_back(slot);
+    } else {
+      ++lost;
+    }
+  }
+  cursor->dropped.fetch_add(lost, std::memory_order_relaxed);
+  // Release the slots every registered sink has now passed, so the log holds
+  // only records some sink is still owed.
+  uint64_t passed = head;
+  for (const std::shared_ptr<Cursor>& other : *cursors_) {
+    if (other.get() != cursor) {
+      passed = std::min(passed, other->next.load(std::memory_order_relaxed));
+    }
+  }
+  for (uint64_t seq = std::max(released_, oldest); seq < passed; ++seq) {
+    cursor->spent.push_back(std::move(log_[seq % log_.size()]));
+  }
+  released_ = std::max(released_, passed);
+  return head;
+}
+
+void AuditLog::HandOver(Cursor* cursor, uint64_t head) {
+  cursor->spent.clear();
+  for (const RecordPtr& record : cursor->batch) {
+    // An injected failure skips this record for this sink only: a gap in its
+    // stream, never a reordering.
+    if (XSEC_FAILPOINT_FIRED("audit.sink.deliver")) {
+      cursor->dropped.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    cursor->sink(*record);
+    cursor->delivered.fetch_add(1, std::memory_order_relaxed);
+  }
+  cursor->batch.clear();
+  cursor->next.store(head, std::memory_order_relaxed);
+  cursor->advanced.notify_all();
+}
+
+void AuditLog::Deliver(Cursor* cursor) {
+  std::lock_guard<std::mutex> serialize(cursor->mu);
+  uint64_t head;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    head = GatherLocked(cursor);
+  }
+  HandOver(cursor, head);
+}
+
+void AuditLog::SinkLoop(Cursor* cursor) {
+  for (;;) {
+    bool stop;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this, cursor] {
+        return cursor->stop || cursor->next.load(std::memory_order_relaxed) <
+                                   std::min(next_sequence_, cursor->end);
+      });
+      stop = cursor->stop;
+    }
+    Deliver(cursor);  // on stop, the final pass hands over everything appended
+    if (stop) {
+      return;
+    }
+  }
+}
+
+void AuditLog::StartThreadLocked(const std::shared_ptr<Cursor>& cursor) {
+  cursor->stop = false;
+  // The raw pointer is safe: whoever joins the thread holds a shared_ptr.
+  cursor->thread = std::thread([this, raw = cursor.get()] { SinkLoop(raw); });
+}
+
+void AuditLog::ResizeLogLocked(size_t capacity) {
+  if (log_.size() == capacity) {
+    return;
+  }
+  std::vector<RecordPtr> log(capacity);
+  for (RecordPtr& record : log_) {
+    if (record != nullptr && next_sequence_ - record->sequence <= capacity) {
+      log[record->sequence % capacity] = std::move(record);
+    }
+  }
+  log_.swap(log);
+}
+
+uint64_t AuditLog::SwapSink(uint64_t remove_id, std::string name, Sink sink, bool* removed) {
+  std::shared_ptr<Cursor> gone;
+  if (remove_id != 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
+      if (cursor->id == remove_id) {
+        gone = cursor;
+      }
+    }
+  }
+  // Registration changes only under ctl_mu_, so `gone` stays registered
+  // until the swap below. Holding its mutex across the swap lets the swap
+  // gather everything it is owed before another sink's delivery can
+  // release those log slots.
+  std::unique_lock<std::mutex> serialize;
+  if (gone != nullptr) {
+    serialize = std::unique_lock<std::mutex>(gone->mu);
+  }
+  uint64_t id = 0;
+  uint64_t head = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto cursors = std::make_shared<CursorList>();
+    for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
+      if (cursor != gone) {
+        cursors->push_back(cursor);
+      }
+    }
+    if (gone != nullptr) {
+      gone->end = next_sequence_;
+      gone->stop = true;
+      head = GatherLocked(gone.get());
+    }
+    if (sink) {
+      auto cursor = std::make_shared<Cursor>();
+      cursor->id = id = next_sink_id_++;
+      cursor->name = std::move(name);
+      cursor->sink = std::move(sink);
+      cursor->next.store(next_sequence_, std::memory_order_relaxed);
+      if (log_.empty()) {
+        ResizeLogLocked(log_capacity_);
+      }
+      if (draining_) {
+        StartThreadLocked(cursor);
+      }
+      cursors->push_back(std::move(cursor));
+    }
+    cursors_ = std::move(cursors);
+  }
+  if (removed != nullptr) {
+    *removed = gone != nullptr;
+  }
+  if (gone != nullptr) {
+    HandOver(gone.get(), head);  // everything it is owed
+    serialize.unlock();
+    work_cv_.notify_all();
+    if (gone->thread.joinable()) {
+      gone->thread.join();  // its final pass finds nothing left
+    }
+  }
+  return id;
+}
+
 void AuditLog::set_sink(Sink sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sink_ = sink ? std::make_shared<const Sink>(std::move(sink)) : nullptr;
-  UpdateSyncModeLocked();
+  std::lock_guard<std::mutex> control(ctl_mu_);
+  primary_id_ = SwapSink(primary_id_, "sink", std::move(sink));
 }
 
 void AuditLog::InstallResilientSink(std::shared_ptr<ResilientSink> sink) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> control(ctl_mu_);
   resilient_ = sink;
   // Publish the health pointer before the sink can be invoked; release
   // pairs with the acquire in SinkTripped.
   resilient_raw_.store(sink.get(), std::memory_order_release);
-  sink_ = sink != nullptr
-              ? std::make_shared<const Sink>(
-                    [sink](const AuditRecord& record) { sink->Write(record); })
-              : nullptr;
-  UpdateSyncModeLocked();
+  Sink wrapped;
+  if (sink != nullptr) {
+    wrapped = [sink](const AuditRecord& record) { sink->Write(record); };
+  }
+  primary_id_ = SwapSink(primary_id_, "resilient", std::move(wrapped));
+}
+
+uint64_t AuditLog::AddSink(std::string name, Sink sink) {
+  std::lock_guard<std::mutex> control(ctl_mu_);
+  return SwapSink(0, std::move(name), std::move(sink));
+}
+
+bool AuditLog::RemoveSink(uint64_t id) {
+  std::lock_guard<std::mutex> control(ctl_mu_);
+  bool removed = false;
+  SwapSink(id, "", nullptr, &removed);
+  return removed;
 }
 
 std::string AuditLog::sink_state() const {
@@ -630,60 +552,39 @@ uint64_t AuditLog::sink_gave_up() const {
 }
 
 void AuditLog::StartDrain(AuditDrainOptions options) {
+  std::lock_guard<std::mutex> control(ctl_mu_);
   std::lock_guard<std::mutex> lock(mu_);
-  if (drain_running_) {
+  if (draining_) {
     return;
   }
-  if (options.queue_capacity == 0) {
-    options.queue_capacity = 1;
+  log_capacity_ = std::max<size_t>(options.queue_capacity, 1);
+  if (!log_.empty()) {
+    ResizeLogLocked(log_capacity_);
   }
-  drain_options_ = options;
-  drain_stop_ = false;
-  drain_running_ = true;
-  UpdateSyncModeLocked();
-  drainer_ = std::thread([this] { DrainLoop(); });
-}
-
-void AuditLog::DrainLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    drain_cv_.wait(lock, [this] { return drain_stop_ || !drain_queue_.empty(); });
-    if (drain_queue_.empty()) {
-      return;  // stop requested and nothing left to flush
-    }
-    std::deque<AuditRecord> batch;
-    batch.swap(drain_queue_);
-    std::shared_ptr<const Sink> sink = sink_;
-    drain_busy_ = true;
-    lock.unlock();
-    if (sink != nullptr) {
-      std::lock_guard<std::mutex> serialize(sink_mu_);
-      for (const AuditRecord& record : batch) {
-        (*sink)(record);
-      }
-    }
-    lock.lock();
-    drain_busy_ = false;
-    if (drain_queue_.empty()) {
-      drain_idle_cv_.notify_all();
-    }
+  draining_ = true;
+  for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
+    StartThreadLocked(cursor);
   }
 }
 
 void AuditLog::StopDrain() {
+  std::lock_guard<std::mutex> control(ctl_mu_);
+  std::shared_ptr<const CursorList> cursors;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!drain_running_) {
+    if (!draining_) {
       return;
     }
-    drain_stop_ = true;
+    draining_ = false;
+    cursors = cursors_;
+    for (const std::shared_ptr<Cursor>& cursor : *cursors) {
+      cursor->stop = true;
+    }
   }
-  drain_cv_.notify_all();
-  drainer_.join();  // the drainer flushes the queue before exiting
-  std::lock_guard<std::mutex> lock(mu_);
-  drain_running_ = false;
-  drain_stop_ = false;
-  UpdateSyncModeLocked();
+  work_cv_.notify_all();
+  for (const std::shared_ptr<Cursor>& cursor : *cursors) {
+    cursor->thread.join();  // after its final pass
+  }
 }
 
 void AuditLog::Flush() {
@@ -691,21 +592,56 @@ void AuditLog::Flush() {
   // error spec counts a fire but flush still proceeds — flush is not
   // allowed to fail, only to be slow).
   (void)XSEC_FAILPOINT_FIRED("audit.sink.flush");
-  std::vector<std::shared_ptr<SinkLane>> lanes;
+  std::shared_ptr<const CursorList> cursors;
+  uint64_t head;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    drain_idle_cv_.wait(lock, [this] { return drain_queue_.empty() && !drain_busy_; });
-    lanes = lanes_;
+    std::lock_guard<std::mutex> lock(mu_);
+    cursors = cursors_;
+    head = next_sequence_;
   }
-  // Wait out every fan-out lane too: a lane drainer empties its shards before
-  // exiting, so "queued == 0 and not mid-sink-call" means fully flushed.
-  for (const std::shared_ptr<SinkLane>& lane : lanes) {
-    std::unique_lock<std::mutex> lock(lane->mu);
-    lane->idle_cv.wait(lock,
-                       [&lane] { return lane->queued == 0 && !lane->busy; });
+  // Every record below `head` is being delivered by its recorder or a
+  // delivery thread (a sink removed meanwhile was handed all it was owed),
+  // so this only waits. Waiting under the cursor's mutex is what orders
+  // this thread after the sink calls.
+  for (const std::shared_ptr<Cursor>& cursor : *cursors) {
+    std::unique_lock<std::mutex> lock(cursor->mu);
+    cursor->advanced.wait(lock, [&cursor, head] {
+      return cursor->next.load(std::memory_order_relaxed) >= std::min(head, cursor->end);
+    });
   }
-  // Wait out any sink call currently in flight (sync recorder or drainer).
-  std::lock_guard<std::mutex> serialize(sink_mu_);
+}
+
+size_t AuditLog::sinks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cursors_->size();
+}
+
+uint64_t AuditLog::delivered() const {
+  uint64_t total = 0;
+  for (const AuditSinkStats& stats : SinkStats()) {
+    total += stats.delivered;
+  }
+  return total;
+}
+
+uint64_t AuditLog::sink_dropped() const {
+  uint64_t total = 0;
+  for (const AuditSinkStats& stats : SinkStats()) {
+    total += stats.dropped;
+  }
+  return total;
+}
+
+std::vector<AuditSinkStats> AuditLog::SinkStats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<AuditSinkStats> out;
+  out.reserve(cursors_->size());
+  for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
+    out.push_back({cursor->id, cursor->name,
+                   cursor->delivered.load(std::memory_order_relaxed),
+                   cursor->dropped.load(std::memory_order_relaxed)});
+  }
+  return out;
 }
 
 template <typename Visit>
@@ -752,7 +688,10 @@ void AuditLog::Clear() {
   total_checks_.store(0, std::memory_order_relaxed);
   total_denials_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  sink_dropped_.store(0, std::memory_order_relaxed);
+  for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
+    cursor->delivered.store(0, std::memory_order_relaxed);
+    cursor->dropped.store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace xsec

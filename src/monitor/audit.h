@@ -10,17 +10,16 @@
 // on the ring mutex, the (single) consumer drains via records()/Query(),
 // and the oldest record is overwritten once the ring is full.
 //
-// Sink I/O never runs under the ring mutex. Without a drain, the recording
-// thread invokes the sink on a copy of the record after releasing the ring
-// lock; the sink mutex is acquired BEFORE the sequence is stamped, so the
-// stamp and the sink call form one serialized critical section and sync-mode
-// output is in exact sequence order (sinks still need no internal locking).
-// With StartDrain(), Record only enqueues into a bounded drain queue and a
-// background drainer invokes the sink — file writes and NDJSON rotation
-// renames happen on the drainer, never on a mediated check, and enqueueing
-// inside the stamping critical section keeps drained output exactly
-// sequence-ordered too. See docs/MODEL.md §11 for the ordering/durability
-// semantics.
+// Delivery to sinks has one path. In the same critical section that stamps
+// its sequence, a retained record is appended to a bounded delivery log
+// (when any sink is registered). Every sink is a cursor over that log, and
+// one routine hands each sink its records in exact sequence order, under
+// that sink's own mutex and never under the ring mutex: on the recording
+// thread by default, or on one thread per sink after StartDrain(), so that
+// file writes and NDJSON rotation renames never run on a mediated check. A
+// sink that lags more than the log's capacity loses its oldest pending
+// records, counted in its dropped counter. See docs/MODEL.md §11 for the
+// ordering/durability semantics.
 
 #ifndef XSEC_SRC_MONITOR_AUDIT_H_
 #define XSEC_SRC_MONITOR_AUDIT_H_
@@ -89,9 +88,9 @@ struct AuditRecord {
 
 // A sink for AuditLog::set_sink that writes each retained record as one
 // NDJSON line to `out`. The stream must outlive the log; the log serializes
-// sink invocations (sink mutex, or the single drainer thread), so the sink
-// needs no locking of its own. A slow target stalls recorders unless the
-// log's async drain is running (AuditLog::StartDrain).
+// the calls to each sink, so the sink needs no locking of its own. A slow
+// target stalls recorders unless the log's drain is running
+// (AuditLog::StartDrain).
 std::function<void(const AuditRecord&)> MakeNdjsonSink(std::ostream* out);
 
 // Rotation policy for an NDJSON audit file: the current file is rotated when
@@ -106,9 +105,9 @@ struct NdjsonRotationPolicy {
 };
 
 // A size/age-rotating NDJSON audit file writer (tools/xsec_stats wires one
-// behind --ndjson). Not internally synchronized: the AuditLog serializes its
-// sink invocations (never under the ring mutex). Under the async drain both
-// the fwrite and the rotation renames run on the drainer thread, off the
+// behind --ndjson). Not internally synchronized: the AuditLog serializes the
+// calls to each sink (never under the ring mutex). Under the drain both the
+// fwrite and the rotation renames run on the sink's delivery thread, off the
 // mediated check path entirely.
 class NdjsonFileRotator {
  public:
@@ -117,7 +116,9 @@ class NdjsonFileRotator {
   NdjsonFileRotator(const NdjsonFileRotator&) = delete;
   NdjsonFileRotator& operator=(const NdjsonFileRotator&) = delete;
 
-  // Opens (truncating) the base file. Must succeed before Write is used.
+  // Opens (truncating) the base file. If an open fails (here, or the reopen
+  // after a rotation), each Write drops its line as a write failure and
+  // retries the open first.
   Status Open();
 
   void Write(const AuditRecord& record);
@@ -128,7 +129,8 @@ class NdjsonFileRotator {
   // truncated in place instead, so writing always continues.
   uint64_t rename_failures() const { return rename_failures_; }
   // Lines that did not land in full — a short fwrite (disk full, I/O error,
-  // or the `audit.ndjson.write` failpoint). The partial line is truncated
+  // or the `audit.ndjson.write` failpoint), or no open file to write to (the
+  // `audit.rotate.open` failpoint lands here). A partial line is truncated
   // back off the file so the NDJSON whole-line invariant holds; the record
   // is dropped from export (the in-memory ring still retains it).
   uint64_t write_failures() const { return write_failures_; }
@@ -161,8 +163,8 @@ std::function<Status(const AuditRecord&)> MakeRotatingNdjsonFallibleSink(
 
 // A bounded in-memory audit sink: retains the most recent `capacity` records
 // handed to it (a recent-window retention ring of its own, independent of
-// the log's). Register one as a fan-out lane (MakeMemoryRingSink) to keep a
-// cheap queryable tail per export plane. Accessors are thread-safe.
+// the log's). Register one with AuditLog::AddSink (MakeMemoryRingSink) to
+// keep a cheap queryable tail per export plane. Accessors are thread-safe.
 class AuditMemoryRing {
  public:
   explicit AuditMemoryRing(size_t capacity = 1024);
@@ -212,10 +214,10 @@ struct ResilientSinkOptions {
 // recloses the circuit, failure reopens it.
 //
 // Write() must be externally serialized, which AuditLog::InstallResilientSink
-// guarantees (sink invocations run under the log's sink mutex or on its
-// single drainer thread). The state/counter accessors are safe from any
-// thread — they back the /sys/monitor/audit/{sink_state,retries,gave_up}
-// leaves and the monitor's fail-closed check.
+// guarantees (the log serializes the calls to each sink). The state/counter
+// accessors are safe from any thread — they back the
+// /sys/monitor/audit/{sink_state,retries,gave_up} leaves and the monitor's
+// fail-closed check.
 class ResilientSink {
  public:
   enum class State : uint8_t { kClosed = 0, kOpen, kHalfOpen };
@@ -254,31 +256,21 @@ class ResilientSink {
   uint64_t opened_at_ns_ = 0;
 };
 
-// Configuration for the async audit drain (AuditLog::StartDrain). The drain
-// queue is bounded: when a slow sink lets it fill, newly retained records
-// skip the sink (counted in sink_dropped()) rather than blocking recorders —
-// the ring still retains them, so nothing is lost from records()/Query().
+// Configuration for asynchronous audit delivery (AuditLog::StartDrain).
+// queue_capacity bounds the delivery log: a sink that falls more than that
+// many records behind loses its oldest pending records (counted in its
+// dropped counter) rather than blocking recorders. The retention ring still
+// holds them, so nothing is lost from records()/Query().
 struct AuditDrainOptions {
   size_t queue_capacity = 4096;
 };
 
-// Configuration for the sharded multi-sink fan-out (AuditLog::StartFanOut).
-struct AuditFanOutOptions {
-  // Shard queues per lane; a record lands in shard (sequence % shards).
-  size_t shards = 4;
-  // Per-shard queue bound. A full shard drops the record for THAT lane only
-  // (counted in the lane's dropped gauge); other lanes and the retained
-  // ring are unaffected, so one wedged sink cannot starve the rest.
-  size_t shard_queue_capacity = 1024;
-};
-
-// Per-lane telemetry snapshot (AuditLog::FanOutStats).
-struct AuditSinkLaneStats {
+// Per-sink telemetry snapshot (AuditLog::SinkStats).
+struct AuditSinkStats {
   uint64_t id = 0;
   std::string name;
   uint64_t delivered = 0;
   uint64_t dropped = 0;
-  uint64_t stitch_violations = 0;
 };
 
 class AuditLog {
@@ -286,10 +278,7 @@ class AuditLog {
   using Sink = std::function<void(const AuditRecord&)>;
 
   explicit AuditLog(size_t capacity = 4096) : capacity_(capacity) {}
-  ~AuditLog() {
-    StopDrain();
-    StopFanOut();
-  }
+  ~AuditLog() { StopDrain(); }
 
   void set_policy(AuditPolicy policy) { policy_.store(policy, std::memory_order_relaxed); }
   AuditPolicy policy() const { return policy_.load(std::memory_order_relaxed); }
@@ -315,20 +304,38 @@ class AuditLog {
     }
   }
 
-  // Optional sink invoked for every retained record (e.g. a test collector
-  // or an NDJSON writer). Invocations are serialized, in exact sequence
-  // order, and never run under the ring mutex; without a drain the
-  // recording thread calls the sink itself (and blocks on its I/O), with
-  // one the drainer does. Install at setup time, before concurrent checking
-  // starts.
+  // -- Delivery (MODEL.md §11) ------------------------------------------------
+  //
+  // Every retained record stamped while at least one sink is registered goes
+  // into one bounded, sequence-ordered delivery log. Every sink is a cursor
+  // over that log: the next sequence it is owed plus its own delivered and
+  // dropped counters. One routine hands a sink the records from its cursor up
+  // to the head, in sequence order, under that sink's own mutex (so sinks
+  // need no locking of their own and never run under the ring mutex). It runs
+  // on the recording thread when no drain is running, and on one thread per
+  // sink while StartDrain is. A sink that falls more than the log's capacity
+  // behind loses its oldest pending records: gaps, never reorderings. A sink
+  // must not register or remove sinks, or record, from inside its own call.
+
+  // Replaces THE sink (the one set_sink or InstallResilientSink last
+  // registered; null removes it) in one step: every record reaches exactly
+  // one of the old and new sinks. The old one is flushed before this returns.
   void set_sink(Sink sink);
 
-  // Installs `sink` (may be null to remove) as THE sink, wrapped so every
-  // retained record goes through its retry/circuit-breaker policy, and
-  // registers it as the log's health source: SinkTripped(), sink_state()
-  // and the retry counters reflect this sink from here on. Install at setup
-  // time, like set_sink.
+  // Like set_sink, with `sink` (may be null) wrapped so every retained record
+  // goes through its retry/circuit-breaker policy, and registers it as the
+  // log's health source: SinkTripped(), sink_state() and the retry counters
+  // reflect this sink from here on.
   void InstallResilientSink(std::shared_ptr<ResilientSink> sink);
+
+  // Registers another named sink (an NDJSON file, an in-memory ring, a
+  // network exporter); returns its id. It is owed every record stamped from
+  // here on, none before.
+  uint64_t AddSink(std::string name, Sink sink);
+
+  // Unregisters a sink after handing it every record it is owed. False if
+  // no sink has this id.
+  bool RemoveSink(uint64_t id);
 
   // -- Fail-closed contract (MODEL.md §12) ------------------------------------
 
@@ -358,68 +365,30 @@ class AuditLog {
   uint64_t sink_retries() const;
   uint64_t sink_gave_up() const;
 
-  // -- Async drain ------------------------------------------------------------
-
-  // Starts the background drainer: from here on Record() only enqueues (a
-  // bounded copy queue) and the drainer invokes the sink in sequence order.
-  // Idempotent while running. Thread-compatible with concurrent Record().
+  // Starts one delivery thread per sink (and one for each sink added while
+  // running), sizing the delivery log to options.queue_capacity. From here
+  // on Record() only appends and wakes them, so sink I/O never runs on a
+  // mediated check. Idempotent while running.
   void StartDrain(AuditDrainOptions options = {});
 
-  // Drains whatever is queued, then stops and joins the drainer. Queued
-  // records are flushed to the sink before this returns (clean-shutdown
-  // durability); records that were dropped on a full queue are gone — see
-  // sink_dropped(). No-op if the drain is not running.
+  // Each delivery thread hands its sink everything appended so far, then
+  // exits; later records are delivered on the recording thread again. No-op
+  // if the drain is not running.
   void StopDrain();
 
-  // Blocks until every record enqueued before this call has been handed to
-  // the sink (and any in-flight synchronous sink call has returned). With no
-  // drain running this only waits out the in-flight call.
+  // Blocks until every sink's cursor reaches the head as of this call, and
+  // establishes happens-before with every sink call it waited for. It only
+  // waits: the recorders or the delivery threads do the deliveries.
   void Flush();
 
-  // Retained records that skipped the sink because the drain queue was full.
-  uint64_t sink_dropped() const { return sink_dropped_.load(std::memory_order_relaxed); }
-
-  // -- Multi-sink sharded fan-out ---------------------------------------------
-  //
-  // A second export plane, independent of the single set_sink pipeline:
-  // AddSink registers any number of named sinks (an NDJSON file, an
-  // in-memory ring, a future network exporter — the registry IS the hook
-  // for new sink kinds), each backed by its own *lane* of `shards`
-  // sequence-keyed queues and its own drainer thread. Lanes drain in
-  // parallel, so a slow sink throttles only itself. Every retained record
-  // is enqueued to every running lane inside the stamping critical section
-  // — pushes therefore arrive in strictly increasing global sequence order
-  // across all of a lane's shards — and each lane's stitcher (a
-  // min-sequence merge over its shard heads) provably hands records to the
-  // sink boundary in exact global sequence order. The proof is monitored,
-  // not assumed: any out-of-order emission bumps the lane's
-  // stitch_violations counter (0 in a correct run; tests and the F12 CI
-  // gate pin it there). Backpressure drops leave gaps, never reorderings.
-
-  // Registers a sink as a new lane; returns its id. Callable before or
-  // after StartFanOut (a lane added while running starts draining at once).
-  // The sink is invoked only from that lane's drainer thread.
-  uint64_t AddSink(std::string name, Sink sink);
-
-  // Stops the lane's drainer (flushing queued records first) and removes it.
-  bool RemoveSink(uint64_t id);
-
-  // Starts the fan-out: sizes every lane's shard queues and spawns one
-  // drainer per lane. Records retained before this call are not fanned out.
-  // Idempotent while running.
-  void StartFanOut(AuditFanOutOptions options = {});
-
-  // Flush-then-join of every lane drainer; lanes stay registered, so a
-  // later StartFanOut resumes them. No-op when not running.
-  void StopFanOut();
-
-  // Aggregate fan-out gauges (backing /sys/monitor/audit/fanout/*).
-  size_t fanout_sinks() const;
-  uint64_t fanout_delivered() const;
-  uint64_t fanout_dropped() const;
-  uint64_t fanout_stitch_violations() const;
-  // Per-lane breakdown for tools and tests.
-  std::vector<AuditSinkLaneStats> FanOutStats() const;
+  // Registered sinks, and the records they were handed or dropped, summed
+  // over all of them (the audit/sinks, audit/delivered and audit/sink_dropped
+  // leaves).
+  size_t sinks() const;
+  uint64_t delivered() const;
+  uint64_t sink_dropped() const;
+  // Per-sink breakdown for tools and tests.
+  std::vector<AuditSinkStats> SinkStats() const;
 
   // Snapshot of the retained records, oldest first.
   std::vector<AuditRecord> records() const;
@@ -435,107 +404,97 @@ class AuditLog {
   uint64_t total_denials() const { return total_denials_.load(std::memory_order_relaxed); }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
-  // Discards the retained ring and zeroes the counters. Sequence numbers are
-  // NOT reset: records emitted after a Clear continue the sequence, so ids
+  // Discards the retained ring and zeroes the counters (the per-sink ones
+  // too). Records still owed to sinks are delivered. Sequence numbers are NOT
+  // reset: records emitted after a Clear continue the sequence, so ids
   // already exported (e.g. to rotated NDJSON files) are never reused and
   // cross-rotation dedup/ordering by `seq` stays sound.
   void Clear();
 
  private:
-  // Recomputes sync_sink_active_ from sink_/drain_running_. Caller holds mu_.
-  void UpdateSyncModeLocked() {
-    sync_sink_active_.store(sink_ != nullptr && !drain_running_,
-                            std::memory_order_release);
-  }
+  using RecordPtr = std::shared_ptr<const AuditRecord>;
+
+  // One registered sink and its cursor into the delivery log. Defined in
+  // audit.cc.
+  struct Cursor;
+  using CursorList = std::vector<std::shared_ptr<Cursor>>;
 
   // Appends `visit(record)` for each retained record, oldest first, with
   // mu_ held.
   template <typename Visit>
   void ForEachLocked(Visit visit) const;
 
-  // One registered fan-out sink: N sharded queues plus a drainer that
-  // stitches them back into global sequence order. Defined in audit.cc.
-  struct SinkLane;
+  // Unregisters sink `remove_id` (0: none) and registers `sink` (null: none)
+  // in one critical section, then hands the removed sink everything it is
+  // owed and joins its delivery thread. Returns the new sink's id (0 if
+  // none); *removed reports whether remove_id was found. Caller holds
+  // ctl_mu_.
+  uint64_t SwapSink(uint64_t remove_id, std::string name, Sink sink, bool* removed = nullptr);
 
-  // Pushes `record` onto every running lane's shard queue. Caller holds mu_
-  // (the stamping critical section), which is what makes cross-shard pushes
-  // globally sequence-ordered.
-  void EnqueueFanOutLocked(const AuditRecord& record);
-
-  // Sizes a lane's shards per fanout_options_ and spawns its drainer.
-  // Caller holds mu_ and fanout_running_ is true.
-  void StartLaneLocked(const std::shared_ptr<SinkLane>& lane);
-
-  // A lane drainer's main loop (min-sequence stitcher).
-  void LaneLoop(SinkLane* lane);
-
-  // Inserts into the bounded ring. Caller holds mu_.
+  // Inserts into the bounded retention ring. Caller holds mu_.
   void RingInsertLocked(AuditRecord record);
 
-  // The drainer thread's main loop.
-  void DrainLoop();
+  // Hands the cursor's sink every record it is owed, in sequence order.
+  void Deliver(Cursor* cursor);
+
+  // Deliver's two halves. GatherLocked collects the records the cursor is
+  // owed up to the head (clipped at its end), counts the ones the log
+  // overwrote first, releases the log slots every registered sink has
+  // passed, and returns the head; caller holds cursor->mu and mu_.
+  // HandOver hands the gathered records to the sink and advances the
+  // cursor to `head`; caller holds cursor->mu only.
+  uint64_t GatherLocked(Cursor* cursor);
+  void HandOver(Cursor* cursor, uint64_t head);
+
+  // A delivery thread's main loop.
+  void SinkLoop(Cursor* cursor);
+
+  // Spawns the cursor's delivery thread. Caller holds ctl_mu_ and mu_.
+  void StartThreadLocked(const std::shared_ptr<Cursor>& cursor);
+
+  // Re-homes the delivery log at `capacity` slots. Caller holds mu_.
+  void ResizeLogLocked(size_t capacity);
 
   size_t capacity_;
   std::atomic<AuditPolicy> policy_{AuditPolicy::kDenialsOnly};
   std::atomic<uint64_t> total_checks_{0};
   std::atomic<uint64_t> total_denials_{0};
   std::atomic<uint64_t> dropped_{0};
-  std::atomic<uint64_t> sink_dropped_{0};
 
-  // Ring of retained records: grows to capacity_, then head_ marks the
-  // oldest record and new ones overwrite it. mu_ also orders sequence
-  // stamping and drain-queue admission, which is what makes drained sink
-  // output exactly sequence-ordered.
+  // mu_ orders sequence stamping, retention and the delivery-log append, and
+  // guards the fields from here to ctl_mu_.
   mutable std::mutex mu_;
+  uint64_t next_sequence_ = 0;
+  // Ring of retained records: grows to capacity_, then head_ marks the
+  // oldest record and new ones overwrite it.
   std::vector<AuditRecord> ring_;
   size_t head_ = 0;
-  // Shared so a recorder can invoke the current sink after dropping mu_
-  // while set_sink concurrently swaps in a new one.
-  std::shared_ptr<const Sink> sink_;
-  uint64_t next_sequence_ = 0;
+  // The delivery log: record `seq` lives in slot seq % size() until every
+  // sink has passed it (slots below released_ are empty) or it is
+  // overwritten. Allocated when the first sink registers.
+  std::vector<RecordPtr> log_;
+  size_t log_capacity_ = AuditDrainOptions{}.queue_capacity;
+  uint64_t released_ = 0;
+  // Registered sinks. Copied on write, so a recorder can deliver to the list
+  // it saw after dropping mu_ while sinks come and go.
+  std::shared_ptr<const CursorList> cursors_ = std::make_shared<const CursorList>();
+  bool draining_ = false;
+  std::condition_variable work_cv_;  // wakes delivery threads (with mu_)
 
-  // Resilient-sink health plumbing. resilient_ (guarded by mu_) owns the
+  // Serializes the control operations (sink registration, StartDrain,
+  // StopDrain) so each delivery thread is started and joined by exactly one
+  // of them. Lock order: ctl_mu_ -> Cursor::mu -> mu_.
+  std::mutex ctl_mu_;
+  uint64_t next_sink_id_ = 1;   // guarded by ctl_mu_
+  uint64_t primary_id_ = 0;     // set_sink's sink, guarded by ctl_mu_
+
+  // Resilient-sink health plumbing. resilient_ (guarded by ctl_mu_) owns the
   // sink; resilient_raw_ mirrors it so the monitor's per-check SinkTripped
   // probe is one lock-free load.
   std::shared_ptr<ResilientSink> resilient_;
   std::atomic<const ResilientSink*> resilient_raw_{nullptr};
   std::atomic<bool> required_{false};
   std::atomic<uint64_t> unaudited_allows_{0};
-
-  // Serializes sink invocations (sync recorders and the drainer), so sinks
-  // never need internal locking. Lock order: sync-mode recorders acquire
-  // sink_mu_ BEFORE mu_ (stamping and sink emission become one critical
-  // section, which is what makes sync-mode output exactly sequence-ordered);
-  // no path ever acquires sink_mu_ while holding mu_.
-  std::mutex sink_mu_;
-
-  // True iff a sink is installed and no drain is running, i.e. recorders
-  // will invoke the sink themselves. Maintained under mu_
-  // (UpdateSyncModeLocked); read lock-free by recorders to decide whether
-  // to pre-acquire sink_mu_. Sinks are installed at setup time, so the
-  // pre-check and the under-mu_ state only diverge in tests that hot-swap
-  // sinks — and then the recorder falls back to acquiring sink_mu_ late
-  // (serialized, possibly unordered for that one racing record).
-  std::atomic<bool> sync_sink_active_{false};
-
-  // Async drain state, guarded by mu_ (the queue is touched only on actual
-  // retention, never on the counting fast path).
-  std::deque<AuditRecord> drain_queue_;
-  AuditDrainOptions drain_options_;
-  bool drain_running_ = false;
-  bool drain_stop_ = false;
-  bool drain_busy_ = false;  // the drainer is mid-batch outside mu_
-  std::condition_variable drain_cv_;       // wakes the drainer
-  std::condition_variable drain_idle_cv_;  // wakes Flush waiters
-  std::thread drainer_;
-
-  // Fan-out lane registry, guarded by mu_. Lanes are shared_ptrs so
-  // StopFanOut/RemoveSink can join a drainer after dropping mu_ while a
-  // racing accessor still holds a reference.
-  std::vector<std::shared_ptr<SinkLane>> lanes_;
-  AuditFanOutOptions fanout_options_;
-  bool fanout_running_ = false;
-  uint64_t next_lane_id_ = 1;
 };
 
 }  // namespace xsec

@@ -185,6 +185,12 @@ Status StatsService::Install() {
       "audit/retained", [audit, count] { return count(audit->retained()); }));
   XSEC_RETURN_IF_ERROR(
       MountLeaf("audit/dropped", [audit, count] { return count(audit->dropped()); }));
+  // Audit delivery (MODEL.md §11): registered sinks, and the records handed
+  // to or dropped by them, summed over every sink.
+  XSEC_RETURN_IF_ERROR(
+      MountLeaf("audit/sinks", [audit, count] { return count(audit->sinks()); }));
+  XSEC_RETURN_IF_ERROR(
+      MountLeaf("audit/delivered", [audit, count] { return count(audit->delivered()); }));
   XSEC_RETURN_IF_ERROR(MountLeaf(
       "audit/sink_dropped", [audit, count] { return count(audit->sink_dropped()); }));
   // Resilient-sink health (MODEL.md §12): circuit state plus the retry /
@@ -198,20 +204,6 @@ Status StatsService::Install() {
       MountLeaf("audit/gave_up", [audit, count] { return count(audit->sink_gave_up()); }));
   XSEC_RETURN_IF_ERROR(MountLeaf("audit/unaudited_allows", [audit, count] {
     return count(audit->unaudited_allows());
-  }));
-  // Multi-sink fan-out plane (MODEL.md §11): registered sinks, aggregate
-  // deliveries/drops across lanes, and the stitcher's order-violation
-  // counter (always 0 unless the sequence-stitch invariant broke).
-  XSEC_RETURN_IF_ERROR(MountLeaf(
-      "audit/fanout/sinks", [audit, count] { return count(audit->fanout_sinks()); }));
-  XSEC_RETURN_IF_ERROR(MountLeaf("audit/fanout/delivered", [audit, count] {
-    return count(audit->fanout_delivered());
-  }));
-  XSEC_RETURN_IF_ERROR(MountLeaf("audit/fanout/dropped", [audit, count] {
-    return count(audit->fanout_dropped());
-  }));
-  XSEC_RETURN_IF_ERROR(MountLeaf("audit/fanout/stitch_violations", [audit, count] {
-    return count(audit->fanout_stitch_violations());
   }));
   XSEC_RETURN_IF_ERROR(MountLeaf(
       "subscribers/active", [this] { return std::to_string(active_subscribers()); }));

@@ -26,9 +26,8 @@
 //   /sys/monitor/denials/by-reason/<r>   one per DenyReason (not-found, ...)
 //   /sys/monitor/cache/hits|misses|stale|hit_rate
 //   /sys/monitor/latency/p50|p90|p99|samples   sampled check latency, ns
-//   /sys/monitor/audit/retained|dropped|sink_dropped
-//   /sys/monitor/audit/fanout/sinks|delivered|dropped|stitch_violations
-//                                        multi-sink fan-out plane (AuditLog)
+//   /sys/monitor/audit/retained|dropped
+//   /sys/monitor/audit/sinks|delivered|sink_dropped   summed over every sink
 //   /sys/monitor/rate/checks_per_sec     windowed rate over published epochs
 //   /sys/monitor/rate/denials_per_sec
 //   /sys/monitor/subscribers/active      live subscription channels

@@ -139,7 +139,10 @@ class NdjsonDiskFullTest : public ::testing::Test {
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".ndjson";
     std::remove(path_.c_str());
   }
-  ~NdjsonDiskFullTest() override { std::remove(path_.c_str()); }
+  ~NdjsonDiskFullTest() override {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".1").c_str());
+  }
 
   void TearDown() override { FailpointRegistry::Instance().DisarmAll(); }
 
@@ -219,6 +222,61 @@ TEST_F(NdjsonDiskFullTest, FullDiskTripsTheResilientSinkFailClosed) {
   EXPECT_GE(rotator->write_failures(), 2u);
   // The ring still retains what the disk lost.
   EXPECT_EQ(log.retained(), 3u);
+}
+
+TEST_F(NdjsonDiskFullTest, FailedReopenAfterRotationTripsTheResilientSinkFailClosed) {
+  NdjsonRotationPolicy policy;
+  policy.max_bytes = 1;  // every write after the first rotates
+  policy.max_keep = 1;
+  auto rotator = std::make_shared<NdjsonFileRotator>(path_, policy);
+  ASSERT_TRUE(rotator->Open().ok());
+
+  MonitorOptions monitor_options;
+  monitor_options.audit_policy = AuditPolicy::kAll;
+  monitor_options.audit_required = true;
+  SecureSystem sys(monitor_options);
+  AuditLog& audit = sys.monitor().audit();
+  ResilientSinkOptions options;
+  options.max_attempts = 1;
+  options.backoff_initial_ns = 1'000;
+  options.trip_after = 2;
+  options.reopen_after_ns = 60'000'000'000;  // stays open for this test
+  auto sink = std::make_shared<ResilientSink>(MakeRotatingNdjsonFallibleSink(rotator),
+                                              options);
+  audit.InstallResilientSink(sink);
+
+  PrincipalId alice = *sys.CreateUser("alice");
+  NodeId file = *sys.name_space().BindPath("/fs/reopen", NodeKind::kFile,
+                                           sys.system_principal());
+  Acl acl;
+  acl.AddEntry({AclEntryType::kAllow, alice, AccessMode::kRead});
+  (void)sys.name_space().SetAclRef(file, sys.kernel().acls().Create(std::move(acl)));
+  Subject alice_s = sys.Login(alice, sys.labels().Bottom());
+  EXPECT_TRUE(sys.monitor().Check(alice_s, file, AccessMode::kRead).allowed);
+  uint64_t written = sink->written();
+  ASSERT_GE(written, 1u);
+
+  // The rotation closes the file and its reopen fails, on every write from
+  // here on: each record is a failed write, not a silent success.
+  ASSERT_TRUE(FailpointRegistry::Instance().Arm("audit.rotate.open", "error").ok());
+  (void)sys.monitor().Check(alice_s, file, AccessMode::kRead);
+  (void)sys.monitor().Check(alice_s, file, AccessMode::kRead);
+  EXPECT_EQ(sink->written(), written);
+  EXPECT_GE(rotator->write_failures(), 2u);
+  ASSERT_TRUE(audit.SinkTripped());
+  EXPECT_EQ(audit.sink_state(), "open");
+  Decision denied = sys.monitor().Check(alice_s, file, AccessMode::kRead);
+  EXPECT_FALSE(denied.allowed);
+  EXPECT_EQ(denied.reason, DenyReason::kAuditUnavailable);
+
+  // Once the open succeeds again, the next write reopens the file and lands.
+  FailpointRegistry::Instance().DisarmAll();
+  uint64_t failures = rotator->write_failures();
+  rotator->Write(DenialRecord());
+  EXPECT_EQ(rotator->write_failures(), failures);
+  std::vector<std::string> lines = WholeLines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("/fs/secret"), std::string::npos);
 }
 
 }  // namespace

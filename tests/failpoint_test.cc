@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -176,16 +177,25 @@ TEST_F(FailpointTest, RegistryFindAndNames) {
 
 // Arm/disarm racing free-running evaluation: every observed outcome must be
 // either OK or the injected error, never a crash or a torn spec. Run under
-// TSan via ci/run_checks.sh --quick / --faults.
+// TSan via ci/run_checks.sh --quick / --faults. The arm/disarm loop starts
+// only once every hitter has evaluated at least once, so a loaded host
+// cannot let it finish before the race it exists for has begun.
 TEST_F(FailpointTest, ArmDisarmRaceUnderEvaluation) {
+  constexpr int kHitters = 4;
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
   std::atomic<uint64_t> oks{0};
   std::atomic<uint64_t> errors{0};
   std::vector<std::thread> hitters;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kHitters; ++t) {
     hitters.emplace_back([&] {
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         Status status = Hit("test.fp.race");
+        if (first) {
+          started.fetch_add(1);
+          first = false;
+        }
         if (status.ok()) {
           oks.fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -195,7 +205,14 @@ TEST_F(FailpointTest, ArmDisarmRaceUnderEvaluation) {
       }
     });
   }
-  for (int i = 0; i < 200; ++i) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (started.load() < kHitters && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool all_started = started.load() == kHitters;
+  EXPECT_TRUE(all_started) << "only " << started.load() << " of " << kHitters
+                           << " hitters evaluated the failpoint within 30 s";
+  for (int i = 0; all_started && i < 200; ++i) {
     ASSERT_TRUE(FailpointRegistry::Instance().Arm("test.fp.race", "error").ok());
     std::this_thread::yield();
     ASSERT_TRUE(FailpointRegistry::Instance().Arm("test.fp.race", "off").ok());

@@ -26,14 +26,12 @@
 // --fail audit.sink.write=error they drive the whole self-healing pipeline
 // from the command line.
 //
-// --fanout <sinks> registers that many in-memory ring lanes on the audit
-// fan-out plane (AuditLog::AddSink + StartFanOut) and drains them in
-// parallel during the workload. After the run the tool prints one
-// `fanout lane <name> delivered=D dropped=R stitch_violations=V` line per
-// lane — stitch_violations must be 0, the observable proof that each lane's
-// sharded queues were stitched back into exact global sequence order.
-// Combine with --fail audit.fanout.enqueue=error,nth=... to watch per-lane
-// drops leave gaps without reordering.
+// --fanout <sinks> registers that many more in-memory ring sinks beside the
+// NDJSON one (AuditLog::AddSink). After the run the tool prints one
+// `sink <name> delivered=D dropped=R` line per registered sink; every sink
+// is a cursor over the same sequence-ordered log, so with no drops all of
+// them agree on `delivered`. Combine with
+// --fail audit.sink.deliver=error,nth=... to watch per-sink drops.
 //
 // --health enables the extension supervisor (MODEL.md §16) and loads a tiny
 // demo world on it: a healthy extension plus one that fails until its
@@ -84,7 +82,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> fail_specs;
   xsec::NdjsonRotationPolicy rotation;
   bool snapshot = false;
-  uint64_t fanout_sinks = 0;  // 0 = fan-out plane off
+  uint64_t fanout_sinks = 0;  // extra in-memory ring sinks
   bool audit_drain = false;
   bool resilient = false;
   bool audit_required = false;
@@ -221,15 +219,10 @@ int main(int argc, char** argv) {
   if (audit_drain) {
     sys.monitor().audit().StartDrain();
   }
-  std::vector<std::shared_ptr<xsec::AuditMemoryRing>> fanout_rings;
-  if (fanout_sinks > 0) {
-    for (uint64_t i = 0; i < fanout_sinks; ++i) {
-      auto mem = std::make_shared<xsec::AuditMemoryRing>();
-      sys.monitor().audit().AddSink("lane" + std::to_string(i),
-                                    xsec::MakeMemoryRingSink(mem));
-      fanout_rings.push_back(std::move(mem));
-    }
-    sys.monitor().audit().StartFanOut();
+  for (uint64_t i = 0; i < fanout_sinks; ++i) {
+    sys.monitor().audit().AddSink(
+        "ring" + std::to_string(i),
+        xsec::MakeMemoryRingSink(std::make_shared<xsec::AuditMemoryRing>()));
   }
 
   // A small world with deliberately mixed permissions: "reader" may read the
@@ -339,12 +332,9 @@ int main(int argc, char** argv) {
   }
 
   if (audit_drain) {
-    // Land every queued record (and any rotation it triggers) before the
+    // Land every appended record (and any rotation it triggers) before the
     // gauges below are read, so drained and undrained runs print the same.
     sys.monitor().audit().StopDrain();
-  }
-  if (fanout_sinks > 0) {
-    sys.monitor().audit().StopFanOut();  // flushes every lane
   }
 
   sys.stats().Tick();  // fold the workload into the published snapshot
@@ -359,15 +349,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(rotator->rotations()));
   }
   if (fanout_sinks > 0) {
-    for (const xsec::AuditSinkLaneStats& lane :
-         sys.monitor().audit().FanOutStats()) {
-      std::fprintf(stdout,
-                   "fanout lane %s delivered=%llu dropped=%llu "
-                   "stitch_violations=%llu\n",
-                   lane.name.c_str(),
-                   static_cast<unsigned long long>(lane.delivered),
-                   static_cast<unsigned long long>(lane.dropped),
-                   static_cast<unsigned long long>(lane.stitch_violations));
+    for (const xsec::AuditSinkStats& sink : sys.monitor().audit().SinkStats()) {
+      std::fprintf(stdout, "sink %s delivered=%llu dropped=%llu\n", sink.name.c_str(),
+                   static_cast<unsigned long long>(sink.delivered),
+                   static_cast<unsigned long long>(sink.dropped));
     }
   }
   for (const std::string& name : fail_names) {
