@@ -1,8 +1,8 @@
 // Experiment F16 — sharded stamp domains (DESIGN.md §5, docs/MODEL.md §15).
 //
 // The global-stamp design pays for rare mutations with total invalidation:
-// one ACL edit anywhere evicts every cached decision and stales the compiled
-// tables (F8's InvalidationEvery line degrades toward the uncached cost).
+// one ACL edit anywhere evicts every cached decision (F8's InvalidationEvery
+// line degrades toward the uncached cost).
 // Sharding the validity domain by top-level subtree confines that blast
 // radius to one shard. The figure proves it with counters, not timings:
 //

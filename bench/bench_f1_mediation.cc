@@ -52,10 +52,6 @@ MonitorOptions Opts(bool dac, bool mac, bool cache) {
   options.mac_enabled = mac;
   options.cache_enabled = cache;
   options.audit_policy = AuditPolicy::kOff;
-  // F1 measures the *interpreted* layers (and the cache over them); the
-  // compiled fast path would absorb the DAC/MAC deltas this figure exists
-  // to show. Compiled-vs-interpreted is experiment F14.
-  options.compiled_enabled = false;
   return options;
 }
 

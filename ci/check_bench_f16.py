@@ -23,7 +23,7 @@ with counters, not machine-dependent timings:
    intern_unique < intern_hits (identical entry lists collapse to a handful
    of shared lists, not one list per object).
 
-No committed baseline: like F14 this is an absolute claim about the
+No committed baseline: this is an absolute claim about the
 mechanism, not a regression bound.
 
 Usage: check_bench_f16.py <fresh.json> [--max-intern-ns 5000]

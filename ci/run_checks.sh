@@ -8,8 +8,8 @@
 # tests (the multithreaded surface, including the striped MonitorStats
 # counters, the mediated StatsService tree, the subscription channels, the
 # cooperative-cancellation paths, the fault-injection suites, and the
-# compiled-policy + differential-fuzz suites) plus the policy round-trip
-# tests; the default runs everything everywhere.
+# differential-fuzz suites) plus the policy round-trip and reload tests;
+# the default runs everything everywhere.
 #
 # --faults runs only the randomized fault-injection sweep: the fault suites
 # (Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|
@@ -39,9 +39,6 @@
 #                    multi-sink audit drain; ci/check_bench_f12.py requires
 #                    the publisher ~flat 1->64 subscribers, a 2-sink drain
 #                    >= 1.5x one sink, and zero order violations)
-#   BENCH_f14.json   bench_f14_compiled results (compiled vs interpreted
-#                    cache-miss decisions; ci/check_bench_f14.py requires
-#                    the compiled miss to be materially faster)
 #   BENCH_f16.json   bench_f16_shard results (sharded stamp domains;
 #                    ci/check_bench_f16.py requires zero cross-shard stale
 #                    evictions, a live same-shard control, the 1M-principal
@@ -62,7 +59,8 @@ FAULTS=0
 [[ "${1:-}" == "--faults" ]] && FAULTS=1
 
 # DiffFuzz (tests/diff_fuzz_test.cc) rides in the fault sweep: it arms the
-# same failpoints and must never observe a compiled/interpreted divergence.
+# same failpoints and must never see the Check pipeline diverge from the
+# interpreted oracle.
 FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|DiffFuzz|ShardClearRace|AuditFanOut|Supervisor|Quarantine'
 
 # Randomized but replayable in every mode: the differential fuzzer and the
@@ -77,7 +75,7 @@ run_ctest() {
   local dir="$1"
   if [[ "$QUICK" == 1 ]]; then
     (cd "$dir" && ctest --output-on-failure -j "$JOBS" \
-        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|CompiledPolicy|Shard|${FAULT_RE}")
+        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|Shard|${FAULT_RE}")
   else
     (cd "$dir" && ctest --output-on-failure -j "$JOBS")
   fi
@@ -142,14 +140,6 @@ echo "== F9: hierarchy traversal protection at depth 8 =="
 echo "== F9 gate (cached traversal <= 1.2x no traversal at depth 8) =="
 python3 ci/check_bench_f9.py BENCH_f9.json
 
-echo "== F14: compiled vs interpreted cache-miss decisions =="
-./build-release/bench/bench_f14_compiled \
-    --benchmark_out=BENCH_f14.json --benchmark_out_format=json \
-    --benchmark_min_time=0.25 --benchmark_repetitions=3
-
-echo "== F14 gate (compiled miss must beat interpreted miss) =="
-python3 ci/check_bench_f14.py BENCH_f14.json
-
 echo "== F16: sharded stamp domains =="
 ./build-release/bench/bench_f16_shard \
     --benchmark_out=BENCH_f16.json --benchmark_out_format=json \
@@ -179,4 +169,4 @@ echo "== F12: subscription fan-out on the publish path =="
 echo "== F12 gate (publisher ~flat 1->64 subs; 2-sink drain >= 1.5x; order_violations == 0) =="
 python3 ci/check_bench_f12.py BENCH_f12.json
 
-echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f9.json, BENCH_f11.json, BENCH_f12.json, BENCH_f14.json, BENCH_f16.json, BENCH_f17.json."
+echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f9.json, BENCH_f11.json, BENCH_f12.json, BENCH_f16.json, BENCH_f17.json."

@@ -1,8 +1,8 @@
 // Monitor shard identifiers and assignment helpers.
 //
-// The namespace, ACL store, label authority, decision cache, and compiled
-// policy all partition their *validity domain* into a fixed number of monitor
-// shards (docs/MODEL.md §15). A node's shard is decided once, at creation, by
+// The namespace, ACL store, label authority, and decision cache all
+// partition their *validity domain* into a fixed number of monitor shards
+// (docs/MODEL.md §15). A node's shard is decided once, at creation, by
 // its top-level subtree: top-level containers hash by name, top-level leaves
 // hash by owner principal (the "principal-hash fallback" for flat
 // namespaces), and every deeper node inherits its parent's shard. Shards

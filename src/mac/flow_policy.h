@@ -80,11 +80,10 @@ class FlowPolicy {
 
 // The complete flow rule as a truth table: every mode's verdict depends only
 // on the two dominance bits (S ⊒ O, O ⊒ S), so the whole per-pair decision
-// collapses to an 8-bit mode mask. This is the single source of truth both
-// the interpreted path (FlowPolicy::ModeAllowed) and the compiled path
-// (CompiledPolicy's per-class-pair masks) evaluate — they cannot disagree on
-// the S = O double-dominance cases (write/delete under
-// write_up_requires_append, administrate) because there is only one rule.
+// collapses to an 8-bit mode mask. FlowPolicy::ModeAllowed and
+// FlowPolicy::Check both evaluate it — they cannot disagree on the S = O
+// double-dominance cases (write/delete under write_up_requires_append,
+// administrate) because there is only one rule.
 // Note mutual dominance IS lattice equality (antisymmetry: l1>=l2 && l2>=l1
 // and C1⊆C2 && C2⊆C1), which SecurityClassProperty.MutualDominanceIsEquality
 // pins down for category sets of differing capacities.

@@ -10,50 +10,6 @@ std::string SecurityClass::ToString() const {
   return StrFormat("(%u,%s)", static_cast<unsigned>(level_), categories_.ToString().c_str());
 }
 
-DominanceMatrix::DominanceMatrix(std::vector<SecurityClass> classes) {
-  // Dedup by lattice equality so interned-id equality coincides with
-  // SecurityClass::operator== (and, by antisymmetry, with mutual dominance).
-  for (SecurityClass& cls : classes) {
-    uint64_t hash = cls.Hash();
-    std::vector<uint32_t>& ids = by_hash_[hash];
-    bool duplicate = false;
-    for (uint32_t id : ids) {
-      if (classes_[id] == cls) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) {
-      continue;
-    }
-    ids.push_back(static_cast<uint32_t>(classes_.size()));
-    classes_.push_back(std::move(cls));
-  }
-  size_t n = classes_.size();
-  words_per_row_ = (n + 63) / 64;
-  bits_.assign(n * words_per_row_, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (classes_[i].Dominates(classes_[j])) {
-        bits_[i * words_per_row_ + j / 64] |= uint64_t{1} << (j % 64);
-      }
-    }
-  }
-}
-
-int32_t DominanceMatrix::IdOf(const SecurityClass& cls) const {
-  auto it = by_hash_.find(cls.Hash());
-  if (it == by_hash_.end()) {
-    return -1;
-  }
-  for (uint32_t id : it->second) {
-    if (classes_[id] == cls) {
-      return static_cast<int32_t>(id);
-    }
-  }
-  return -1;
-}
-
 LabelAuthority::LabelAuthority() {
   // A single implicit level exists so unlabeled systems degenerate to
   // "MAC off": every class is (0, {}) and everything dominates everything.
@@ -265,54 +221,6 @@ const SecurityClass* LabelAuthority::ClearanceOf(uint32_t principal_id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = clearances_.find(principal_id);
   return it == clearances_.end() ? nullptr : &it->second;
-}
-
-std::shared_ptr<const DominanceMatrix> LabelAuthority::CompileDominance(
-    size_t max_classes, const std::vector<SecurityClass>& extra_classes) const {
-  std::vector<SecurityClass> seeds;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    seeds.reserve(labels_.size() + clearances_.size() + extra_classes.size() + 2);
-    // ⊥ and ⊤ under the current definitions (inlined: Bottom()/Top() would
-    // re-acquire mu_).
-    seeds.emplace_back(0, CategorySet(category_names_.size()));
-    CategorySet all(category_names_.size());
-    all.SetAll();
-    seeds.emplace_back(static_cast<TrustLevel>(level_names_.size() - 1), std::move(all));
-    for (const auto& label : labels_) {
-      seeds.push_back(*label);
-    }
-    for (const auto& [principal, clearance] : clearances_) {
-      seeds.push_back(clearance);
-    }
-  }
-  seeds.insert(seeds.end(), extra_classes.begin(), extra_classes.end());
-
-  DominanceMatrix base(std::move(seeds));
-  if (base.size() > max_classes) {
-    return nullptr;
-  }
-  // Close under Join, breadth-first, until the cap: a floating subject's
-  // class is always a join of classes it has observed, so the closure keeps
-  // CheckFloating subjects interned. Hitting the cap is not an error — the
-  // uncovered joins simply fall back to interpreted dominance.
-  std::vector<SecurityClass> closed = base.classes();
-  for (size_t i = 0; i < closed.size() && closed.size() < max_classes; ++i) {
-    for (size_t j = 0; j < i && closed.size() < max_classes; ++j) {
-      SecurityClass join = closed[i].Join(closed[j]);
-      bool known = false;
-      for (const SecurityClass& existing : closed) {
-        if (existing == join) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        closed.push_back(std::move(join));
-      }
-    }
-  }
-  return std::make_shared<const DominanceMatrix>(std::move(closed));
 }
 
 Status LabelAuthority::ReplaceLabel(LabelRef ref, const SecurityClass& cls) {

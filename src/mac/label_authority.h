@@ -33,42 +33,6 @@
 
 namespace xsec {
 
-// Precomputed lattice dominance over an interned set of security classes
-// (points in the levels × category-subsets lattice): classes_[i].Dominates(
-// classes_[j]) flattened into per-row bit vectors, so a dominance test on the
-// compiled check path is one word load and one shift instead of a level
-// compare plus per-word subset inclusion. Built by
-// LabelAuthority::CompileDominance; immutable once built (shared across
-// checking threads without locks). Classes are deduplicated by lattice
-// equality — two equal classes whose category bitsets differ only in
-// capacity intern to the same id, so id equality and mutual dominance and
-// SecurityClass::operator== all agree (the compiled/interpreted equivalence
-// the differential fuzzer asserts).
-class DominanceMatrix {
- public:
-  // Builds the matrix over `classes` after deduplication. The caller's order
-  // is preserved for the first occurrence of each distinct class.
-  explicit DominanceMatrix(std::vector<SecurityClass> classes);
-
-  size_t size() const { return classes_.size(); }
-  const std::vector<SecurityClass>& classes() const { return classes_; }
-
-  // Interned id of `cls`, or -1 when the class is not in the matrix.
-  int32_t IdOf(const SecurityClass& cls) const;
-
-  // classes()[i].Dominates(classes()[j]), as one bit probe.
-  bool Dominates(uint32_t i, uint32_t j) const {
-    return (bits_[i * words_per_row_ + j / 64] >> (j % 64)) & 1;
-  }
-
- private:
-  std::vector<SecurityClass> classes_;
-  // Hash -> interned ids with that hash (collisions resolved by equality).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> by_hash_;
-  size_t words_per_row_ = 0;
-  std::vector<uint64_t> bits_;  // row-major; row i = "i dominates j" bit vector
-};
-
 class LabelAuthority {
  public:
   LabelAuthority();
@@ -130,17 +94,6 @@ class LabelAuthority {
   uint64_t shard_epoch(ShardId shard) const {
     return shard_epoch_[shard % kMonitorShardCount].load(std::memory_order_acquire);
   }
-
-  // Compiles lattice dominance over every class this authority knows about —
-  // all stored labels, all clearances, ⊥ and ⊤ — plus `extra_classes`, closed
-  // under Join up to `max_classes` total (floating subjects carry joins of
-  // labels they observed, so the join closure keeps them on the compiled fast
-  // path). Returns null when the distinct-class count exceeds `max_classes`
-  // before the closure step: the caller falls back to interpreted dominance.
-  // The class set is gathered under one shared-lock acquisition, so the
-  // result is consistent with a single label_epoch() observation.
-  std::shared_ptr<const DominanceMatrix> CompileDominance(
-      size_t max_classes, const std::vector<SecurityClass>& extra_classes = {}) const;
 
   // -- Per-principal clearances ------------------------------------------------
   // The paper has threads "function at the same security class as the

@@ -29,7 +29,6 @@
 #ifndef XSEC_SRC_MONITOR_DECISION_CACHE_H_
 #define XSEC_SRC_MONITOR_DECISION_CACHE_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -55,7 +54,6 @@ struct CacheStamps {
   // against the pre-reload policy can never survive a reload even when no
   // individual store stamp moved (a reload whose only effect is a directive
   // the four store generations do not cover, e.g. a security-officer change).
-  // The compiled-policy tables validate against the same stamp set.
   uint64_t policy_epoch = 0;
 
   // Validity domain the stamps were read from: a concrete monitor shard, or
@@ -67,22 +65,6 @@ struct CacheStamps {
   ShardId domain = kAggregateShard;
 
   bool operator==(const CacheStamps&) const = default;
-};
-
-// The whole family of stamp vectors at one instant: the aggregate (legacy
-// global) domain plus every shard-local domain. Compiled tables carry one of
-// these so a probe validates only the *target node's* shard entry — a
-// mutation confined to another shard leaves this shard's compiled decisions
-// consultable (docs/MODEL.md §15).
-struct ShardStampSet {
-  CacheStamps aggregate;
-  std::array<CacheStamps, kMonitorShardCount> shard{};
-
-  const CacheStamps& ForDomain(ShardId s) const {
-    return IsConcreteShard(s) ? shard[s] : aggregate;
-  }
-
-  bool operator==(const ShardStampSet&) const = default;
 };
 
 class DecisionCache {

@@ -1,6 +1,5 @@
 #include "src/monitor/reference_monitor.h"
 
-#include <algorithm>
 
 #include "src/base/strings.h"
 
@@ -44,17 +43,6 @@ ReferenceMonitor::ReferenceMonitor(NameSpace* name_space, AclStore* acls,
   }
 }
 
-ReferenceMonitor::~ReferenceMonitor() {
-  {
-    std::lock_guard<std::mutex> lock(recompile_mu_);
-    recompile_shutdown_ = true;
-    recompile_cv_.notify_one();
-  }
-  if (recompile_thread_.joinable()) {
-    recompile_thread_.join();
-  }
-}
-
 CacheStamps ReferenceMonitor::CurrentStamps() const {
   return CacheStamps{name_space_->global_generation(), acls_->store_generation(),
                      principals_->membership_epoch(), labels_->label_epoch(),
@@ -75,15 +63,6 @@ CacheStamps ReferenceMonitor::CurrentStampsFor(ShardId shard) const {
 
 ShardId ReferenceMonitor::DomainOf(NodeId node) const {
   return options_.shard_stamps ? name_space_->ShardOf(node) : kAggregateShard;
-}
-
-ShardStampSet ReferenceMonitor::CurrentStampSet() const {
-  ShardStampSet set;
-  set.aggregate = CurrentStamps();
-  for (ShardId s = 0; s < kMonitorShardCount; ++s) {
-    set.shard[s] = CurrentStampsFor(s);
-  }
-  return set;
 }
 
 const Acl* ReferenceMonitor::EffectiveAcl(NodeId node, AclStore::AclRef* ref_out) const {
@@ -251,19 +230,12 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
     if (cache_.Lookup(subject, node, modes, stamps, &cached)) {
       decision = Decision{cached.allowed, cached.reason, ""};
     } else {
-      // Miss path: compiled tables first (two lookups), interpreted walk
-      // only when they are stale or don't cover the input. A compiled
-      // decision validated against stamps at least as fresh as ours, so
-      // inserting under our (possibly older) stamps is at worst spuriously
-      // stale, never wrongly fresh.
-      if (!TryCompiledCheck(subject, node, modes, domain, &decision)) {
-        decision = CheckUncached(subject, node, modes);
-      }
+      decision = CheckUncached(subject, node, modes);
       cache_.Insert(subject, node, modes, stamps,
                     DecisionCache::CachedDecision{decision.allowed, decision.reason},
                     clear_epoch);
     }
-  } else if (!TryCompiledCheck(subject, node, modes, domain, &decision)) {
+  } else {
     decision = CheckUncached(subject, node, modes);
   }
   // After the cache on purpose: the cache keeps the underlying decision, the
@@ -272,182 +244,6 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
   ApplyLockdown(&decision, modes);
   Audit(subject, node, "", modes, decision);
   return decision;
-}
-
-bool ReferenceMonitor::TryCompiledCheck(const Subject& subject, NodeId node, AccessModeSet modes,
-                                        ShardId domain, Decision* out) {
-  if (!options_.compiled_enabled) {
-    return false;
-  }
-  std::shared_ptr<const CompiledPolicy> tables;
-  {
-    std::shared_lock<std::shared_mutex> lock(compiled_mu_);
-    tables = compiled_;
-  }
-  // Validate AFTER copying the pointer: the stamps are read fresh, so a
-  // match proves the tables describe the stores as of this instant (any
-  // later mutation will bump a stamp and divert the next probe). Only the
-  // target node's domain entry is compared — a mutation confined to another
-  // shard bumps only that shard's stamps, so it neither diverts this probe
-  // nor forces a recompile (the F16 invalidation-storm fix).
-  if (tables == nullptr ||
-      !(tables->stamps().ForDomain(domain) == CurrentStampsFor(domain))) {
-    compiled_stale_.fetch_add(1, std::memory_order_relaxed);
-    RequestRecompile();
-    return false;
-  }
-  if (tables->Evaluate(subject, node, modes, *labels_, out)) {
-    compiled_hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  compiled_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.mac_enabled && tables->dominance() != nullptr &&
-      tables->dominance()->IdOf(subject.security_class) < 0) {
-    // This subject's class missed the matrix; intern it next compile so the
-    // fallback is one-shot per class, not per check.
-    NoteUncoveredClass(subject.security_class);
-  }
-  RequestRecompile();
-  return false;
-}
-
-void ReferenceMonitor::NoteUncoveredClass(const SecurityClass& cls) {
-  std::lock_guard<std::mutex> lock(uncovered_mu_);
-  if (uncovered_classes_.size() >= kMaxUncoveredClasses) {
-    return;
-  }
-  for (const SecurityClass& existing : uncovered_classes_) {
-    if (existing == cls) {
-      return;
-    }
-  }
-  uncovered_classes_.push_back(cls);
-}
-
-StatusOr<std::shared_ptr<const CompiledPolicy>> ReferenceMonitor::BuildCompiled(
-    const ShardStampSet& stamps, const std::vector<SecurityClass>& extra) {
-  CompiledPolicyConfig config;
-  config.dac_enabled = options_.dac_enabled;
-  config.mac_enabled = options_.mac_enabled;
-  config.flow = options_.flow;
-  config.max_classes = options_.compiled_max_classes;
-  config.max_dac_cells = options_.compiled_max_dac_cells;
-  return CompiledPolicy::Build(*name_space_, *acls_, *principals_, *labels_, config, stamps,
-                               extra);
-}
-
-Status ReferenceMonitor::RecompileOnce() {
-  // Serialized: two interleaved builds could otherwise install in either
-  // order, and the one that snapshotted the uncovered-class queue earlier
-  // would drop classes the other had already interned.
-  std::lock_guard<std::mutex> exec_lock(recompile_exec_mu_);
-  // Every build carries the previously interned extras forward and adds the
-  // newly queued ones, so a class stays interned once noted.
-  std::vector<SecurityClass> extra = interned_extra_;
-  {
-    std::lock_guard<std::mutex> lock(uncovered_mu_);
-    for (const SecurityClass& cls : uncovered_classes_) {
-      if (std::find(extra.begin(), extra.end(), cls) == extra.end()) {
-        extra.push_back(cls);
-      }
-    }
-  }
-  // Same bound as the queue itself: when churn exceeds it, the oldest
-  // carried classes fall back to one-shot re-noting instead of growing the
-  // tables without limit.
-  if (extra.size() > kMaxUncoveredClasses) {
-    extra.erase(extra.begin(), extra.end() - kMaxUncoveredClasses);
-  }
-  ShardStampSet before = CurrentStampSet();
-  auto built = BuildCompiled(before, extra);
-  if (!built.ok()) {
-    failed_recompiles_.fetch_add(1, std::memory_order_relaxed);
-    return built.status();
-  }
-  // Install only if no mutation committed during the build: every mutator
-  // bumps its stamp inside the store's exclusive lock, so equal before/after
-  // stamps prove the per-store reads composed into a consistent snapshot.
-  if (!(CurrentStampSet() == before)) {
-    failed_recompiles_.fetch_add(1, std::memory_order_relaxed);
-    return FailedPreconditionError("policy mutated during compilation");
-  }
-  {
-    std::unique_lock<std::shared_mutex> lock(compiled_mu_);
-    compiled_ = std::move(*built);
-  }
-  interned_extra_ = extra;
-  {
-    // Drain exactly what this build interned; classes noted mid-build stay
-    // queued for the next one.
-    std::lock_guard<std::mutex> lock(uncovered_mu_);
-    uncovered_classes_.erase(
-        std::remove_if(uncovered_classes_.begin(), uncovered_classes_.end(),
-                       [&](const SecurityClass& cls) {
-                         return std::find(extra.begin(), extra.end(), cls) != extra.end();
-                       }),
-        uncovered_classes_.end());
-  }
-  recompiles_.fetch_add(1, std::memory_order_relaxed);
-  return OkStatus();
-}
-
-Status ReferenceMonitor::RecompileNow() {
-  Status last = OkStatus();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    last = RecompileOnce();
-    if (last.ok() || last.code() != StatusCode::kFailedPrecondition) {
-      return last;
-    }
-  }
-  return last;
-}
-
-void ReferenceMonitor::RequestRecompile() {
-  std::lock_guard<std::mutex> lock(recompile_mu_);
-  if (recompile_shutdown_) {
-    return;
-  }
-  if (!recompile_thread_.joinable()) {
-    recompile_thread_ = std::thread([this] { RecompileLoop(); });
-  }
-  recompile_pending_ = true;
-  recompile_cv_.notify_one();
-}
-
-void ReferenceMonitor::RecompileLoop() {
-  std::unique_lock<std::mutex> lock(recompile_mu_);
-  for (;;) {
-    recompile_cv_.wait(lock, [this] { return recompile_pending_ || recompile_shutdown_; });
-    if (recompile_shutdown_) {
-      return;
-    }
-    recompile_pending_ = false;
-    lock.unlock();
-    // Failures (caps, injected faults, racing mutations) leave the previous
-    // tables in place; the next miss re-requests. Never blocks a mutator.
-    (void)RecompileOnce();
-    lock.lock();
-  }
-}
-
-void ReferenceMonitor::NotePolicyReload() {
-  policy_epoch_.fetch_add(1, std::memory_order_release);
-  RequestRecompile();
-}
-
-ReferenceMonitor::CompiledCounters ReferenceMonitor::compiled_counters() const {
-  CompiledCounters counters;
-  counters.hits = compiled_hits_.load(std::memory_order_relaxed);
-  counters.fallbacks = compiled_fallbacks_.load(std::memory_order_relaxed);
-  counters.stale = compiled_stale_.load(std::memory_order_relaxed);
-  counters.recompiles = recompiles_.load(std::memory_order_relaxed);
-  counters.failed_recompiles = failed_recompiles_.load(std::memory_order_relaxed);
-  return counters;
-}
-
-std::shared_ptr<const CompiledPolicy> ReferenceMonitor::compiled_snapshot() const {
-  std::shared_lock<std::shared_mutex> lock(compiled_mu_);
-  return compiled_;
 }
 
 Decision ReferenceMonitor::CheckFloating(Subject* subject, NodeId node, AccessModeSet modes) {

@@ -37,21 +37,15 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "src/dac/acl.h"
 #include "src/mac/flow_policy.h"
 #include "src/mac/label_authority.h"
 #include "src/monitor/audit.h"
-#include "src/monitor/compiled_policy.h"
 #include "src/monitor/decision_cache.h"
 #include "src/monitor/monitor_stats.h"
 #include "src/monitor/subject.h"
@@ -85,22 +79,14 @@ struct MonitorOptions {
   // kAuditUnavailable denials instead of proceeding unaudited. Off by
   // default (fail-open: unaudited allows proceed and are counted).
   bool audit_required = false;
-  // Consult compiled decision tables (src/monitor/compiled_policy.h) on
-  // cache misses when their stamp vector matches the stores. Tables are
-  // built lazily by a background thread (RequestRecompile) or synchronously
-  // (RecompileNow); until one is installed every miss takes the interpreted
-  // path, so this flag never changes semantics, only the miss cost.
-  bool compiled_enabled = true;
   // Read the *target node's shard-local* stamp set (docs/MODEL.md §15)
-  // instead of the legacy aggregate stamps when validating cached and
-  // compiled decisions, so a mutation confined to one subtree invalidates
+  // instead of the legacy aggregate stamps when validating cached
+  // decisions, so a mutation confined to one subtree invalidates
   // only that shard. Disabling reverts to the aggregate domain everywhere —
   // semantics are identical either way (the differential fuzzer runs the
   // two configurations as an equivalence check), only invalidation breadth
   // changes.
   bool shard_stamps = true;
-  size_t compiled_max_classes = 192;
-  size_t compiled_max_dac_cells = size_t{1} << 22;
   size_t cache_slots = 8192;
   size_t audit_capacity = 4096;
 };
@@ -110,10 +96,6 @@ class ReferenceMonitor {
   // The monitor borrows all four stores; they must outlive it.
   ReferenceMonitor(NameSpace* name_space, AclStore* acls, PrincipalRegistry* principals,
                    LabelAuthority* labels, MonitorOptions options = {});
-
-  // Joins the background recompile thread. The stores must still be alive
-  // (they outlive the monitor by the constructor's contract).
-  ~ReferenceMonitor();
 
   // -- Access checks ---------------------------------------------------------
 
@@ -185,30 +167,14 @@ class ReferenceMonitor {
   // True iff the subject holds administrate on the node (ACL grant or owner).
   bool HasAdministrate(const Subject& subject, NodeId node) const;
 
-  // -- Compiled decision tables ----------------------------------------------
-  // See src/monitor/compiled_policy.h and docs/MODEL.md §13. The compiled
-  // path is epoch-driven: tables carry the stamp vector they were built
-  // against and are consulted only while it matches the stores; any policy
-  // mutation silently diverts misses back to the interpreted path and a
-  // background recompile catches the tables up. Nothing on a mutation path
-  // ever blocks on compilation.
-
-  // Builds and installs tables synchronously. Retries a few times if policy
-  // mutations race the build; fails (and leaves any previous tables in
-  // place) when a size cap is exceeded, the "monitor.recompile" failpoint
-  // fires, or the stores never quiesce.
-  Status RecompileNow();
-
-  // Requests an asynchronous recompile; coalesces with pending requests and
-  // returns immediately. Spawns the recompile thread on first use.
-  void RequestRecompile();
+  // -- Policy epoch and validity domains ------------------------------------
 
   // Called by policy deserialization after swapping in a loaded policy:
   // bumps the policy epoch, which by construction invalidates every cached
-  // decision and any compiled tables (the epoch is part of CacheStamps), and
-  // queues a recompile. This closes the reload-staleness hole even for
-  // reload effects no store stamp covers (e.g. a security-officer change).
-  void NotePolicyReload();
+  // decision (the epoch is part of CacheStamps). This closes the
+  // reload-staleness hole even for reload effects no store stamp covers
+  // (e.g. a security-officer change).
+  void NotePolicyReload() { policy_epoch_.fetch_add(1, std::memory_order_release); }
   uint64_t policy_epoch() const { return policy_epoch_.load(std::memory_order_acquire); }
 
   // The validity domain used to stamp decisions about `node`: its monitor
@@ -220,34 +186,12 @@ class ReferenceMonitor {
   // when `shard` is concrete, else the legacy aggregate stamps.
   CacheStamps CurrentStampsFor(ShardId shard) const;
 
-  // Attempts a compiled-table decision: false when disabled, no tables are
-  // installed, their stamps are stale, or the tables do not cover the input
-  // (then the caller must take the interpreted path). Public for the
-  // differential fuzzer, which holds this against CheckInterpreted.
-  // `domain` is the node's validity domain (DomainOf(node)); the check
-  // validates only that domain's entry in the tables' stamp set, so a
-  // mutation confined to another shard never diverts this probe.
-  bool TryCompiledCheck(const Subject& subject, NodeId node, AccessModeSet modes,
-                        ShardId domain, Decision* out);
-  bool TryCompiledCheck(const Subject& subject, NodeId node, AccessModeSet modes,
-                        Decision* out) {
-    return TryCompiledCheck(subject, node, modes, DomainOf(node), out);
-  }
-
-  // The pure interpreted decision procedure — no cache, no compiled tables,
-  // no audit, no stats. This is the differential-fuzz oracle.
+  // The pure interpreted decision procedure — no cache, no audit, no stats.
+  // Every cache miss is decided by it; it is also the differential-fuzz
+  // oracle.
   Decision CheckInterpreted(const Subject& subject, NodeId node, AccessModeSet modes) const {
     return CheckUncached(subject, node, modes);
   }
-
-  struct CompiledCounters {
-    uint64_t hits = 0;         // misses decided by the compiled tables
-    uint64_t fallbacks = 0;    // tables fresh but input not covered
-    uint64_t stale = 0;        // tables absent or stamp-stale at probe time
-    uint64_t recompiles = 0;   // successful builds installed
-    uint64_t failed_recompiles = 0;
-  };
-  CompiledCounters compiled_counters() const;
 
   // Checks decided per monitor shard (index kMonitorShardCount = aggregate
   // domain: unknown nodes, the root, or all checks with shard_stamps off).
@@ -256,8 +200,26 @@ class ReferenceMonitor {
     return shard_checks_[ShardSlot(shard)].load(std::memory_order_relaxed);
   }
 
-  // The currently installed tables (null if none); for tests and stats.
-  std::shared_ptr<const CompiledPolicy> compiled_snapshot() const;
+  // -- Retired compiled decision tables (docs/MODEL.md §13) -----------------
+  // Stateless: there are no tables, and every miss is interpreted.
+
+  // Exists until the benchmark retires monitor.compiled_* / recompile_us.
+  Status RecompileNow() { return OkStatus(); }
+  // Exists until the benchmark retires monitor.compiled_* / recompile_us.
+  bool TryCompiledCheck(const Subject&, NodeId, AccessModeSet, Decision*) { return false; }
+  struct CompiledCounters {
+    uint64_t hits = 0;
+    uint64_t fallbacks = 0;
+    uint64_t stale = 0;
+  };
+  // Exists until the benchmark retires monitor.compiled_* / recompile_us.
+  CompiledCounters compiled_counters() const { return {}; }
+  struct NoCompiledTables {
+    const NoCompiledTables& stamps() const { return *this; }
+    CacheStamps ForDomain(ShardId) const { return {}; }
+  };
+  // Exists until the benchmark retires monitor.compiled_* / recompile_us.
+  std::shared_ptr<const NoCompiledTables> compiled_snapshot() const { return nullptr; }
 
   // -- Introspection ---------------------------------------------------------
 
@@ -297,8 +259,6 @@ class ReferenceMonitor {
     return IsConcreteShard(shard) ? shard : kMonitorShardCount;
   }
   CacheStamps CurrentStamps() const;
-  // All domains' stamps at one instant (compiled-table validation set).
-  ShardStampSet CurrentStampSet() const;
   void Audit(const Subject& subject, NodeId node, std::string path, AccessModeSet modes,
              const Decision& decision);
   // Fail-closed override: flips an allow to a kAuditUnavailable denial (or
@@ -309,16 +269,6 @@ class ReferenceMonitor {
   // Lockdown override: flips extend-mode allows to kQuarantined denials
   // while lockdown_ is armed. Same post-cache placement and rationale.
   void ApplyLockdown(Decision* decision, AccessModeSet modes);
-
-  // One build attempt against `stamps` with `extra` interned classes.
-  StatusOr<std::shared_ptr<const CompiledPolicy>> BuildCompiled(
-      const ShardStampSet& stamps, const std::vector<SecurityClass>& extra);
-  // Build-validate-install; kAborted when mutations keep racing the build.
-  Status RecompileOnce();
-  void RecompileLoop();
-  // Queues a subject class that missed the dominance matrix so the next
-  // compile interns it (bounded; duplicates dropped).
-  void NoteUncoveredClass(const SecurityClass& cls);
 
   NameSpace* name_space_;
   AclStore* acls_;
@@ -336,47 +286,11 @@ class ReferenceMonitor {
   std::atomic<bool> lockdown_{false};
 
   // Monitor-owned stamp: policy reloads bump it (NotePolicyReload), making
-  // it impossible for decisions cached against the pre-reload policy — or
-  // compiled tables built against it — to be consulted afterwards.
+  // it impossible for decisions cached against the pre-reload policy to be
+  // consulted afterwards.
   std::atomic<uint64_t> policy_epoch_{0};
 
-  // The installed tables. Readers copy the shared_ptr under the shared lock
-  // and evaluate lock-free; the installer swaps under the exclusive lock.
-  mutable std::shared_mutex compiled_mu_;
-  std::shared_ptr<const CompiledPolicy> compiled_;
-
-  // Subject classes that missed the dominance matrix, fed into the next
-  // build as extra interned classes. Small and bounded; guarded by its own
-  // mutex (touched only on the fallback path).
-  std::mutex uncovered_mu_;
-  std::vector<SecurityClass> uncovered_classes_;
-  static constexpr size_t kMaxUncoveredClasses = 32;
-
-  // Serializes RecompileOnce bodies: concurrent builds (the background
-  // RecompileLoop racing a synchronous RecompileNow) must not interleave,
-  // or a build that snapshotted the queue before a class was noted can
-  // install last and silently drop that class from the tables.
-  // `interned_extra_` (guarded by this mutex) carries the installed tables'
-  // extra classes into every rebuild so interning is monotonic until the
-  // class lands in a label or clearance.
-  std::mutex recompile_exec_mu_;
-  std::vector<SecurityClass> interned_extra_;
-
   std::array<std::atomic<uint64_t>, kMonitorShardCount + 1> shard_checks_{};
-
-  std::atomic<uint64_t> compiled_hits_{0};
-  std::atomic<uint64_t> compiled_fallbacks_{0};
-  std::atomic<uint64_t> compiled_stale_{0};
-  std::atomic<uint64_t> recompiles_{0};
-  std::atomic<uint64_t> failed_recompiles_{0};
-
-  // Lazy background recompiler: RequestRecompile sets `pending` and wakes
-  // it; the loop coalesces bursts into one build. Guarded by recompile_mu_.
-  std::mutex recompile_mu_;
-  std::condition_variable recompile_cv_;
-  std::thread recompile_thread_;
-  bool recompile_pending_ = false;
-  bool recompile_shutdown_ = false;
 };
 
 }  // namespace xsec

@@ -156,8 +156,8 @@ StatusOr<NodeId> NameSpace::BindLocked(NodeId parent, std::string_view name, Nod
   p->children.emplace(std::string(name), id);
   // The structural change is confined to the child's validity domain: no
   // cached decision about the *parent* depends on its children map, but a
-  // cached NotFound (aggregate domain) or a compiled table covering the
-  // child's shard must go stale. The parent keeps its node-local generation
+  // cached NotFound (aggregate domain) or a cached decision in the child's
+  // shard must go stale. The parent keeps its node-local generation
   // bump for observers of Node::generation.
   ++p->generation;
   BumpShard(child_shard);

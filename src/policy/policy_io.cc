@@ -395,9 +395,8 @@ Status LoadPolicy(std::string_view text, Kernel* kernel) {
   // Unconditionally mark the reload, success or failure: directives are
   // applied as they parse, so even a failed load may have mutated policy —
   // and some directives (officer) bump no store stamp at all. The epoch
-  // bump invalidates every cached decision and any compiled tables, closing
-  // the hole where an allow cached against the pre-reload policy survived
-  // the swap.
+  // bump invalidates every cached decision, closing the hole where an allow
+  // cached against the pre-reload policy survived the swap.
   kernel->monitor().NotePolicyReload();
   return status;
 }

@@ -21,7 +21,7 @@
 //                           first arm/read of that name (failpoints are
 //                           created on first use, so the tree reflects the
 //                           sites the control plane has actually touched,
-//                           plus any compiled-in site once listed)
+//                           plus every site in the code once listed)
 //   /svc/faults/arm         args = [name, spec]; spec grammar is
 //                           FailpointSpec::Parse ("error=internal,nth=3",
 //                           "sleep=5ms", "off", ...); returns the

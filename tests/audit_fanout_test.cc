@@ -108,19 +108,25 @@ TEST(AuditFanOutTest, ConcurrentRecordersKeepEveryLaneInOrder) {
 }
 
 TEST(AuditFanOutTest, ASlowLaneDropsOnlyItselfAndStaysOrdered) {
+  // Declared before the log so it outlives every sink call.
+  std::atomic<bool> stream_recorded{false};
   AuditLog log(/*capacity=*/8192);
   log.set_policy(AuditPolicy::kAll);
   auto fast = std::make_shared<AuditMemoryRing>(8192);
   auto slow = std::make_shared<AuditMemoryRing>(8192);
   log.AddSink("fast", MakeMemoryRingSink(fast));
-  log.AddSink("slow", [slow](const AuditRecord& record) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  log.AddSink("slow", [slow, &stream_recorded](const AuditRecord& record) {
+    // Wedged until the whole stream is recorded, so it falls more than the
+    // log's capacity behind however the threads are scheduled.
+    while (!stream_recorded.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     slow->Write(record);
   });
   AuditDrainOptions options;
   // Headroom the fast sink never exhausts at the throttled record cadence,
-  // small enough that the 1ms/record slow sink falls behind it well before
-  // the stream ends.
+  // small enough that the wedged slow sink falls behind it well before the
+  // stream ends.
   options.queue_capacity = 128;
   log.StartDrain(options);
 
@@ -129,6 +135,7 @@ TEST(AuditFanOutTest, ASlowLaneDropsOnlyItselfAndStaysOrdered) {
     log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
+  stream_recorded = true;
   log.StopDrain();
 
   std::vector<AuditSinkStats> lanes = log.SinkStats();

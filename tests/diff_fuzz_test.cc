@@ -1,19 +1,19 @@
-// Differential fuzzing of the compiled decision tables against the
-// interpreted reference-monitor path (the oracle).
+// Differential fuzzing of the reference monitor's full Check pipeline (the
+// decision cache in front of the interpreted walk) against the interpreted
+// decision procedure alone (CheckInterpreted, the oracle).
 //
 // Each round builds or mutates a random world (principals, groups, a random
-// tree, random ACLs, labels, clearances), usually recompiles, then fires
-// hundreds of random checks. For every check:
+// tree, random ACLs, labels, clearances), then fires hundreds of random
+// checks. For every check the pipeline must agree with the oracle on
+// allowed and deny reason, and a cache miss must return the oracle's detail
+// string too (a hit carries none: cache entries keep allowed and reason
+// only). Further sweeps hold the pipeline to the oracle right after each
+// mutation (a stale cached decision is never served), sharded against
+// aggregate stamp domains, and cache-on against cache-off CheckPath.
 //
-//   - TryCompiledCheck, when it covers the input, must return bit-for-bit
-//     the interpreted Decision — allowed, deny reason, AND detail string;
-//   - the full Check() pipeline (cache + compiled + interpreted) must agree
-//     with the oracle on allowed and reason regardless of which layer
-//     decided.
-//
-// The fault-sweep variant arms random failpoints (policy I/O, the recompile
-// path, stats fan-out) while reloading policy files mid-fuzz: injected
-// failures may cost coverage, never divergence.
+// The fault-sweep variant arms random failpoints (policy I/O, stats
+// fan-out) while reloading policy files mid-fuzz: injected failures may
+// cost a reload, never divergence.
 //
 // Seeding follows the repo convention: XSEC_FAULT_SEED in the environment
 // overrides the default, and the seed is printed via SCOPED_TRACE on every
@@ -109,7 +109,7 @@ class RandomWorld {
 
   SecurityClass RandomClass() {
     // Capacity jitters above the defined category count so equal classes
-    // with different bitset widths flow through the interning path.
+    // with different bitset widths flow through the cache's key comparison.
     CategorySet set(category_count_ + rng_.NextBelow(3));
     for (size_t c = 0; c < category_count_; ++c) {
       if (rng_.NextBool(1, 2)) {
@@ -147,16 +147,37 @@ class RandomWorld {
 
   Subject RandomSubject() {
     SecurityClass cls;
-    if (!interned_pool_.empty() && rng_.NextBool(7, 10)) {
-      cls = interned_pool_[rng_.NextBelow(interned_pool_.size())];
+    if (!class_pool_.empty() && rng_.NextBool(7, 10)) {
+      cls = class_pool_[rng_.NextBelow(class_pool_.size())];
     } else {
       cls = RandomClass();
-      interned_pool_.push_back(cls);
-      if (interned_pool_.size() > 24) {
-        interned_pool_.erase(interned_pool_.begin());
+      class_pool_.push_back(cls);
+      if (class_pool_.size() > 24) {
+        class_pool_.erase(class_pool_.begin());
       }
     }
     return Subject{RandomPrincipal(), std::move(cls), 1};
+  }
+
+  // A check tuple: half the time a repeat of one of the last few tuples, so
+  // the cache answers repeats between mutations; the whole tuple space is so
+  // large that fresh draws alone repeat only by chance.
+  struct CheckTuple {
+    Subject subject;
+    NodeId node;
+    AccessModeSet modes;
+  };
+  CheckTuple RandomCheck() {
+    if (!recent_checks_.empty() && rng_.NextBool(1, 2)) {
+      return recent_checks_[rng_.NextBelow(recent_checks_.size())];
+    }
+    CheckTuple tuple{RandomSubject(), RandomNode(), RandomModes()};
+    if (recent_checks_.size() < 16) {
+      recent_checks_.push_back(tuple);
+    } else {
+      recent_checks_[rng_.NextBelow(16)] = tuple;
+    }
+    return tuple;
   }
 
   AccessModeSet RandomModes() {
@@ -365,8 +386,9 @@ class RandomWorld {
   std::vector<PrincipalId> principals_pool_;
   std::vector<NodeId> nodes_;
   std::vector<NodeId> containers_;
-  std::vector<SecurityClass> interned_pool_;
+  std::vector<SecurityClass> class_pool_;
   std::vector<std::string> unbound_paths_;
+  std::vector<CheckTuple> recent_checks_;
   size_t mutation_serial_ = 0;
 };
 
@@ -383,89 +405,69 @@ MonitorOptions RandomOptions(Rng& rng) {
   return options;
 }
 
-struct FuzzTally {
-  uint64_t checks = 0;
-  uint64_t covered = 0;
-};
-
-// Runs `checks` random checks on the world, asserting compiled/interpreted
-// agreement on every one the tables cover, and full-pipeline agreement on
-// allowed+reason always.
-void FuzzChecks(RandomWorld& world, size_t checks, FuzzTally* tally) {
+// Runs `checks` random checks on the world, asserting that the full Check
+// pipeline agrees with the interpreted oracle on every one.
+void FuzzChecks(RandomWorld& world, size_t checks) {
   for (size_t i = 0; i < checks; ++i) {
-    Subject subject = world.RandomSubject();
-    NodeId node = world.RandomNode();
-    AccessModeSet modes = world.RandomModes();
+    auto [subject, node, modes] = world.RandomCheck();
     Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
-
-    Decision compiled;
-    if (world.monitor().TryCompiledCheck(subject, node, modes, &compiled)) {
-      ++tally->covered;
-      ASSERT_EQ(compiled.allowed, oracle.allowed)
-          << "compiled/interpreted ALLOW divergence: node=" << node.value
-          << " principal=" << subject.principal.value << " modes=" << modes.ToString();
-      ASSERT_EQ(compiled.reason, oracle.reason)
-          << "compiled/interpreted REASON divergence: node=" << node.value
-          << " modes=" << modes.ToString() << " detail=" << compiled.detail << " vs "
-          << oracle.detail;
-      ASSERT_EQ(compiled.detail, oracle.detail) << "compiled/interpreted DETAIL divergence";
-    }
-
-    // The full pipeline — whatever layer decides — agrees with the oracle.
+    uint64_t hits_before = world.monitor().cache().hits();
     Decision full = world.monitor().Check(subject, node, modes);
     ASSERT_EQ(full.allowed, oracle.allowed)
-        << "pipeline/interpreted divergence: node=" << node.value
+        << "pipeline/interpreted ALLOW divergence: node=" << node.value
         << " principal=" << subject.principal.value << " modes=" << modes.ToString();
-    ASSERT_EQ(full.reason, oracle.reason);
-    ++tally->checks;
+    ASSERT_EQ(full.reason, oracle.reason)
+        << "pipeline/interpreted REASON divergence: node=" << node.value
+        << " modes=" << modes.ToString() << " detail=" << full.detail << " vs " << oracle.detail;
+    // A miss is decided by the interpreter, so it returns the oracle's
+    // decision whole; a hit carries no detail.
+    bool hit = world.monitor().cache().hits() != hits_before;
+    ASSERT_EQ(full.detail, hit ? "" : oracle.detail) << "pipeline/interpreted DETAIL divergence";
   }
 }
 
-TEST(DiffFuzz, CompiledNeverDivergesFromInterpreted) {
+TEST(DiffFuzz, CachedPipelineNeverDivergesFromInterpreted) {
   const uint64_t seed = SeedFromEnv(0xd1ffu);
   SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
   Rng rng(seed);
-  FuzzTally tally;
-  uint64_t compiled_hits = 0;
+  uint64_t checks = 0;
+  uint64_t cache_hits = 0;
 
   const size_t rounds = 16;
   const size_t worlds = 4;
   for (size_t w = 0; w < worlds; ++w) {
-    RandomWorld world(rng, RandomOptions(rng));
+    MonitorOptions options = RandomOptions(rng);
+    options.cache_enabled = true;
+    RandomWorld world(rng, options);
     for (size_t round = 0; round < rounds; ++round) {
       const size_t mutations = rng.NextBelow(4);
       for (size_t m = 0; m < mutations; ++m) {
         world.Mutate();
       }
-      if (rng.NextBool(4, 5)) {
-        // Builds can legitimately fail (caps); staying interpreted is fine.
-        (void)world.monitor().RecompileNow();
-      }
-      ASSERT_NO_FATAL_FAILURE(FuzzChecks(world, 256, &tally));
+      ASSERT_NO_FATAL_FAILURE(FuzzChecks(world, 256));
+      checks += 256;
     }
-    compiled_hits += world.monitor().compiled_counters().hits;
+    cache_hits += world.monitor().cache().hits();
   }
 
-  // ISSUE acceptance: >= 10k randomized checks per sweep, with real compiled
-  // coverage (the comparison must not be vacuous).
-  EXPECT_GE(tally.checks, 10000u);
-  EXPECT_GT(tally.covered, tally.checks / 10)
-      << "compiled tables covered too few checks to be a meaningful oracle";
-  EXPECT_GT(compiled_hits, 0u);
+  // >= 10k randomized checks per sweep, and the cache must have answered
+  // some of them (otherwise the comparison is vacuous).
+  EXPECT_GE(checks, 10000u);
+  EXPECT_GT(cache_hits, 0u);
 }
 
 TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgree) {
   // Equivalence oracle for the sharded validity domains (docs/MODEL.md §15):
   // two monitors over the SAME stores — one with per-shard stamps, one on
   // the legacy aggregate domain — must render identical decisions through
-  // their full pipelines (cache + compiled + interpreted) after every
-  // mutation. Sharding changes only *when* cached state is invalidated; any
+  // their full pipelines (cache + interpreted) after every mutation.
+  // Sharding changes only *when* cached state is invalidated; any
   // allowed/reason divergence means a shard kept a decision it should have
   // dropped (or dropped one it could have kept AND re-derived it wrong).
   const uint64_t seed = SeedFromEnv(0x5a4dedu);
   SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
   Rng rng(seed);
-  FuzzTally tally;
+  uint64_t checks = 0;
 
   const size_t worlds = 3;
   const size_t rounds = 12;
@@ -484,16 +486,8 @@ TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgree) {
       for (size_t m = 0; m < mutations; ++m) {
         world.Mutate();
       }
-      if (rng.NextBool(1, 2)) {
-        (void)world.monitor().RecompileNow();
-      }
-      if (rng.NextBool(1, 2)) {
-        (void)shadow.RecompileNow();
-      }
       for (size_t i = 0; i < 256; ++i) {
-        Subject subject = world.RandomSubject();
-        NodeId node = world.RandomNode();
-        AccessModeSet modes = world.RandomModes();
+        auto [subject, node, modes] = world.RandomCheck();
         Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
         Decision with_shards = world.monitor().Check(subject, node, modes);
         Decision without = shadow.Check(subject, node, modes);
@@ -505,44 +499,44 @@ TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgree) {
             << " modes=" << modes.ToString();
         ASSERT_EQ(with_shards.allowed, oracle.allowed) << "sharded monitor diverged from oracle";
         ASSERT_EQ(with_shards.reason, oracle.reason);
-        ++tally.checks;
+        ++checks;
       }
     }
     // The sharded monitor must actually have reused cached decisions —
     // otherwise the equivalence says nothing about shard-stamp validity.
     EXPECT_GT(world.monitor().cache().hits(), 0u);
   }
-  EXPECT_GE(tally.checks, 9000u);
+  EXPECT_GE(checks, 9000u);
 }
 
-TEST(DiffFuzz, MutationWithoutRecompileIsNeverServedStale) {
+TEST(DiffFuzz, MutationIsNeverServedStale) {
   const uint64_t seed = SeedFromEnv(0x57a1eu);
   SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
   Rng rng(seed);
   MonitorOptions options = RandomOptions(rng);
-  options.cache_enabled = false;
+  options.cache_enabled = true;
   RandomWorld world(rng, options);
-  ASSERT_TRUE(world.monitor().RecompileNow().ok());
 
-  // Right after a mutation the tables must either refuse to answer (stale
-  // stamps) or — if the background recompiler happened to catch up between
-  // the mutation and the probe — answer exactly what the oracle answers.
-  // What they must never do is serve the pre-mutation decision function.
+  // Each probe caches its tuple's decision, then the policy mutates: half
+  // the time anywhere, half the time on the node's own ancestor chain (so
+  // the mutation often changes the cached decision). The next Check of the
+  // tuple must render the post-mutation decision: an entry whose stamps the
+  // mutation moved is stale and re-decided, never served.
   for (int i = 0; i < 200; ++i) {
-    world.Mutate();
-    Subject subject = world.RandomSubject();
-    NodeId node = world.RandomNode();
-    AccessModeSet modes = world.RandomModes();
-    Decision compiled;
-    if (world.monitor().TryCompiledCheck(subject, node, modes, &compiled)) {
-      Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
-      ASSERT_EQ(compiled.allowed, oracle.allowed) << "stale compiled decision served";
-      ASSERT_EQ(compiled.reason, oracle.reason) << "stale compiled decision served";
-      ASSERT_EQ(compiled.detail, oracle.detail) << "stale compiled decision served";
+    auto [subject, node, modes] = world.RandomCheck();
+    (void)world.monitor().Check(subject, node, modes);
+    if (rng.NextBool(1, 2)) {
+      world.Mutate();
+    } else {
+      world.EditOnPath(world.monitor().name_space().PathOf(node));
     }
+    Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
+    Decision after = world.monitor().Check(subject, node, modes);
+    ASSERT_EQ(after.allowed, oracle.allowed) << "stale cached decision served";
+    ASSERT_EQ(after.reason, oracle.reason) << "stale cached decision served";
   }
   // The sweep must actually have exercised the staleness diversion.
-  EXPECT_GT(world.monitor().compiled_counters().stale, 0u);
+  EXPECT_GT(world.monitor().cache().stale_hits(), 0u);
 }
 
 // Every counter a CheckPath moves, read from one monitor.
@@ -719,9 +713,6 @@ TEST(DiffFuzz, CheckPathCacheOnMatchesCacheOff) {
         world.OpenUp();  // undo some of the events' damage to traversability
       }
       hot[rng.NextBelow(hot.size())] = hot_probe();
-      if (rng.NextBool(1, 2)) {
-        (void)on.RecompileNow();
-      }
       for (size_t i = 0; i < 256; ++i) {
         if (i % 64 == 63) {
           event(round);
@@ -758,8 +749,8 @@ TEST(DiffFuzz, CheckPathCacheOnMatchesCacheOff) {
   EXPECT_GT(path_hits, 0u) << "no CheckPath was served by a path entry; the oracle is vacuous";
 }
 
-// Fault sweep: injected policy-I/O, recompile, and stats failures must never
-// produce compiled/interpreted divergence — only reduced coverage.
+// Fault sweep: injected policy-I/O and stats failures must never make the
+// Check pipeline diverge from the interpreted oracle.
 class DiffFuzzFaults : public ::testing::Test {
  protected:
   void TearDown() override { FailpointRegistry::Instance().DisarmAll(); }
@@ -770,14 +761,14 @@ TEST_F(DiffFuzzFaults, InjectedFaultsNeverCauseDivergence) {
   SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
   Rng rng(seed);
 
-  const char* sites[] = {"monitor.recompile", "policy.io.open",  "policy.io.read",
-                         "policy.io.write",   "policy.io.commit", "stats.fanout.push",
-                         "stats.poll.wakeup"};
+  const char* sites[] = {"policy.io.open",    "policy.io.read",    "policy.io.write",
+                         "policy.io.commit",  "stats.fanout.push", "stats.poll.wakeup"};
   const char* specs[] = {"error", "error=resource-exhausted,nth=2", "error=internal,times=3",
                          "sleep=1us", "off"};
 
   const std::string path = testing::TempDir() + "/xsec_diff_fuzz_policy.txt";
-  FuzzTally tally;
+  uint64_t checks = 0;
+  uint64_t cache_hits = 0;
   const size_t rounds = 24;
   for (size_t round = 0; round < rounds; ++round) {
     // Fresh kernel-backed world each few rounds, so policy file round-trips
@@ -810,31 +801,22 @@ TEST_F(DiffFuzzFaults, InjectedFaultsNeverCauseDivergence) {
     // the kernel keeps its in-memory policy either way.
     (void)SavePolicyFile(kernel, path);
     (void)LoadPolicyFile(path, &kernel, nullptr);
-    (void)kernel.monitor().RecompileNow();
 
     for (size_t i = 0; i < 160; ++i) {
       Subject subject{rng.NextBool(1, 2) ? alice : bob, SecurityClass(), 1};
       NodeId node = rng.NextBool(1, 2) ? a : b;
       AccessModeSet modes(static_cast<uint32_t>(1 + rng.NextBelow(255)));
       Decision oracle = kernel.monitor().CheckInterpreted(subject, node, modes);
-      Decision compiled;
-      if (kernel.monitor().TryCompiledCheck(subject, node, modes, &compiled)) {
-        ++tally.covered;
-        ASSERT_EQ(compiled.allowed, oracle.allowed) << "divergence under faults";
-        ASSERT_EQ(compiled.reason, oracle.reason) << "divergence under faults";
-        ASSERT_EQ(compiled.detail, oracle.detail) << "divergence under faults";
-      }
       Decision full = kernel.monitor().Check(subject, node, modes);
       ASSERT_EQ(full.allowed, oracle.allowed) << "pipeline divergence under faults";
-      ++tally.checks;
+      ASSERT_EQ(full.reason, oracle.reason) << "pipeline divergence under faults";
+      ++checks;
     }
+    cache_hits += kernel.monitor().cache().hits();
     FailpointRegistry::Instance().DisarmAll();
   }
-  EXPECT_GE(tally.checks, 3000u);
-  // Faults may suppress recompiles but the sweep as a whole must still
-  // exercise the compiled path (DisarmAll between rounds guarantees some
-  // clean builds).
-  EXPECT_GT(tally.covered, 0u);
+  EXPECT_GE(checks, 3000u);
+  EXPECT_GT(cache_hits, 0u) << "the cache answered no check; the sweep is vacuous";
 }
 
 }  // namespace

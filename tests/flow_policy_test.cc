@@ -137,10 +137,10 @@ TEST_P(FlowSoundnessTest, AllDecisionsRespectLattice) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowSoundnessTest, ::testing::Range(0, 10));
 
-// FlowAllowedMask is the truth table both the interpreted FlowPolicy and the
-// compiled per-class-pair masks evaluate; pin all four dominance-bit
-// combinations for both option settings, with special attention to the
-// S = O double-dominance column (administrate, strict write/delete).
+// FlowAllowedMask is the truth table FlowPolicy evaluates; pin all four
+// dominance-bit combinations for both option settings, with special
+// attention to the S = O double-dominance column (administrate, strict
+// write/delete).
 TEST(FlowAllowedMaskTest, TruthTableIsExhaustive) {
   for (bool strict : {true, false}) {
     FlowPolicyOptions options;

@@ -337,5 +337,100 @@ TEST(PolicyIoTest, FirstAclDirectiveResetsSubsequentAppend) {
   EXPECT_FALSE(kernel.monitor().Check(bob_s, node, AccessMode::kRead).allowed);
 }
 
+// -- A policy reload must invalidate cached decisions -----------------------
+
+TEST(PolicyIoReloadTest, ReloadInvalidatesCachedAllows) {
+  Kernel kernel;
+  constexpr std::string_view kAllow =
+      "xsec-policy v1\n"
+      "user alice\n"
+      "user bob\n"
+      "node /fs/doc file alice\n"
+      "acl /fs/doc allow bob read\n";
+  ASSERT_TRUE(LoadPolicy(kAllow, &kernel).ok());
+  NodeId doc = *kernel.name_space().Lookup("/fs/doc");
+  PrincipalId bob = *kernel.principals().FindByName("bob");
+  Subject subject{bob, SecurityClass(), 1};
+
+  // Prime the decision cache with the allow.
+  ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
+  ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
+
+  uint64_t epoch_before = kernel.monitor().policy_epoch();
+  constexpr std::string_view kRevoke =
+      "xsec-policy v1\n"
+      "node /fs/doc file alice\n"
+      "acl /fs/doc none\n";
+  ASSERT_TRUE(LoadPolicy(kRevoke, &kernel).ok());
+  EXPECT_GT(kernel.monitor().policy_epoch(), epoch_before);
+
+  // The cached allow must not survive the reload.
+  Decision after = kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead));
+  EXPECT_FALSE(after.allowed);
+  EXPECT_EQ(after.reason, DenyReason::kDacNoGrant);
+}
+
+TEST(PolicyIoReloadTest, ReloadWithNoStoreMutationStillInvalidates) {
+  // An officer-only reload bumps no store generation — only the policy epoch
+  // protects the cache here. The regression this pins: such a reload must
+  // still force re-evaluation (observable as a cache miss, not a hit).
+  Kernel kernel;
+  constexpr std::string_view kBase =
+      "xsec-policy v1\n"
+      "user alice\n"
+      "user bob\n"
+      "node /fs/doc file alice\n"
+      "acl /fs/doc allow bob read\n";
+  ASSERT_TRUE(LoadPolicy(kBase, &kernel).ok());
+  NodeId doc = *kernel.name_space().Lookup("/fs/doc");
+  PrincipalId bob = *kernel.principals().FindByName("bob");
+  Subject subject{bob, SecurityClass(), 1};
+  ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
+
+  constexpr std::string_view kOfficerOnly =
+      "xsec-policy v1\n"
+      "officer alice\n";
+  ASSERT_TRUE(LoadPolicy(kOfficerOnly, &kernel).ok());
+
+  uint64_t misses_before = kernel.monitor().cache().misses();
+  ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
+  EXPECT_GT(kernel.monitor().cache().misses(), misses_before)
+      << "reload did not invalidate the cached decision";
+}
+
+TEST(PolicyIoReloadTest, LoadPolicyFileInvalidatesToo) {
+  // Same regression through the durable-file path: an allow cached before
+  // LoadPolicyFile must not survive a file whose policy revokes it.
+  std::string path = testing::TempDir() + "/xsec_reload_policy.txt";
+  {
+    Kernel revoked;
+    constexpr std::string_view kRevoke =
+        "xsec-policy v1\n"
+        "user alice\n"
+        "user bob\n"
+        "node /fs/doc file alice\n"
+        "acl /fs/doc deny bob read\n";
+    ASSERT_TRUE(LoadPolicy(kRevoke, &revoked).ok());
+    ASSERT_TRUE(SavePolicyFile(revoked, path).ok());
+  }
+  Kernel kernel;
+  constexpr std::string_view kAllow =
+      "xsec-policy v1\n"
+      "user alice\n"
+      "user bob\n"
+      "node /fs/doc file alice\n"
+      "acl /fs/doc allow bob read\n";
+  ASSERT_TRUE(LoadPolicy(kAllow, &kernel).ok());
+  NodeId doc = *kernel.name_space().Lookup("/fs/doc");
+  PrincipalId bob = *kernel.principals().FindByName("bob");
+  Subject subject{bob, SecurityClass(), 1};
+  ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
+
+  ASSERT_TRUE(LoadPolicyFile(path, &kernel, nullptr).ok());
+  Decision after = kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead));
+  EXPECT_FALSE(after.allowed);
+  EXPECT_EQ(after.reason, DenyReason::kDacExplicitDeny);
+}
+
 }  // namespace
 }  // namespace xsec

@@ -191,6 +191,28 @@ TEST_F(ReferenceMonitorTest, OwnerAlwaysHoldsAdministrate) {
   EXPECT_FALSE(monitor_->HasAdministrate(Bottom(bob_), obj_));
 }
 
+TEST_F(ReferenceMonitorTest, OwnerAdministrateCarveOut) {
+  // obj_'s inherited ACL grants nobody administrate: the owner carve-out
+  // allows alice, and bob is left to the ACL.
+  GrantOn(dir_, bob_, AccessModeSet(AccessMode::kRead));
+  Decision owner = monitor_->CheckInterpreted(Bottom(alice_), obj_, AccessMode::kAdministrate);
+  EXPECT_TRUE(owner.allowed);
+  EXPECT_EQ(owner.detail, "");
+  Decision other = monitor_->CheckInterpreted(Bottom(bob_), obj_, AccessMode::kAdministrate);
+  EXPECT_FALSE(other.allowed);
+  EXPECT_EQ(other.reason, DenyReason::kDacNoGrant);
+  EXPECT_EQ(other.detail, "no ACL entry grants this access");
+}
+
+TEST_F(ReferenceMonitorTest, UnknownNodeDecidedNotFound) {
+  for (NodeId node : {NodeId{9999}, NodeId{}}) {
+    Decision d = monitor_->CheckInterpreted(Bottom(bob_), node, AccessMode::kRead);
+    EXPECT_FALSE(d.allowed);
+    EXPECT_EQ(d.reason, DenyReason::kNotFound);
+    EXPECT_EQ(d.detail, "node does not exist");
+  }
+}
+
 TEST_F(ReferenceMonitorTest, SetNodeAclRequiresAdministrate) {
   Acl acl;
   acl.AddEntry({AclEntryType::kAllow, bob_, AccessModeSet(AccessMode::kRead)});

@@ -145,11 +145,10 @@ TEST_P(LatticePropertyTest, JoinMeetAlgebra) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticePropertyTest, ::testing::Range(0, 10));
 
-// Antisymmetry, pinned explicitly because two consumers key decisions off
-// the S = O case (FlowAllowedMask's administrate/strict-write rules and the
-// compiled DominanceMatrix's dedup): mutual dominance must coincide with
-// operator== — including for equal classes whose category bitsets differ
-// only in capacity, and for empty-category classes.
+// Antisymmetry, pinned explicitly because FlowAllowedMask keys its
+// administrate/strict-write rules off the S = O case: mutual dominance must
+// coincide with operator== — including for equal classes whose category
+// bitsets differ only in capacity, and for empty-category classes.
 TEST(SecurityClassProperty, MutualDominanceIsEquality) {
   Rng rng(0xeec5);
   for (int i = 0; i < 400; ++i) {

@@ -1,7 +1,6 @@
 // Sharded stamp domains (docs/MODEL.md §15): shard assignment and
-// inheritance, per-shard generation bumps, cross-shard cache/compiled
-// isolation, the domain field's anti-aliasing role, and shard-local
-// interning.
+// inheritance, per-shard generation bumps, cross-shard cache isolation,
+// the domain field's anti-aliasing role, and shard-local interning.
 
 #include <gtest/gtest.h>
 
@@ -117,7 +116,7 @@ TEST(ShardStampsTest, AclStoreTagsNarrowOnceAndEscalateOnSharing) {
 }
 
 // ---------------------------------------------------------------------------
-// Monitor layer: cross-shard isolation of cached and compiled decisions.
+// Monitor layer: cross-shard isolation of cached decisions.
 
 struct ShardedMonitorFixture {
   explicit ShardedMonitorFixture(bool shard_stamps = true) {
@@ -176,23 +175,6 @@ TEST(ShardStampsTest, ShardStampsOffRevertsToAggregateInvalidation) {
   ASSERT_TRUE(f.ns.SetOwner(f.obj_a, f.user).ok());
   EXPECT_TRUE(f.monitor->Check(f.subject, f.obj_b, AccessMode::kRead).allowed);
   EXPECT_EQ(f.monitor->cache().stale_hits(), stale + 1);
-}
-
-TEST(ShardStampsTest, CompiledTablesSurviveCrossShardMutation) {
-  ShardedMonitorFixture f;
-  ASSERT_TRUE(f.monitor->RecompileNow().ok());
-  Decision d;
-  ASSERT_TRUE(f.monitor->TryCompiledCheck(f.subject, f.obj_b, AccessMode::kRead, &d));
-  EXPECT_TRUE(d.allowed);
-
-  // A mutation confined to the other shard leaves this shard's compiled
-  // decisions consultable — no fallback, no recompile storm.
-  ASSERT_TRUE(f.ns.SetOwner(f.obj_a, f.user).ok());
-  EXPECT_TRUE(f.monitor->TryCompiledCheck(f.subject, f.obj_b, AccessMode::kRead, &d));
-
-  // A same-shard mutation still diverts the probe to the interpreted path.
-  ASSERT_TRUE(f.ns.SetOwner(f.obj_b, f.user).ok());
-  EXPECT_FALSE(f.monitor->TryCompiledCheck(f.subject, f.obj_b, AccessMode::kRead, &d));
 }
 
 TEST(ShardStampsTest, PerShardCheckCountersFeedTelemetry) {
