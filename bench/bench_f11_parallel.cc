@@ -2,7 +2,7 @@
 //
 // The tentpole claim of the concurrency work: Check() scales with thread
 // count. Shared state is read-mostly (shared_mutex on each store, a sharded
-// decision cache, lock-free audit counters), so adding checking threads
+// decision cache, per-thread striped stats counters), so adding checking threads
 // should add throughput until memory bandwidth, not lock contention, is the
 // limit. The figure sweeps:
 //

@@ -78,8 +78,9 @@ void BM_CheckNode_DacOnly(benchmark::State& state) { CheckNode(state, Opts(true,
 void BM_CheckNode_MacOnly(benchmark::State& state) { CheckNode(state, Opts(false, true, false)); }
 void BM_CheckNode_DacMac(benchmark::State& state) { CheckNode(state, Opts(true, true, false)); }
 void BM_CheckNode_DacMacCached(benchmark::State& state) { CheckNode(state, Opts(true, true, true)); }
-// The same cached hot path with MonitorStats off: the delta between this
-// and BM_CheckNode_DacMacCached is the stats overhead (budget: <5%).
+// The same cached hot path with MonitorStats off, so no decision is counted
+// at all: the delta between this and BM_CheckNode_DacMacCached is the whole
+// cost of counting (budget: <5%).
 void BM_CheckNode_DacMacCached_NoStats(benchmark::State& state) {
   MonitorOptions options = Opts(true, true, true);
   options.stats_enabled = false;

@@ -13,6 +13,14 @@ hot-path budget the stats layer is held to. Using the ratio (not absolute
 numbers) keeps the gate portable across machines: both measurements come
 from the same run, so CPU speed and virtualization noise cancel.
 
+MonitorStats is the monitor's only decision counter, so the NoStats side
+counts no decision at all and the ratio carries every counting cost on the
+check path. The committed baseline was recorded when both sides also paid
+two shared fetch_adds per check (an audit-log total and a per-shard check
+counter, since folded into MonitorStats); the stats-on side is cheaper now,
+but the NoStats side is cheaper still, so the ratio is expected to read
+above that baseline.
+
 The metric is per-iteration instructions retired when BOTH files carry the
 INSTRUCTIONS perf counter for both benchmarks (run_checks.sh requests it
 via --benchmark_perf_counters=INSTRUCTIONS); an instruction count is

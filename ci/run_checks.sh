@@ -28,7 +28,10 @@
 #                    ci/check_bench_f1.py — >10% ratio regression fails.
 #                    Collected with instructions-retired perf counters when
 #                    the benchmark library + kernel support them; the gate
-#                    prefers that metric and falls back to median cpu_time)
+#                    prefers that metric and falls back to median cpu_time;
+#                    Cached_NoStats now counts no decision at all, so the
+#                    ratio reads higher than the committed baseline even
+#                    though the stats-on check got cheaper)
 #                    The same gate holds Invoke by path within 3.5x of a
 #                    capability call (BM_InvokePath / BM_CapabilityCall).
 #   BENCH_f9.json    bench_f9_traversal at depth 8 (ci/check_bench_f9.py

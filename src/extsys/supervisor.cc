@@ -352,7 +352,6 @@ void ExtensionSupervisor::AuditTransition(const Entry* entry, bool quarantined,
                                           std::string detail) {
   AuditLog& audit = monitor_->audit();
   if (!audit.WouldRetain(/*allowed=*/!quarantined)) {
-    audit.Count(!quarantined);
     return;
   }
   AuditRecord record;
@@ -372,7 +371,6 @@ void ExtensionSupervisor::AuditSystemTransition(SystemHealth from, SystemHealth 
   AuditLog& audit = monitor_->audit();
   bool allowed = to == SystemHealth::kHealthy;
   if (!audit.WouldRetain(allowed)) {
-    audit.Count(allowed);
     return;
   }
   AuditRecord record;

@@ -311,7 +311,6 @@ void AuditLog::RingInsertLocked(AuditRecord record) {
 }
 
 void AuditLog::Record(AuditRecord record) {
-  Count(record.allowed);
   if (!WouldRetain(record.allowed)) {
     return;
   }
@@ -321,6 +320,9 @@ void AuditLog::Record(AuditRecord record) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     record.sequence = next_sequence_++;
+    if (!record.allowed) {
+      total_denials_.fetch_add(1, std::memory_order_relaxed);
+    }
     if (!cursors_->empty()) {
       evicted = std::exchange(log_[record.sequence % log_.size()],
                               std::make_shared<const AuditRecord>(record));
@@ -685,7 +687,6 @@ void AuditLog::Clear() {
   head_ = 0;
   // next_sequence_ deliberately survives: resetting it would reissue ids
   // already written to rotated NDJSON files, breaking dedup by `seq`.
-  total_checks_.store(0, std::memory_order_relaxed);
   total_denials_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   for (const std::shared_ptr<Cursor>& cursor : *cursors_) {

@@ -3,12 +3,14 @@
 // here every access decision can be recorded, under a configurable policy.
 // Experiment F7 measures the cost of each policy.
 //
-// Thread safety: Record()/Count() may be called from any number of checking
-// threads. The counters are lock-free atomics, so the hot allow path (under
-// the default denials-only policy) never takes a lock; records that the
-// policy retains go into a bounded ring — many producers serialize briefly
-// on the ring mutex, the (single) consumer drains via records()/Query(),
-// and the oldest record is overwritten once the ring is full.
+// Thread safety: Record() may be called from any number of checking threads.
+// The log counts no decisions (MonitorStats is the one record of those), so
+// an allow the policy does not retain never reaches it and the hot allow
+// path (under the default denials-only policy) never takes a lock; records
+// that the policy retains go into a bounded ring — many producers serialize
+// briefly on the ring mutex, the (single) consumer drains via
+// records()/Query(), and the oldest record is overwritten once the ring is
+// full.
 //
 // Delivery to sinks has one path. In the same critical section that stamps
 // its sequence, a retained record is appended to a bounded delivery log
@@ -283,25 +285,15 @@ class AuditLog {
   void set_policy(AuditPolicy policy) { policy_.store(policy, std::memory_order_relaxed); }
   AuditPolicy policy() const { return policy_.load(std::memory_order_relaxed); }
 
-  // Records a decision if the policy asks for it. Counters are maintained
-  // regardless of policy.
+  // Records a decision if the policy asks for it; otherwise does nothing.
   void Record(AuditRecord record);
 
   // True iff the current policy would retain a record with this outcome.
   // Callers use this to skip building record text (path strings) that would
-  // be thrown away; if it returns false they call Count() instead.
+  // be thrown away.
   bool WouldRetain(bool allowed) const {
     AuditPolicy p = policy();
     return p == AuditPolicy::kAll || (p == AuditPolicy::kDenialsOnly && !allowed);
-  }
-
-  // Maintains counters without retaining a record, for `decisions` equal
-  // decisions at once. Lock-free.
-  void Count(bool allowed, uint64_t decisions = 1) {
-    total_checks_.fetch_add(decisions, std::memory_order_relaxed);
-    if (!allowed) {
-      total_denials_.fetch_add(decisions, std::memory_order_relaxed);
-    }
   }
 
   // -- Delivery (MODEL.md §11) ------------------------------------------------
@@ -400,7 +392,9 @@ class AuditLog {
   // Retained records matching a predicate, oldest first.
   std::vector<AuditRecord> Query(const std::function<bool(const AuditRecord&)>& pred) const;
 
-  uint64_t total_checks() const { return total_checks_.load(std::memory_order_relaxed); }
+  // Denial records this log has stamped (since the last Clear). No allow
+  // touches it. Under the denials-only policy with no Clear it equals the
+  // next record's sequence number.
   uint64_t total_denials() const { return total_denials_.load(std::memory_order_relaxed); }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
@@ -457,7 +451,6 @@ class AuditLog {
 
   size_t capacity_;
   std::atomic<AuditPolicy> policy_{AuditPolicy::kDenialsOnly};
-  std::atomic<uint64_t> total_checks_{0};
   std::atomic<uint64_t> total_denials_{0};
   std::atomic<uint64_t> dropped_{0};
 

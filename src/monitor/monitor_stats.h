@@ -2,13 +2,14 @@
 //
 // The paper's reference monitor is "a central facility to provide naming and
 // protection services for the entire system" (§3); this module is that
-// facility's own instrument panel. It extends the AuditLog's two coarse
-// counters into per-DenyReason denial counters, per-access-mode check
-// counters, and a log-linear (HdrHistogram-style) latency histogram sampled
-// on the check path. StatsService (src/services/stats_service.h) surfaces
-// every counter as a read-only node under /sys/monitor/... in the
-// hierarchical namespace, so visibility of the telemetry is itself mediated
-// by the monitor.
+// facility's own instrument panel, and the monitor's only record of how many
+// decisions it made: per-DenyReason decision counters (kNone = allowed),
+// per-access-mode and per-validity-domain (monitor shard) check counters,
+// and a log-linear (HdrHistogram-style) latency histogram sampled on the
+// check path. StatsService (src/services/stats_service.h) surfaces every
+// counter as a read-only node under /sys/monitor/... in the hierarchical
+// namespace, so visibility of the telemetry is itself mediated by the
+// monitor.
 //
 // Thread safety and hot-path cost: a shared fetch_add per counter would put
 // several locked read-modify-writes (~7ns each measured) on every check —
@@ -21,22 +22,22 @@
 // relaxed loads. Latency is *sampled* (1 in kSampleEvery checks per thread,
 // per instance) so the two steady_clock reads stay off the common case.
 //
-// Consistency: individual counters are monotone and individually coherent,
-// but two *separate* leaf reads are not mutually consistent. TakeSnapshot()
-// is the sanctioned multi-counter view: it renders every counter in one
-// pass, ordered so that its invariants (allowed + denied == checks_total,
-// sum(by_mode) >= checks_total, sum(latency_buckets) >= latency_samples)
-// hold even under concurrent recording, and it retries around a concurrent
-// Reset() via the reset generation stamp, a bounded number of times before
-// falling back to the Reset lock (docs/MODEL.md §11).
+// Consistency: counters only grow (there is no reset), and each is
+// individually coherent, but two *separate* leaf reads are not mutually
+// consistent. TakeSnapshot() is the sanctioned multi-counter view: it
+// renders every counter in one pass, ordered so that its invariants
+// (allowed + denied == checks_total, sum(by_mode) >= checks_total,
+// sum(by_shard) >= checks_total, sum(latency_buckets) >= latency_samples)
+// hold even under concurrent recording; at quiescence
+// sum(by_shard) == checks_total exactly (docs/MODEL.md §11).
 
 #ifndef XSEC_SRC_MONITOR_MONITOR_STATS_H_
 #define XSEC_SRC_MONITOR_MONITOR_STATS_H_
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 
+#include "src/base/shard.h"
 #include "src/dac/access_mode.h"
 #include "src/monitor/audit.h"
 
@@ -62,6 +63,13 @@ class MonitorStats {
   static constexpr uint64_t kSampleEvery = 256;
   // Threads with a private slot; the rest share the overflow slot.
   static constexpr size_t kSlots = 32;
+  // One check counter per concrete monitor shard, plus one (the last) for
+  // the aggregate domain: unknown nodes, the root, or every check with
+  // shard stamps off.
+  static constexpr size_t kShardBuckets = kMonitorShardCount + 1;
+  static constexpr size_t ShardIndex(ShardId shard) {
+    return IsConcreteShard(shard) ? shard : kMonitorShardCount;
+  }
 
   MonitorStats();
   MonitorStats(const MonitorStats&) = delete;
@@ -95,27 +103,33 @@ class MonitorStats {
 
   // -- Recording (check path; lock-free) --------------------------------------
 
-  // Counts one decision: one count per access mode present in the request,
-  // then the reason bucket (kNone = allowed). The total is derived on read —
-  // every decision lands in exactly one reason bucket — so the common
-  // single-mode check costs two load+store pairs, not three. The reason bump
-  // is a release store *after* the mode bumps: a reader that observes a
-  // decision's reason (acquire) therefore also observes its modes, which is
-  // what makes TakeSnapshot's sum(by_mode) >= checks_total invariant hold
+  // Counts one decision about a node in validity domain `shard`: one count
+  // per access mode present in the request, one for the domain, then the
+  // reason bucket (kNone = allowed). The total is derived on read — every
+  // decision lands in exactly one reason bucket and exactly one domain
+  // bucket. The reason bump is a release store *after* the mode and domain
+  // bumps: a reader that observes a decision's reason (acquire) therefore
+  // also observes its modes and domain, which is what makes TakeSnapshot's
+  // sum(by_mode) >= checks_total and sum(by_shard) >= checks_total hold
   // under concurrent recording.
-  void RecordDecision(AccessModeSet modes, DenyReason reason) {
+  void RecordDecision(AccessModeSet modes, DenyReason reason, ShardId shard) {
     Slot& slot = *LocalEntry().slot;
     BumpModes(slot, modes, 1);
+    Bump(slot, slot.by_shard[ShardIndex(shard)]);
     BumpRelease(slot, slot.by_reason[static_cast<size_t>(reason)]);
   }
 
   // Counts a CheckPath that a resolved-path cache entry answered exactly as
   // its walk would have: `list_steps` allowed `list` decisions, then one
-  // allowed decision on `modes`. Same release discipline as RecordDecision.
-  void RecordAllowedPath(uint64_t list_steps, AccessModeSet modes) {
+  // allowed decision on `modes`. The walk's first step is the root (the
+  // aggregate domain); every later step and the leaf are in `leaf_shard`.
+  // Same release discipline as RecordDecision.
+  void RecordAllowedPath(uint64_t list_steps, AccessModeSet modes, ShardId leaf_shard) {
     Slot& slot = *LocalEntry().slot;
     BumpModes(slot, AccessMode::kList, list_steps);
     BumpModes(slot, modes, 1);
+    Bump(slot, slot.by_shard[kMonitorShardCount]);
+    Bump(slot, slot.by_shard[ShardIndex(leaf_shard)], list_steps);
     BumpRelease(slot, slot.by_reason[static_cast<size_t>(DenyReason::kNone)], list_steps + 1);
   }
 
@@ -133,15 +147,17 @@ class MonitorStats {
   void RecordLatencyNs(uint64_t ns);
 
   // -- Reading (any thread; aggregates over the slots) -------------------------
-  // Each getter is individually torn-Reset-safe (it retries on a concurrent
-  // Reset generation change), but two getter calls are still not mutually
-  // consistent; TakeSnapshot is the sanctioned multi-counter view.
+  // Each getter is one plain sum over the slots. Two getter calls are not
+  // mutually consistent; TakeSnapshot is the sanctioned multi-counter view.
 
   uint64_t checks_total() const;
   uint64_t allowed_total() const { return by_reason(DenyReason::kNone); }
   uint64_t denied_total() const;
   uint64_t by_reason(DenyReason reason) const;
   uint64_t by_mode(AccessMode mode) const;
+  // Decisions about nodes in `shard`'s validity domain; every non-concrete
+  // id reads the aggregate domain's counter.
+  uint64_t by_shard(ShardId shard) const;
   uint64_t latency_samples() const;
   uint64_t latency_bucket(size_t i) const;
 
@@ -155,20 +171,22 @@ class MonitorStats {
   //   allowed + denied == checks_total           (derived from one pass)
   //   sum(by_reason)   == checks_total
   //   sum(by_mode)     >= checks_total           (for >= 1 mode per decision)
+  //   sum(by_shard)    >= checks_total           (== once recording stops)
   //   sum(latency_buckets) >= latency_samples
   // `version` is left 0 here; the publisher (StatsService) stamps it.
   struct Snapshot {
     uint64_t version = 0;
-    uint64_t reset_epoch = 0;  // completed Reset() calls at capture time
     uint64_t checks_total = 0;
     uint64_t allowed = 0;
     uint64_t denied = 0;
     uint64_t by_reason[kDenyReasonCount] = {};
     uint64_t by_mode[kAccessModeCount] = {};
+    uint64_t by_shard[kShardBuckets] = {};  // index ShardIndex(shard)
     uint64_t latency_samples = 0;
     uint64_t latency_buckets[kLatencyBuckets] = {};
 
     uint64_t ModeTotal() const;
+    uint64_t ShardTotal() const;
     uint64_t LatencyBucketTotal() const;
     uint64_t LatencyQuantileNs(double q) const;
     // Counter equality, ignoring `version` (change detection for publishers).
@@ -176,20 +194,13 @@ class MonitorStats {
   };
   Snapshot TakeSnapshot() const;
 
-  // Zeroes every counter. Safe against concurrent readers: the reset
-  // generation goes odd for the duration, and readers retry until it is even
-  // and unchanged across their pass (or read under the Reset lock once
-  // their retries run out). Concurrent *recording* is tolerated but
-  // not synchronized — a decision in flight during the reset may leave a
-  // late increment behind (documented in docs/MODEL.md §11).
-  void Reset();
-
  private:
   // One writer's counters, padded to its own cache line(s). `shared` is set
   // on the overflow slot only, switching its writers to fetch_add.
   struct alignas(64) Slot {
     std::atomic<uint64_t> by_reason[kDenyReasonCount] = {};
     std::atomic<uint64_t> by_mode[kAccessModeCount] = {};
+    std::atomic<uint64_t> by_shard[kShardBuckets] = {};
     std::atomic<uint64_t> latency_samples{0};
     std::atomic<uint64_t> latency_buckets[kLatencyBuckets] = {};
     bool shared = false;
@@ -268,23 +279,8 @@ class MonitorStats {
     return total;
   }
 
-  // Runs `read` under the reset-generation seqlock: retries while a Reset is
-  // in flight or completed mid-read, so the pass never observes half-zeroed
-  // slots. After kOptimisticReads failed passes it reads under reset_mu_
-  // instead, so a Reset storm cannot starve a reader. `generation_out`
-  // (optional) receives the even generation the pass ran under.
-  template <typename Fn>
-  uint64_t ReadStable(Fn&& read, uint64_t* generation_out = nullptr) const;
-  static constexpr int kOptimisticReads = 8;
-
   const uint64_t instance_id_;
   std::atomic<uint32_t> next_slot_{0};
-  // Even = stable; odd = a Reset is zeroing the slots. Readers retry until
-  // they complete a pass under one unchanged even generation.
-  std::atomic<uint64_t> reset_generation_{0};
-  // Serializes Reset() against itself, and is held across its zeroing, so a
-  // reader holding it sees no Reset in flight (the bounded-retry fallback).
-  mutable std::mutex reset_mu_;
   Slot slots_[kSlots + 1];  // +1: the shared overflow slot
 };
 

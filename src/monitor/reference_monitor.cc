@@ -150,16 +150,15 @@ Decision ReferenceMonitor::CheckUncached(const Subject& subject, NodeId node,
   return Decision{true, DenyReason::kNone, ""};
 }
 
-void ReferenceMonitor::Audit(const Subject& subject, NodeId node, std::string path,
-                             AccessModeSet modes, const Decision& decision) {
-  // Stats mirror the audit counters: every decision that reaches the audit
-  // layer — checks, path resolutions, administrative denials — lands in
-  // exactly one reason bucket (kNone for allows).
+void ReferenceMonitor::Audit(const Subject& subject, NodeId node, ShardId domain,
+                             std::string path, AccessModeSet modes, const Decision& decision) {
+  // The stats are the one record of decisions: every decision that reaches
+  // here — checks, path resolutions, administrative denials — lands in
+  // exactly one reason bucket (kNone for allows) and one domain bucket.
   if (options_.stats_enabled) {
-    stats_.RecordDecision(modes, decision.allowed ? DenyReason::kNone : decision.reason);
+    stats_.RecordDecision(modes, decision.allowed ? DenyReason::kNone : decision.reason, domain);
   }
   if (!audit_.WouldRetain(decision.allowed)) {
-    audit_.Count(decision.allowed);
     return;
   }
   AuditRecord record;
@@ -215,7 +214,6 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
                                           AccessModeSet modes) {
   Decision decision;
   ShardId domain = DomainOf(node);
-  shard_checks_[ShardSlot(domain)].fetch_add(1, std::memory_order_relaxed);
   if (options_.cache_enabled) {
     // The cache clear epoch and the stamps are read (acquire) BEFORE
     // evaluating. If a store mutates mid-evaluation its bump lands after our
@@ -242,7 +240,7 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
   // availability and lockdown overrides apply only to this call.
   ApplyAuditAvailability(&decision);
   ApplyLockdown(&decision, modes);
-  Audit(subject, node, "", modes, decision);
+  Audit(subject, node, domain, "", modes, decision);
   return decision;
 }
 
@@ -281,17 +279,6 @@ bool ReferenceMonitor::PathEntryUsable(AccessModeSet modes, ShardId leaf_domain)
          !(lockdown_.load(std::memory_order_relaxed) && modes.Contains(AccessMode::kExtend));
 }
 
-void ReferenceMonitor::CountAllowedPath(size_t steps, ShardId leaf_domain, AccessModeSet modes) {
-  // Exactly what the walk records. Its first step is the root, whose domain
-  // is never concrete; every later step shares the leaf's shard.
-  shard_checks_[kMonitorShardCount].fetch_add(1, std::memory_order_relaxed);
-  shard_checks_[ShardSlot(leaf_domain)].fetch_add(steps, std::memory_order_relaxed);
-  if (options_.stats_enabled) {
-    stats_.RecordAllowedPath(steps, modes);
-  }
-  audit_.Count(true, steps + 1);
-}
-
 Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::string_view path,
                                               AccessModeSet modes, NodeId* resolved) {
   // Resolve once: every component under one name-space lock acquisition,
@@ -302,7 +289,7 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
   if (!leaf.ok() && chain.empty()) {
     // Not a canonical absolute path: nothing to traverse.
     Decision decision{false, DenyReason::kNotFound, leaf.status().message()};
-    Audit(subject, NodeId{}, std::string(path), modes, decision);
+    Audit(subject, NodeId{}, kAggregateShard, std::string(path), modes, decision);
     return decision;
   }
 
@@ -319,7 +306,10 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
     stamps = CurrentStampsFor(domain);
     DecisionCache::CachedDecision cached;
     if (cache_.Lookup(subject, *leaf, modes, stamps, &cached, /*via_path=*/true)) {
-      CountAllowedPath(chain.size(), domain, modes);
+      // Exactly what the walk records (docs/MODEL.md §15).
+      if (options_.stats_enabled) {
+        stats_.RecordAllowedPath(chain.size(), modes, domain);
+      }
       if (resolved != nullptr) {
         *resolved = *leaf;
       }
@@ -337,14 +327,14 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
         Decision decision{false, DenyReason::kTraversal,
                           StrFormat("denied while resolving '%s': %s",
                                     name_space_->PathOf(chain[i]).c_str(), step.detail.c_str())};
-        Audit(subject, chain[i], std::string(path), modes, decision);
+        Audit(subject, chain[i], DomainOf(chain[i]), std::string(path), modes, decision);
         return decision;
       }
     }
   }
   if (!leaf.ok()) {
     Decision decision{false, DenyReason::kNotFound, leaf.status().message()};
-    Audit(subject, chain.back(), std::string(path), modes, decision);
+    Audit(subject, chain.back(), DomainOf(chain.back()), std::string(path), modes, decision);
     return decision;
   }
   if (resolved != nullptr) {
@@ -451,7 +441,7 @@ Status ReferenceMonitor::SetNodeAcl(const Subject& subject, NodeId node, Acl acl
     return NotFoundError("node does not exist");
   }
   if (!HasAdministrate(subject, node)) {
-    Audit(subject, node, "", AccessMode::kAdministrate,
+    Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
           Decision{false, DenyReason::kNotAuthorized, "set-acl without administrate"});
     return PermissionDeniedError(
         StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
@@ -471,7 +461,7 @@ Status ReferenceMonitor::AddAclEntry(const Subject& subject, NodeId node, const 
     return NotFoundError("node does not exist");
   }
   if (!HasAdministrate(subject, node)) {
-    Audit(subject, node, "", AccessMode::kAdministrate,
+    Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
           Decision{false, DenyReason::kNotAuthorized, "add-acl-entry without administrate"});
     return PermissionDeniedError(
         StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
@@ -497,7 +487,7 @@ Status ReferenceMonitor::RemoveAclEntriesFor(const Subject& subject, NodeId node
     return NotFoundError("node does not exist");
   }
   if (!HasAdministrate(subject, node)) {
-    Audit(subject, node, "", AccessMode::kAdministrate,
+    Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
           Decision{false, DenyReason::kNotAuthorized, "remove-acl-entries without administrate"});
     return PermissionDeniedError(
         StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
@@ -517,7 +507,7 @@ Status ReferenceMonitor::SetNodeLabel(const Subject& subject, NodeId node,
   bool officer = security_officer_.valid() && subject.principal == security_officer_;
   if (!officer) {
     if (!HasAdministrate(subject, node)) {
-      Audit(subject, node, "", AccessMode::kAdministrate,
+      Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
             Decision{false, DenyReason::kNotAuthorized, "set-label without administrate"});
       return PermissionDeniedError(
           StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
@@ -527,7 +517,7 @@ Status ReferenceMonitor::SetNodeLabel(const Subject& subject, NodeId node,
       bool sees_current = subject.security_class.Dominates(current);
       bool assigns_own_class = label == subject.security_class;
       if (!sees_current || !assigns_own_class) {
-        Audit(subject, node, "", AccessMode::kAdministrate,
+        Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
               Decision{false, DenyReason::kMacFlow, "relabel violates information flow"});
         return PermissionDeniedError("relabel violates information flow");
       }

@@ -35,7 +35,6 @@
 #ifndef XSEC_SRC_MONITOR_REFERENCE_MONITOR_H_
 #define XSEC_SRC_MONITOR_REFERENCE_MONITOR_H_
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -69,8 +68,10 @@ struct MonitorOptions {
   // Check `list` on every ancestor during resolution.
   bool check_traversal = true;
   bool cache_enabled = true;
-  // Maintain MonitorStats (per-reason/per-mode counters, sampled latency
-  // histogram). Relaxed atomics only; bench_f1_mediation pins the overhead.
+  // Maintain MonitorStats, the one record of decisions (per-reason,
+  // per-mode and per-shard counters, sampled latency histogram). Off: no
+  // decision is counted anywhere. Relaxed atomics only; bench_f1_mediation
+  // pins the overhead.
   bool stats_enabled = true;
   FlowPolicyOptions flow;
   AuditPolicy audit_policy = AuditPolicy::kDenialsOnly;
@@ -193,13 +194,6 @@ class ReferenceMonitor {
     return CheckUncached(subject, node, modes);
   }
 
-  // Checks decided per monitor shard (index kMonitorShardCount = aggregate
-  // domain: unknown nodes, the root, or all checks with shard_stamps off).
-  // Feeds the /sys/monitor/shard/<i>/checks telemetry leaves.
-  uint64_t shard_checks(ShardId shard) const {
-    return shard_checks_[ShardSlot(shard)].load(std::memory_order_relaxed);
-  }
-
   // -- Retired compiled decision tables (docs/MODEL.md §13) -----------------
   // Stateless: there are no tables, and every miss is interpreted.
 
@@ -252,15 +246,11 @@ class ReferenceMonitor {
   // to a leaf in `leaf_domain` right now; false where the walk's per-step
   // records or overrides differ.
   bool PathEntryUsable(AccessModeSet modes, ShardId leaf_domain) const;
-  // Records a path-entry hit as the walk of `steps` list checks plus the
-  // leaf check: stats, audit counts and per-shard check counts.
-  void CountAllowedPath(size_t steps, ShardId leaf_domain, AccessModeSet modes);
-  static size_t ShardSlot(ShardId shard) {
-    return IsConcreteShard(shard) ? shard : kMonitorShardCount;
-  }
   CacheStamps CurrentStamps() const;
-  void Audit(const Subject& subject, NodeId node, std::string path, AccessModeSet modes,
-             const Decision& decision);
+  // Counts the decision in the stats (under validity domain `domain`) and
+  // hands it to the audit log if its policy retains it.
+  void Audit(const Subject& subject, NodeId node, ShardId domain, std::string path,
+             AccessModeSet modes, const Decision& decision);
   // Fail-closed override: flips an allow to a kAuditUnavailable denial (or
   // counts it as unaudited, in fail-open mode) when the required audit sink
   // is tripped. Runs AFTER the cache so the transient denial is never
@@ -289,8 +279,6 @@ class ReferenceMonitor {
   // it impossible for decisions cached against the pre-reload policy to be
   // consulted afterwards.
   std::atomic<uint64_t> policy_epoch_{0};
-
-  std::array<std::atomic<uint64_t>, kMonitorShardCount + 1> shard_checks_{};
 };
 
 }  // namespace xsec

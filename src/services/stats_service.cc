@@ -41,7 +41,7 @@ Status StatsService::MountShards(ReferenceMonitor* monitor) {
   for (ShardId i = 0; i < kMonitorShardCount; ++i) {
     std::string prefix = "shard/" + std::to_string(i) + "/";
     XSEC_RETURN_IF_ERROR(MountLeaf(prefix + "checks", [monitor, i, count] {
-      return count(monitor->shard_checks(i));
+      return count(monitor->stats().by_shard(i));
     }));
     XSEC_RETURN_IF_ERROR(MountLeaf(prefix + "ns_gen", [monitor, i, count] {
       return count(monitor->CurrentStampsFor(i).namespace_generation);
@@ -54,7 +54,7 @@ Status StatsService::MountShards(ReferenceMonitor* monitor) {
     }));
   }
   return MountLeaf("shard/aggregate/checks", [monitor, count] {
-    return count(monitor->shard_checks(kAggregateShard));
+    return count(monitor->stats().by_shard(kAggregateShard));
   });
 }
 
@@ -215,12 +215,12 @@ Status StatsService::Install() {
   }));
   XSEC_RETURN_IF_ERROR(MountLeaf("rate/checks_per_sec", [this] {
     MaybeTick();
-    PublishedPtr cur = published_.load();
+    PublishedPtr cur = LoadPublished();
     return FormatFixed(cur == nullptr ? 0.0 : cur->checks_per_sec, 2);
   }));
   XSEC_RETURN_IF_ERROR(MountLeaf("rate/denials_per_sec", [this] {
     MaybeTick();
-    PublishedPtr cur = published_.load();
+    PublishedPtr cur = LoadPublished();
     return FormatFixed(cur == nullptr ? 0.0 : cur->denials_per_sec, 2);
   }));
 
@@ -510,9 +510,8 @@ std::string StatsService::RenderAll() const {
 
 uint64_t StatsService::Tick() {
   ReferenceMonitor& monitor = kernel_->monitor();
-  // Capture everything before taking pub_mu_: TakeSnapshot can spin briefly
-  // around a concurrent Reset and must not do so while holding the
-  // publication lock concurrent Ticks serialize on.
+  // Capture everything before taking pub_mu_, so concurrent Ticks serialize
+  // only on building and swapping the epoch.
   MonitorStats::Snapshot snap = monitor.stats().TakeSnapshot();
   uint64_t cache_hits = monitor.cache().hits();
   uint64_t cache_misses = monitor.cache().misses();
@@ -525,9 +524,9 @@ uint64_t StatsService::Tick() {
   bool changed;
   {
     std::lock_guard<std::mutex> lock(pub_mu_);
-    // Only this writer section swaps the pointer, so a relaxed load under
-    // pub_mu_ sees the latest epoch.
-    PublishedPtr cur = published_.load();
+    // Only this writer section swaps the pointer, so the load under pub_mu_
+    // sees the latest epoch.
+    PublishedPtr cur = LoadPublished();
     changed = cur == nullptr || !snap.SameCounters(cur->snap) ||
               cache_hits != cur->cache_hits || cache_misses != cur->cache_misses ||
               cache_stale != cur->cache_stale || audit_retained != cur->audit_retained ||
@@ -535,20 +534,8 @@ uint64_t StatsService::Tick() {
     if (changed) {
       ++version_;
     }
-    // The rate ring tracks cumulative counters per publication epoch, each
-    // stamped with the MonitorStats reset era it was captured in. Entries
-    // from an older era are dropped — a cross-era delta is garbage even when
-    // the newer cumulative value has already grown past the older one (the
-    // counters restarted in between). Eras only move forward, so stale
-    // entries are always a prefix.
-    while (!rate_ring_.empty() && rate_ring_.front().reset_epoch != snap.reset_epoch) {
-      rate_ring_.pop_front();
-    }
-    // Same-era decrease should be impossible; clear defensively if seen.
-    if (!rate_ring_.empty() && snap.checks_total < rate_ring_.back().checks) {
-      rate_ring_.clear();
-    }
-    rate_ring_.push_back(RateEpoch{now, snap.checks_total, snap.denied, snap.reset_epoch});
+    // The rate ring tracks cumulative counters per publication epoch.
+    rate_ring_.push_back(RateEpoch{now, snap.checks_total, snap.denied});
     while (rate_ring_.size() > 2 &&
            now - rate_ring_[1].t_ns >= options_.rate_window_ns) {
       rate_ring_.pop_front();
@@ -570,7 +557,7 @@ uint64_t StatsService::Tick() {
     epoch->denials_per_sec = DenialsPerSecLocked();
     epoch->rendered = RenderEpoch(*epoch, nullptr);
     next = std::move(epoch);
-    published_.store(next);
+    Publish(next);
     last_tick_ns_.store(now, std::memory_order_relaxed);
   }
   if (changed) {
@@ -663,7 +650,7 @@ void StatsService::FanOut(uint64_t version, const PublishedPtr& epoch) {
 }
 
 uint64_t StatsService::version() const {
-  PublishedPtr cur = published_.load();
+  PublishedPtr cur = LoadPublished();
   return cur == nullptr ? 0 : cur->version;
 }
 
@@ -677,7 +664,7 @@ void StatsService::MaybeTick() {
 
 std::string StatsService::RenderSnapshot() {
   MaybeTick();
-  PublishedPtr cur = published_.load();
+  PublishedPtr cur = LoadPublished();
   return cur == nullptr ? std::string() : cur->rendered;
 }
 
@@ -694,7 +681,7 @@ StatusOr<std::string> StatsService::WaitForUpdate(uint64_t since, uint64_t deadl
     // service restart (version counters restart at 1): the caller's era is
     // gone, so the honest answer is the current state now, not a park that
     // can only time out.
-    PublishedPtr cur = published_.load();
+    PublishedPtr cur = LoadPublished();
     if ((cur == nullptr ? 0 : cur->version) != since) {
       return cur == nullptr ? std::string() : cur->rendered;
     }
@@ -733,7 +720,7 @@ StatusOr<std::string> StatsService::WaitForUpdate(uint64_t since, uint64_t deadl
       // Re-check under wait_mu_ before parking: Tick swaps the pointer and
       // then passes through this mutex before notifying, so a version that
       // landed after the fast-path check cannot be slept through.
-      PublishedPtr again = published_.load();
+      PublishedPtr again = LoadPublished();
       if ((again == nullptr ? 0 : again->version) == since) {
         wait_cv_.wait_for(lock, std::chrono::nanoseconds(wake - now));
       }
@@ -762,7 +749,7 @@ StatusOr<uint64_t> StatsService::Subscribe(Subject& subject, int64_t since,
   // Baseline a fresh publication (folds in the admission check above), so
   // the channel starts at a well-defined epoch.
   uint64_t version = Tick();
-  PublishedPtr current = published_.load();
+  PublishedPtr current = LoadPublished();
   auto channel = std::make_shared<SubscriberChannel>();
   channel->owner = subject.principal;
   channel->backpressure = backpressure;
@@ -1126,13 +1113,25 @@ double StatsService::DenialsPerSecLocked() const {
          static_cast<double>(newest.t_ns - oldest.t_ns);
 }
 
+StatsService::PublishedPtr StatsService::LoadPublished() const {
+  std::lock_guard<std::mutex> lock(published_mu_);
+  return published_;
+}
+
+void StatsService::Publish(PublishedPtr next) {
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    published_.swap(next);
+  }
+  // `next` now holds the displaced epoch; it is released here, unlocked.
+}
+
 std::string StatsService::RenderEpoch(const PublishedEpoch& cur,
                                       const PublishedEpoch* prev) const {
   const std::string& m = options_.mount_path;
   const MonitorStats::Snapshot& s = cur.snap;
   std::string out;
   out += StrFormat("version %llu\n", static_cast<unsigned long long>(cur.version));
-  out += StrFormat("reset_epoch %llu\n", static_cast<unsigned long long>(s.reset_epoch));
   if (prev != nullptr) {
     // Delta framing: every counter below is cumulative, so a delta against
     // any older epoch is exact — including across epochs the channel

@@ -36,12 +36,13 @@
 //
 // Publication (RCU rule, MODEL.md §11): every Tick builds one immutable
 // PublishedEpoch — snapshot, gauges, windowed rates, and the full rendered
-// text — and swaps it into an atomic shared_ptr. Readers (the snapshot /
-// version / rate leaves, watch fast paths, version()) load that pointer
-// lock-free and never contend with the publisher; pub_mu_ is writer-side
-// only (it serializes concurrent Ticks). The version leaf and the snapshot
-// leaf read the *same* pointer, so a reader can never observe a version
-// older than a snapshot it already rendered.
+// text — and swaps it into one shared_ptr slot. Readers (the snapshot /
+// version / rate leaves, watch fast paths, version()) copy that pointer
+// under a mutex held for nothing else, and never contend with a publisher
+// building its epoch; pub_mu_ is writer-side only (it serializes concurrent
+// Ticks). The version leaf and the snapshot leaf read the *same* pointer,
+// so a reader can never observe a version older than a snapshot it already
+// rendered.
 //
 // Subscription channels: Subscribe() performs ONE admission check (read on
 // the snapshot leaf) and returns a numeric capability handle backed by a
@@ -146,8 +147,9 @@ class StatsService {
   //                             after this call"), then returns the new
   //                             snapshot text; kDeadlineExceeded on timeout.
   //                             A `since` beyond the published version is a
-  //                             stale handle from a reset era: the current
-  //                             snapshot is returned immediately.
+  //                             stale handle from a previous service
+  //                             incarnation: the current snapshot is
+  //                             returned immediately.
   //   subscribe [since] [policy] -> opens a channel ("drop" or "block"
   //                             backpressure), returns its handle; a `since`
   //                             below the current version seeds the queue
@@ -236,8 +238,8 @@ class StatsService {
   // a cancellation point when `call` is given. No monitor check: the handle
   // was admitted at Subscribe; only the owning principal may poll. The
   // rendered text is a delta against the channel's previous delivery
-  // (header lines `version`, `reset_epoch`, `delta_from`, then only the
-  // leaves whose values changed); full snapshot on first/catch-up delivery.
+  // (header lines `version`, `delta_from`, then only the leaves whose
+  // values changed); full snapshot on first/catch-up delivery.
   StatusOr<std::string> PollSubscription(Subject& subject, uint64_t id,
                                          uint64_t deadline_ns,
                                          const CallContext* call = nullptr);
@@ -336,15 +338,12 @@ class StatsService {
     bool in_dump = true;
   };
 
-  // One published epoch's cumulative counters; rate = windowed delta. The
-  // reset_epoch pins which MonitorStats::Reset era the counters belong to:
-  // deltas across eras are meaningless even when the newer cumulative value
-  // has already grown past the older one, so Tick drops mismatched entries.
+  // One published epoch's cumulative counters; rate = windowed delta (the
+  // counters never decrease, so every delta is exact).
   struct RateEpoch {
     uint64_t t_ns = 0;
     uint64_t checks = 0;
     uint64_t denials = 0;
-    uint64_t reset_epoch = 0;
   };
 
   // A persistent subscription channel. All mutable state is guarded by the
@@ -404,49 +403,24 @@ class StatsService {
   std::atomic<uint64_t> subscriber_dropped_total_{0};
   std::atomic<uint64_t> quota_denied_total_{0};
 
-  // The atomically swapped epoch pointer. Semantically this is
-  // std::atomic<shared_ptr>, and libstdc++ implements that as exactly this
-  // shape — a per-pointer spinlock held for the refcount bump — but its
-  // GCC 12 _Sp_atomic::load unlocks with a *relaxed* fetch_sub, leaving the
-  // reader's plain pointer read unordered against the next writer's plain
-  // write (a real data-race per the model; TSan flags it). This slot is the
-  // same construction with the orders right: both sides unlock with
-  // release, both lock with acquire. Readers hold the flag only for a
-  // shared_ptr copy — never for a render, a wait, or an allocation.
-  class EpochSlot {
-   public:
-    PublishedPtr load() const {
-      while (lock_.test_and_set(std::memory_order_acquire)) {
-      }
-      PublishedPtr copy = ptr_;
-      lock_.clear(std::memory_order_release);
-      return copy;
-    }
-    void store(PublishedPtr next) {
-      // The displaced epoch is released outside the critical section: its
-      // destructor (snapshot + rendered text) must not run under the flag.
-      PublishedPtr old;
-      while (lock_.test_and_set(std::memory_order_acquire)) {
-      }
-      old = std::move(ptr_);
-      ptr_ = std::move(next);
-      lock_.clear(std::memory_order_release);
-    }
-
-   private:
-    mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-    PublishedPtr ptr_;
-  };
-
-  // Publication state — the RCU split. `published_` is the atomically
-  // swapped immutable epoch every reader loads without blocking on the
-  // publisher. pub_mu_ is
-  // WRITER-side only: it serializes concurrent Ticks and guards version_
-  // and the rate ring; no read path takes it. wait_mu_/wait_cv_ exist only
-  // to park watchers: a waiter re-checks the atomic pointer under wait_mu_
-  // before sleeping, and Tick notifies after the swap, so wakeups are never
-  // lost and the publisher's critical section never includes a render read.
-  EpochSlot published_;
+  // Publication state — the RCU split. `published_` is the swapped
+  // immutable epoch every reader copies without blocking on the publisher:
+  // published_mu_ is held only for that shared_ptr copy or swap — never for
+  // a render, a wait, or an allocation — so a Tick that is building its
+  // epoch never stalls a reader. (std::atomic<shared_ptr> would be the same
+  // construction, but GCC 12's implementation unlocks its internal spinlock
+  // with a relaxed order, which TSan rightly flags.) pub_mu_ is WRITER-side
+  // only: it serializes concurrent Ticks and guards version_ and the rate
+  // ring; no read path takes it. wait_mu_/wait_cv_ exist only to park
+  // watchers: a waiter re-checks the pointer under wait_mu_ before sleeping,
+  // and Tick notifies after the swap, so wakeups are never lost and the
+  // publisher's critical section never includes a render read.
+  PublishedPtr LoadPublished() const;
+  // Swaps in `next`; the displaced epoch is released after published_mu_ is
+  // dropped, so its destructor (snapshot + rendered text) never runs under it.
+  void Publish(PublishedPtr next);
+  mutable std::mutex published_mu_;
+  PublishedPtr published_;     // guarded by published_mu_
   mutable std::mutex pub_mu_;  // writer-side only
   uint64_t version_ = 0;       // guarded by pub_mu_
   std::deque<RateEpoch> rate_ring_;  // guarded by pub_mu_

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/monitor/reference_monitor.h"
+
 namespace xsec {
 namespace {
 
@@ -34,7 +36,6 @@ TEST(AuditLogTest, DefaultPolicyRetainsDenialsOnly) {
   log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
   EXPECT_EQ(log.records().size(), 1u);
   EXPECT_FALSE(log.records().front().allowed);
-  EXPECT_EQ(log.total_checks(), 2u);
   EXPECT_EQ(log.total_denials(), 1u);
 }
 
@@ -47,12 +48,21 @@ TEST(AuditLogTest, PolicyAllRetainsEverything) {
 }
 
 TEST(AuditLogTest, PolicyOffRetainsNothingButCounts) {
-  AuditLog log;
-  log.set_policy(AuditPolicy::kOff);
-  log.Record(MakeRecord(false, DenyReason::kMacFlow));
-  EXPECT_TRUE(log.records().empty());
-  EXPECT_EQ(log.total_checks(), 1u);
-  EXPECT_EQ(log.total_denials(), 1u);
+  // The log itself stamps nothing; the decision is still counted, by the
+  // monitor's stats (the one record of decisions).
+  NameSpace ns;
+  AclStore acls;
+  PrincipalRegistry principals;
+  LabelAuthority labels;
+  MonitorOptions options;
+  options.audit_policy = AuditPolicy::kOff;
+  ReferenceMonitor monitor(&ns, &acls, &principals, &labels, options);
+  PrincipalId user = *principals.CreateUser("u");
+  NodeId node = *ns.BindPath("/locked", NodeKind::kFile, PrincipalId{});
+  EXPECT_FALSE(monitor.Check(Subject{user, labels.Bottom(), 1}, node, AccessMode::kRead).allowed);
+  EXPECT_TRUE(monitor.audit().records().empty());
+  EXPECT_EQ(monitor.audit().total_denials(), 0u);
+  EXPECT_EQ(monitor.stats().denied_total(), 1u);
 }
 
 TEST(AuditLogTest, WouldRetainMatchesPolicy) {
@@ -126,7 +136,6 @@ TEST(AuditLogTest, ClearResetsEverything) {
   log.Record(MakeRecord(false, DenyReason::kMacFlow));
   log.Clear();
   EXPECT_TRUE(log.records().empty());
-  EXPECT_EQ(log.total_checks(), 0u);
   EXPECT_EQ(log.total_denials(), 0u);
 }
 
@@ -234,7 +243,7 @@ TEST(AuditLogTest, ConcurrentRecordersUnderTheDrainKeepEveryCounter) {
     thread.join();
   }
   log.StopDrain();
-  EXPECT_EQ(log.total_checks(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(log.retained(), static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(static_cast<uint64_t>(delivered.load()) + log.sink_dropped(),
             static_cast<uint64_t>(kThreads * kPerThread));
 }

@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -542,20 +541,13 @@ TEST(DiffFuzz, MutationIsNeverServedStale) {
 // Every counter a CheckPath moves, read from one monitor.
 struct PathCounters {
   MonitorStats::Snapshot stats;
-  uint64_t audit_checks = 0;
   uint64_t audit_denials = 0;
   uint64_t audit_records = 0;
-  std::array<uint64_t, kMonitorShardCount + 1> shard_checks{};
 
   explicit PathCounters(ReferenceMonitor& m)
       : stats(m.stats().TakeSnapshot()),
-        audit_checks(m.audit().total_checks()),
         audit_denials(m.audit().total_denials()),
-        audit_records(m.audit().retained()) {
-    for (ShardId s = 0; s <= kMonitorShardCount; ++s) {
-      shard_checks[s] = m.shard_checks(s);
-    }
-  }
+        audit_records(m.audit().retained()) {}
 };
 
 // Asserts that two monitors moved every counter by the same amount between
@@ -575,20 +567,17 @@ void ExpectSameDeltas(const PathCounters& on_before, const PathCounters& on_afte
               off_after.stats.by_mode[m] - off_before.stats.by_mode[m])
         << "by_mode delta diverged for mode bit " << m;
   }
-  ASSERT_EQ(on_after.audit_checks - on_before.audit_checks,
-            off_after.audit_checks - off_before.audit_checks)
-      << "audit total_checks delta diverged";
+  for (size_t s = 0; s < MonitorStats::kShardBuckets; ++s) {
+    ASSERT_EQ(on_after.stats.by_shard[s] - on_before.stats.by_shard[s],
+              off_after.stats.by_shard[s] - off_before.stats.by_shard[s])
+        << "by_shard delta diverged for shard " << s;
+  }
   ASSERT_EQ(on_after.audit_denials - on_before.audit_denials,
             off_after.audit_denials - off_before.audit_denials)
       << "audit total_denials delta diverged";
   ASSERT_EQ(on_after.audit_records - on_before.audit_records,
             off_after.audit_records - off_before.audit_records)
       << "retained audit records diverged";
-  for (ShardId s = 0; s <= kMonitorShardCount; ++s) {
-    ASSERT_EQ(on_after.shard_checks[s] - on_before.shard_checks[s],
-              off_after.shard_checks[s] - off_before.shard_checks[s])
-        << "shard_checks delta diverged for shard " << s;
-  }
 }
 
 // An audit sink that is down for good: it trips on its first record and

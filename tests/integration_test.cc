@@ -188,6 +188,7 @@ TEST_F(IntegrationTest, AttackSuiteIsFullyDeniedAndAudited) {
   EXPECT_GE(by_attacker, 3);
   EXPECT_GE(by_bob, 1);
   EXPECT_EQ(sys_.monitor().audit().total_denials(), denials.size());
+  EXPECT_GE(sys_.monitor().stats().denied_total(), denials.size());
 }
 
 TEST_F(IntegrationTest, RuntimeRevocationTakesImmediateEffect) {

@@ -175,7 +175,7 @@ TEST_P(KernelFuzzTest, RandomOperationStreamKeepsInvariants) {
 
   // Audit accounting.
   const AuditLog& audit = sys.monitor().audit();
-  EXPECT_GE(audit.total_checks(), audit.total_denials());
+  EXPECT_GE(sys.monitor().stats().checks_total(), audit.total_denials());
   EXPECT_LE(audit.records().size() + audit.dropped(), audit.total_denials());
 
   // Structural sanity: every live node's parent is alive and lists it.

@@ -146,8 +146,10 @@ TEST_F(MonitorConcurrencyTest, ConcurrentChecksAndMutationsAreRaceFreeAndSound) 
   const DecisionCache& cache = monitor_->cache();
   EXPECT_GT(cache.hits() + cache.misses(), 0u);
   EXPECT_LE(cache.stale_hits(), cache.misses());
-  EXPECT_GE(monitor_->audit().total_checks(), reader_checks.load());
-  EXPECT_GE(monitor_->audit().total_checks(), monitor_->audit().total_denials());
+  MonitorStats::Snapshot stats = monitor_->stats().TakeSnapshot();
+  EXPECT_GE(stats.checks_total, reader_checks.load());
+  EXPECT_EQ(stats.ShardTotal(), stats.checks_total);
+  EXPECT_EQ(stats.denied, monitor_->audit().total_denials());
 
   // Soundness at quiescence: every cached decision equals a fresh evaluation
   // by a cache-disabled monitor sharing the same stores.
@@ -189,8 +191,9 @@ TEST_F(MonitorConcurrencyTest, AuditRingUnderConcurrentDenials) {
   for (size_t i = 1; i < records.size(); ++i) {
     EXPECT_LT(records[i - 1].sequence, records[i].sequence);
   }
-  EXPECT_EQ(monitor_->audit().total_checks(),
+  EXPECT_EQ(monitor_->stats().checks_total(),
             kReaderThreads * static_cast<uint64_t>(kReaderIterations / 4));
+  EXPECT_EQ(monitor_->audit().total_denials(), monitor_->stats().checks_total());
 }
 
 }  // namespace

@@ -4,20 +4,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/strings.h"
+#include "src/core/secure_system.h"
 #include "src/monitor/reference_monitor.h"
+#include "src/services/stats_service.h"
 
 namespace xsec {
 namespace {
 
 TEST(MonitorStatsTest, RecordDecisionCountsTotalReasonAndEveryMode) {
   MonitorStats stats;
-  stats.RecordDecision(AccessMode::kRead | AccessMode::kWrite, DenyReason::kNone);
-  stats.RecordDecision(AccessModeSet(AccessMode::kRead), DenyReason::kDacNoGrant);
-  stats.RecordDecision(AccessModeSet(AccessMode::kExecute), DenyReason::kMacFlow);
+  stats.RecordDecision(AccessMode::kRead | AccessMode::kWrite, DenyReason::kNone, 3);
+  stats.RecordDecision(AccessModeSet(AccessMode::kRead), DenyReason::kDacNoGrant, 3);
+  stats.RecordDecision(AccessModeSet(AccessMode::kExecute), DenyReason::kMacFlow,
+                       kAggregateShard);
 
   EXPECT_EQ(stats.checks_total(), 3u);
   EXPECT_EQ(stats.allowed_total(), 1u);
@@ -30,6 +36,24 @@ TEST(MonitorStatsTest, RecordDecisionCountsTotalReasonAndEveryMode) {
   EXPECT_EQ(stats.by_mode(AccessMode::kWrite), 1u);
   EXPECT_EQ(stats.by_mode(AccessMode::kExecute), 1u);
   EXPECT_EQ(stats.by_mode(AccessMode::kDelete), 0u);
+  // Each decision lands in exactly one domain bucket; every non-concrete id
+  // reads the aggregate domain's.
+  EXPECT_EQ(stats.by_shard(3), 2u);
+  EXPECT_EQ(stats.by_shard(kAggregateShard), 1u);
+  EXPECT_EQ(stats.by_shard(kUnknownShard), 1u);
+  EXPECT_EQ(stats.by_shard(0), 0u);
+  EXPECT_EQ(stats.TakeSnapshot().ShardTotal(), stats.checks_total());
+}
+
+TEST(MonitorStatsTest, AllowedPathCountsTheRootInTheAggregateDomain) {
+  MonitorStats stats;
+  stats.RecordAllowedPath(/*list_steps=*/3, AccessModeSet(AccessMode::kRead), 5);
+  EXPECT_EQ(stats.checks_total(), 4u);
+  EXPECT_EQ(stats.allowed_total(), 4u);
+  EXPECT_EQ(stats.by_mode(AccessMode::kList), 3u);
+  EXPECT_EQ(stats.by_mode(AccessMode::kRead), 1u);
+  EXPECT_EQ(stats.by_shard(kAggregateShard), 1u);
+  EXPECT_EQ(stats.by_shard(5), 3u);
 }
 
 TEST(MonitorStatsTest, LatencySamplingIsOneInSampleEvery) {
@@ -190,7 +214,11 @@ TEST(MonitorStatsTest, SnapshotInvariantsHoldUnderConcurrentChecking) {
         }
         DenyReason reason =
             rng.NextBool(1, 2) ? DenyReason::kNone : DenyReason::kDacNoGrant;
-        stats.RecordDecision(modes, reason);
+        stats.RecordDecision(modes, reason, static_cast<ShardId>(rng.NextBelow(kAllShards)));
+        if (rng.NextBool(1, 8)) {
+          stats.RecordAllowedPath(1 + rng.NextBelow(4), modes,
+                                  static_cast<ShardId>(rng.NextBelow(kMonitorShardCount)));
+        }
         if (rng.NextBool(1, 16)) {
           stats.RecordLatencyNs(50 + rng.NextBelow(1000));
         }
@@ -208,59 +236,20 @@ TEST(MonitorStatsTest, SnapshotInvariantsHoldUnderConcurrentChecking) {
     }
     ASSERT_EQ(reason_total, snap.checks_total);
     ASSERT_GE(snap.ModeTotal(), snap.checks_total);
+    ASSERT_GE(snap.ShardTotal(), snap.checks_total);
     ASSERT_GE(snap.LatencyBucketTotal(), snap.latency_samples);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& th : writers) {
     th.join();
   }
-  // Quiescent: the mode total is exact (reads were 1 mode, some 2).
+  // Quiescent: the domain and latency totals are exact, and the mode total
+  // covers every decision (reads were 1 mode, some 2).
   MonitorStats::Snapshot final_snap = stats.TakeSnapshot();
   EXPECT_GE(final_snap.ModeTotal(), final_snap.checks_total);
+  EXPECT_EQ(final_snap.ShardTotal(), final_snap.checks_total);
   EXPECT_EQ(final_snap.LatencyBucketTotal(), final_snap.latency_samples);
-}
-
-TEST(MonitorStatsTest, SnapshotsNeverTearAcrossConcurrentResets) {
-  MonitorStats stats;
-  std::atomic<bool> stop{false};
-  std::thread resetter([&stats, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      stats.Reset();
-    }
-  });
-  // Readers must never observe a half-zeroed pass: within one snapshot the
-  // derived identity holds and the reason total matches, reset or not.
-  for (int i = 0; i < 2000; ++i) {
-    stats.RecordDecision(AccessModeSet(AccessMode::kRead), DenyReason::kNone);
-    MonitorStats::Snapshot snap = stats.TakeSnapshot();
-    ASSERT_EQ(snap.allowed + snap.denied, snap.checks_total);
-    ASSERT_GE(snap.ModeTotal(), 0u);
-  }
-  stop.store(true, std::memory_order_relaxed);
-  resetter.join();
-}
-
-TEST(MonitorStatsTest, ResetBumpsTheSnapshotResetEpoch) {
-  MonitorStats stats;
-  EXPECT_EQ(stats.TakeSnapshot().reset_epoch, 0u);
-  stats.RecordDecision(AccessModeSet(AccessMode::kRead), DenyReason::kNone);
-  stats.Reset();
-  EXPECT_EQ(stats.TakeSnapshot().reset_epoch, 1u);
-  stats.Reset();
-  stats.Reset();
-  EXPECT_EQ(stats.TakeSnapshot().reset_epoch, 3u);
-  EXPECT_EQ(stats.TakeSnapshot().checks_total, 0u);
-}
-
-TEST(MonitorStatsTest, ResetZeroesEverything) {
-  MonitorStats stats;
-  stats.RecordDecision(AccessModeSet(AccessMode::kRead), DenyReason::kNone);
-  stats.RecordLatencyNs(50);
-  stats.Reset();
-  EXPECT_EQ(stats.checks_total(), 0u);
-  EXPECT_EQ(stats.by_mode(AccessMode::kRead), 0u);
-  EXPECT_EQ(stats.latency_samples(), 0u);
-  EXPECT_EQ(stats.LatencyQuantileNs(0.9), 0u);
+  EXPECT_EQ(stats.checks_total(), final_snap.checks_total);
 }
 
 class MonitorStatsIntegrationTest : public ::testing::Test {
@@ -297,7 +286,10 @@ TEST_F(MonitorStatsIntegrationTest, StatsMirrorAuditCountersOnEveryDecisionPath)
   (void)monitor_->Check(subject, NodeId{9999}, AccessMode::kRead);  // not found
 
   const MonitorStats& stats = monitor_->stats();
-  EXPECT_EQ(stats.checks_total(), monitor_->audit().total_checks());
+  EXPECT_EQ(stats.checks_total(), 9u);
+  EXPECT_EQ(stats.TakeSnapshot().ShardTotal(), stats.checks_total());
+  // Under the default denials-only policy the audit log stamped one record
+  // per denial.
   EXPECT_EQ(stats.denied_total(), monitor_->audit().total_denials());
   EXPECT_EQ(stats.allowed_total(), 5u);
   EXPECT_EQ(stats.by_reason(DenyReason::kDacNoGrant), 3u);
@@ -355,8 +347,6 @@ TEST_F(MonitorStatsIntegrationTest, DisabledStatsRecordNothing) {
   (void)quiet.Check(subject, locked_, AccessMode::kRead);
   EXPECT_EQ(quiet.stats().checks_total(), 0u);
   EXPECT_EQ(quiet.stats().latency_samples(), 0u);
-  // The audit counters still run — stats are an overlay, not a replacement.
-  EXPECT_EQ(quiet.audit().total_checks(), 2u);
 }
 
 TEST_F(MonitorStatsIntegrationTest, ConcurrentCheckingKeepsTotalsCoherent) {
@@ -377,7 +367,127 @@ TEST_F(MonitorStatsIntegrationTest, ConcurrentCheckingKeepsTotalsCoherent) {
   const MonitorStats& stats = monitor_->stats();
   EXPECT_EQ(stats.checks_total(), static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(stats.allowed_total() + stats.denied_total(), stats.checks_total());
-  EXPECT_EQ(stats.checks_total(), monitor_->audit().total_checks());
+  EXPECT_EQ(stats.TakeSnapshot().ShardTotal(), stats.checks_total());
+  EXPECT_EQ(stats.denied_total(), monitor_->audit().total_denials());
+}
+
+// A fresh kernel with the per-shard telemetry mounted, a user who may list
+// and read five top-level trees (in at least three monitor shards) but not
+// /secret, and the decisions one round of a mixed workload records.
+class MonitorStatsDomainTest : public ::testing::Test {
+ protected:
+  // Decisions (and access-mode counts) one Round() records: a read Check
+  // (1), a read|write Check (1 decision, 2 modes), a CheckPath to a depth-2
+  // file (root + dir + leaf = 3), a traversal denial under /secret (root,
+  // the denied /secret step, the traversal denial = 3), a not-found path
+  // (root + dir + not-found = 3) and a denied SetNodeAcl (1).
+  static constexpr uint64_t kDecisionsPerRound = 12;
+  static constexpr uint64_t kModesPerRound = 13;
+
+  MonitorStatsDomainTest() {
+    EXPECT_TRUE(sys_.stats().MountShards(&sys_.monitor()).ok());
+    user_ = *sys_.CreateUser("domain-user");
+    Subject system = sys_.SystemSubject();
+    NodeId root = sys_.name_space().root();
+    EXPECT_TRUE(sys_.monitor()
+                    .AddAclEntry(system, root,
+                                 {AclEntryType::kAllow, user_, AccessModeSet(AccessMode::kList)})
+                    .ok());
+    std::set<ShardId> shards;
+    for (int i = 0; i < 5; ++i) {
+      std::string dir = StrFormat("/domain%d", i);
+      NodeId node = *sys_.name_space().BindPath(dir, NodeKind::kDirectory,
+                                                 sys_.system_principal());
+      Acl acl;
+      acl.AddEntry({AclEntryType::kAllow, user_, AccessMode::kList | AccessMode::kRead});
+      EXPECT_TRUE(sys_.monitor().SetNodeAcl(system, node, std::move(acl)).ok());
+      files_.push_back(*sys_.name_space().BindPath(dir + "/f", NodeKind::kFile,
+                                                   sys_.system_principal()));
+      paths_.push_back(dir + "/f");
+      shards.insert(sys_.name_space().ShardOf(node));
+    }
+    EXPECT_GE(shards.size(), 3u);
+    NodeId secret = *sys_.name_space().BindPath("/secret", NodeKind::kDirectory,
+                                                sys_.system_principal());
+    EXPECT_TRUE(sys_.monitor().SetNodeAcl(system, secret, Acl()).ok());
+    EXPECT_TRUE(
+        sys_.name_space().BindPath("/secret/f", NodeKind::kFile, sys_.system_principal()).ok());
+  }
+
+  // One round of the mixed workload for `subject`, aimed at tree `i % 5`.
+  void Round(const Subject& subject, size_t i) {
+    size_t t = i % files_.size();
+    EXPECT_TRUE(sys_.monitor().Check(subject, files_[t], AccessMode::kRead).allowed);
+    EXPECT_FALSE(
+        sys_.monitor().Check(subject, files_[t], AccessMode::kRead | AccessMode::kWrite).allowed);
+    EXPECT_TRUE(sys_.monitor().CheckPath(subject, paths_[t], AccessMode::kRead).allowed);
+    EXPECT_EQ(sys_.monitor().CheckPath(subject, "/secret/f", AccessMode::kRead).reason,
+              DenyReason::kTraversal);
+    EXPECT_EQ(sys_.monitor().CheckPath(subject, "/domain0/missing", AccessMode::kRead).reason,
+              DenyReason::kNotFound);
+    EXPECT_FALSE(sys_.monitor().SetNodeAcl(subject, files_[t], Acl()).ok());
+  }
+
+  SecureSystem sys_;
+  PrincipalId user_;
+  std::vector<NodeId> files_;
+  std::vector<std::string> paths_;
+};
+
+TEST_F(MonitorStatsDomainTest, EveryDecisionLandsInOneDomain) {
+  Subject subject = sys_.Login(user_, sys_.labels().Bottom());
+  uint64_t hits_before = sys_.monitor().cache().hits();
+  for (size_t i = 0; i < 20; ++i) {
+    Round(subject, i);
+  }
+  EXPECT_GT(sys_.monitor().cache().hits(), hits_before);  // warm path entries served
+
+  // One trusted pass over the leaves (no mediated read moves a counter
+  // between them).
+  uint64_t shard_sum = 0;
+  uint64_t total = 0;
+  size_t busy_shards = 0;
+  for (const std::string& line : StrSplit(sys_.stats().RenderAll(), '\n', true)) {
+    size_t sp = line.rfind(' ');
+    std::string key = line.substr(0, sp);
+    if (StartsWith(key, "/sys/monitor/shard/") && EndsWith(key, "/checks")) {
+      uint64_t value = std::stoull(line.substr(sp + 1));
+      shard_sum += value;
+      busy_shards += value > 0 ? 1 : 0;
+    } else if (key == "/sys/monitor/checks/total") {
+      total = std::stoull(line.substr(sp + 1));
+    }
+  }
+  EXPECT_GE(total, 20 * kDecisionsPerRound);
+  EXPECT_EQ(shard_sum, total);
+  EXPECT_GE(busy_shards, 4u);  // three or more shards, plus the aggregate domain
+}
+
+TEST_F(MonitorStatsDomainTest, ConcurrentDecisionsLandInOneDomainAndOneReason) {
+  constexpr int kThreads = 4;
+  constexpr size_t kRounds = 200;
+  MonitorStats::Snapshot before = sys_.monitor().stats().TakeSnapshot();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t] {
+      Subject subject = sys_.Login(user_, sys_.labels().Bottom());
+      for (size_t i = 0; i < kRounds; ++i) {
+        Round(subject, i + static_cast<size_t>(t));
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  MonitorStats::Snapshot after = sys_.monitor().stats().TakeSnapshot();
+  uint64_t reason_total = 0;
+  for (uint64_t r : after.by_reason) {
+    reason_total += r;
+  }
+  EXPECT_EQ(after.ShardTotal(), after.checks_total);
+  EXPECT_EQ(reason_total, after.checks_total);
+  EXPECT_EQ(after.checks_total - before.checks_total, kThreads * kRounds * kDecisionsPerRound);
+  EXPECT_EQ(after.ModeTotal() - before.ModeTotal(), kThreads * kRounds * kModesPerRound);
 }
 
 }  // namespace

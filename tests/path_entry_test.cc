@@ -8,7 +8,6 @@
 // ci/run_checks.sh --quick) and then holds every thread's answer to a
 // cache-off oracle.
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -76,20 +75,13 @@ class ReferenceMonitorPathEntryTest : public ::testing::Test {
 // Every counter a CheckPath moves.
 struct Counters {
   MonitorStats::Snapshot stats;
-  uint64_t audit_checks = 0;
   uint64_t audit_denials = 0;
   size_t retained = 0;
-  std::array<uint64_t, kMonitorShardCount + 1> shard_checks{};
 
   explicit Counters(const ReferenceMonitor& m)
       : stats(m.stats().TakeSnapshot()),
-        audit_checks(m.audit().total_checks()),
         audit_denials(m.audit().total_denials()),
-        retained(m.audit().retained()) {
-    for (ShardId s = 0; s <= kMonitorShardCount; ++s) {
-      shard_checks[s] = m.shard_checks(s);
-    }
-  }
+        retained(m.audit().retained()) {}
 
   void ExpectEqual(const Counters& other) const {
     EXPECT_EQ(stats.checks_total, other.stats.checks_total);
@@ -99,12 +91,11 @@ struct Counters {
     for (size_t m = 0; m < kAccessModeCount; ++m) {
       EXPECT_EQ(stats.by_mode[m], other.stats.by_mode[m]) << "mode bit " << m;
     }
-    EXPECT_EQ(audit_checks, other.audit_checks);
+    for (size_t s = 0; s < MonitorStats::kShardBuckets; ++s) {
+      EXPECT_EQ(stats.by_shard[s], other.stats.by_shard[s]) << "shard " << s;
+    }
     EXPECT_EQ(audit_denials, other.audit_denials);
     EXPECT_EQ(retained, other.retained);
-    for (ShardId s = 0; s <= kMonitorShardCount; ++s) {
-      EXPECT_EQ(shard_checks[s], other.shard_checks[s]) << "shard " << s;
-    }
   }
 };
 

@@ -121,6 +121,7 @@ TEST(AuditCompletenessTest, EveryDenialIsRetainedUnderDenialsOnly) {
       ++denials;
     }
   }
+  EXPECT_EQ(monitor.stats().denied_total(), denials);
   EXPECT_EQ(monitor.audit().total_denials(), denials);
   EXPECT_EQ(monitor.audit().records().size(), denials);
   for (const AuditRecord& record : monitor.audit().records()) {

@@ -180,10 +180,10 @@ TEST(ShardStampsTest, ShardStampsOffRevertsToAggregateInvalidation) {
 TEST(ShardStampsTest, PerShardCheckCountersFeedTelemetry) {
   ShardedMonitorFixture f;
   ShardId shard_b = f.ns.ShardOf(f.obj_b);
-  uint64_t before = f.monitor->shard_checks(shard_b);
+  uint64_t before = f.monitor->stats().by_shard(shard_b);
   (void)f.monitor->Check(f.subject, f.obj_b, AccessMode::kRead);
   (void)f.monitor->Check(f.subject, f.obj_b, AccessMode::kRead);
-  EXPECT_EQ(f.monitor->shard_checks(shard_b), before + 2);
+  EXPECT_EQ(f.monitor->stats().by_shard(shard_b), before + 2);
 }
 
 TEST(ShardStampsTest, DomainFieldPreventsCrossDomainStampAliasing) {
