@@ -2,13 +2,13 @@
 //
 // Tick() pushes each newly published epoch to every subscriber channel, so
 // the publisher pays O(subscribers) per epoch. The tentpole claim is that a
-// slow or absent consumer never wedges publication: under kDropOldest the
-// per-channel work is a deque rotation and a counter bump even when every
-// queue is full. The figure sweeps:
+// slow or absent consumer never wedges publication: a full queue evicts its
+// oldest epoch, so the per-channel work is a deque rotation and a counter
+// bump even when every queue is full. The figure sweeps:
 //
-//   PublishFanOut/subscribers:<n>   one mediated check + Tick, n channels
-//                                   under kDropOldest, none draining
-//   SubscribeUnsubscribe            admission check + channel mount/unmount
+//   PublishFanOut/subscribers:<n>   one mediated check + Tick, n channels,
+//                                   none draining
+//   SubscribeUnsubscribe            admission check + channel open/close
 //                                   round trip (the control-plane cost)
 //   MultiSinkDrain/sinks:<n>        audit delivery: one batch recorded, n
 //                                   registered sinks each ~20us per record,
@@ -64,7 +64,7 @@ void BM_PublishFanOut(benchmark::State& state) {
   Subject system = kernel.SystemSubject();
   std::vector<uint64_t> ids;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    auto id = stats.Subscribe(system, -1, SubscriberBackpressure::kDropOldest);
+    auto id = stats.Subscribe(system, -1);
     if (!id.ok()) {
       state.SkipWithError("Subscribe failed");
       return;

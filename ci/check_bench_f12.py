@@ -6,7 +6,8 @@ makes about the telemetry publish path:
 
 1. Publisher flatness. With the RCU-swapped epoch pointer, Tick's cost is
    a render plus one pointer push per channel, so fanning out to 64 idle
-   kDropOldest subscribers must cost about the same as fanning out to 1:
+   subscribers (full queues evict their oldest epoch) must cost about the
+   same as fanning out to 1:
 
        ratio = median cpu_time(BM_PublishFanOut/subscribers:64)
              / median cpu_time(BM_PublishFanOut/subscribers:1)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -14,25 +12,19 @@
 
 namespace xsec {
 
+namespace {
+
+// Window the /sys/monitor/rate/* leaves average over.
+constexpr uint64_t kRateWindowNs = 1'000'000'000;  // 1 s
+// A poller carrying a CallContext never parks longer than this per wait
+// slice, so cancellation is honored at this granularity even when the epoch
+// interval is huge.
+constexpr uint64_t kCancelPollIntervalNs = 5'000'000;  // 5 ms
+
+}  // namespace
+
 StatsService::StatsService(Kernel* kernel, StatsServiceOptions options)
     : kernel_(kernel), options_(std::move(options)) {}
-
-StatsService::StatsService(Kernel* kernel, std::string mount_path, std::string service_path)
-    : kernel_(kernel) {
-  options_.mount_path = std::move(mount_path);
-  options_.service_path = std::move(service_path);
-}
-
-StatsService::~StatsService() {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    stop_ = true;
-  }
-  wait_cv_.notify_all();
-  if (publisher_.joinable()) {
-    publisher_.join();
-  }
-}
 
 Status StatsService::MountShards(ReferenceMonitor* monitor) {
   auto count = [](uint64_t v) { return std::to_string(v); };
@@ -258,14 +250,13 @@ Status StatsService::Install() {
   if (!dump_node.ok()) {
     return dump_node.status();
   }
-  // Shared by watch and poll: the optional trailing timeout argument. A
-  // non-positive timeout used to park the caller for a zero-length wait that
-  // always "timed out"; it is a caller bug, so it is rejected loudly.
-  auto parse_timeout_ms = [](const std::vector<Value>& args,
-                             size_t index) -> StatusOr<int64_t> {
+  // Shared by watch and poll: the optional trailing timeout argument, as an
+  // absolute deadline no later than the call's own. A non-positive timeout
+  // is a caller bug, not a zero-length wait, so it is rejected loudly.
+  auto parse_deadline = [](const CallContext& ctx, size_t index) -> StatusOr<uint64_t> {
     int64_t timeout_ms = 1000;
-    if (args.size() > index) {
-      auto t = ArgInt(args, index);
+    if (ctx.args.size() > index) {
+      auto t = ArgInt(ctx.args, index);
       if (!t.ok()) {
         return t.status();
       }
@@ -279,47 +270,38 @@ Status StatsService::Install() {
     if (timeout_ms > 60'000) {
       timeout_ms = 60'000;  // never parks a thread for minutes
     }
-    return timeout_ms;
+    uint64_t deadline = MonotonicNowNs() + static_cast<uint64_t>(timeout_ms) * 1'000'000;
+    if (ctx.deadline_ns != 0 && ctx.deadline_ns < deadline) {
+      deadline = ctx.deadline_ns;
+    }
+    return deadline;
   };
 
+  // watch is a one-shot subscription: the channel it opens counts against
+  // the quotas while it waits, and is closed on every exit path.
   auto watch_node = kernel_->RegisterProcedure(
       JoinPath(options_.service_path, "watch"), system,
-      [this, parse_timeout_ms](CallContext& ctx) -> StatusOr<Value> {
+      [this, parse_deadline](CallContext& ctx) -> StatusOr<Value> {
         auto since = ArgInt(ctx.args, 0);
         if (!since.ok()) {
           return since.status();
         }
-        if (*since < -1) {
-          return InvalidArgumentError(
-              StrFormat("since must be a version or -1, got %lld",
-                        static_cast<long long>(*since)));
+        auto deadline = parse_deadline(ctx, 1);
+        if (!deadline.ok()) {
+          return deadline.status();
         }
-        auto timeout_ms = parse_timeout_ms(ctx.args, 1);
-        if (!timeout_ms.ok()) {
-          return timeout_ms.status();
+        // Subscribe rejects since < -1, then checks read on the snapshot
+        // leaf before anything blocks. With since = -1 its baseline
+        // publication already folds in that check, so the caller blocks for
+        // the next *external* change instead of unblocking on the counter
+        // bump the watch itself caused.
+        auto id = Subscribe(*ctx.subject, *since);
+        if (!id.ok()) {
+          return id.status();
         }
-        // Admission before blocking: watching the snapshot is reading it.
-        Decision decision =
-            kernel_->monitor().Check(*ctx.subject, snapshot_node_, AccessMode::kRead);
-        if (!decision.allowed) {
-          return decision.ToStatus();
-        }
-        uint64_t since_v;
-        if (*since < 0) {
-          // "Any change after this call": baseline a fresh publication that
-          // already folds in this watch's own admission check, so the caller
-          // blocks for the next *external* change instead of unblocking on
-          // the counter bump the watch itself just caused.
-          since_v = Tick();
-        } else {
-          since_v = static_cast<uint64_t>(*since);
-        }
-        uint64_t deadline =
-            MonotonicNowNs() + static_cast<uint64_t>(*timeout_ms) * 1'000'000;
-        if (ctx.deadline_ns != 0 && ctx.deadline_ns < deadline) {
-          deadline = ctx.deadline_ns;
-        }
-        auto text = WaitForUpdate(since_v, deadline, &ctx);
+        auto text = PollSubscription(*ctx.subject, *id, *deadline, &ctx);
+        // NotFound here means GcChannelsFor reaped the channel mid-wait.
+        (void)Unsubscribe(*ctx.subject, *id);
         if (!text.ok()) {
           return text.status();
         }
@@ -331,6 +313,9 @@ Status StatsService::Install() {
   auto subscribe_node = kernel_->RegisterProcedure(
       JoinPath(options_.service_path, "subscribe"), system,
       [this](CallContext& ctx) -> StatusOr<Value> {
+        if (ctx.args.size() > 1) {
+          return InvalidArgumentError("subscribe takes at most one argument (since)");
+        }
         int64_t since = -1;
         if (!ctx.args.empty()) {
           auto s = ArgInt(ctx.args, 0);
@@ -339,21 +324,7 @@ Status StatsService::Install() {
           }
           since = *s;
         }
-        SubscriberBackpressure backpressure = SubscriberBackpressure::kDropOldest;
-        if (ctx.args.size() > 1) {
-          auto policy = ArgString(ctx.args, 1);
-          if (!policy.ok()) {
-            return policy.status();
-          }
-          if (*policy == "block") {
-            backpressure = SubscriberBackpressure::kBlockPublisher;
-          } else if (*policy != "drop") {
-            return InvalidArgumentError(
-                StrFormat("backpressure policy must be 'drop' or 'block', got '%s'",
-                          std::string(*policy).c_str()));
-          }
-        }
-        auto id = Subscribe(*ctx.subject, since, backpressure);
+        auto id = Subscribe(*ctx.subject, since);
         if (!id.ok()) {
           return id.status();
         }
@@ -364,7 +335,7 @@ Status StatsService::Install() {
   }
   auto poll_node = kernel_->RegisterProcedure(
       JoinPath(options_.service_path, "poll"), system,
-      [this, parse_timeout_ms](CallContext& ctx) -> StatusOr<Value> {
+      [this, parse_deadline](CallContext& ctx) -> StatusOr<Value> {
         auto id = ArgInt(ctx.args, 0);
         if (!id.ok()) {
           return id.status();
@@ -372,17 +343,12 @@ Status StatsService::Install() {
         if (*id < 0) {
           return InvalidArgumentError("subscription handle cannot be negative");
         }
-        auto timeout_ms = parse_timeout_ms(ctx.args, 1);
-        if (!timeout_ms.ok()) {
-          return timeout_ms.status();
-        }
-        uint64_t deadline =
-            MonotonicNowNs() + static_cast<uint64_t>(*timeout_ms) * 1'000'000;
-        if (ctx.deadline_ns != 0 && ctx.deadline_ns < deadline) {
-          deadline = ctx.deadline_ns;
+        auto deadline = parse_deadline(ctx, 1);
+        if (!deadline.ok()) {
+          return deadline.status();
         }
         auto text =
-            PollSubscription(*ctx.subject, static_cast<uint64_t>(*id), deadline, &ctx);
+            PollSubscription(*ctx.subject, static_cast<uint64_t>(*id), *deadline, &ctx);
         if (!text.ok()) {
           return text.status();
         }
@@ -407,58 +373,8 @@ Status StatsService::Install() {
   if (!unsubscribe_node.ok()) {
     return unsubscribe_node.status();
   }
-  auto export_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "export"), system,
-      [this](CallContext& ctx) -> StatusOr<Value> {
-        auto id = ArgInt(ctx.args, 0);
-        if (!id.ok()) {
-          return id.status();
-        }
-        if (*id < 0) {
-          return InvalidArgumentError("subscription handle cannot be negative");
-        }
-        auto token = ExportSubscription(*ctx.subject, static_cast<uint64_t>(*id));
-        if (!token.ok()) {
-          return token.status();
-        }
-        return Value{std::move(*token)};
-      });
-  if (!export_node.ok()) {
-    return export_node.status();
-  }
-  auto resume_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "resume"), system,
-      [this](CallContext& ctx) -> StatusOr<Value> {
-        auto token = ArgString(ctx.args, 0);
-        if (!token.ok()) {
-          return token.status();
-        }
-        auto id = ResumeSubscription(*ctx.subject, std::string(*token));
-        if (!id.ok()) {
-          return id.status();
-        }
-        return Value{std::to_string(*id)};
-      });
-  if (!resume_node.ok()) {
-    return resume_node.status();
-  }
 
   Tick();  // version 1: the boot-time state
-
-  if (options_.background_publisher) {
-    publisher_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(wait_mu_);
-      while (!stop_) {
-        wait_cv_.wait_for(lock, std::chrono::nanoseconds(options_.epoch_interval_ns));
-        if (stop_) {
-          break;
-        }
-        lock.unlock();
-        Tick();
-        lock.lock();
-      }
-    });
-  }
   return OkStatus();
 }
 
@@ -537,7 +453,7 @@ uint64_t StatsService::Tick() {
     // The rate ring tracks cumulative counters per publication epoch.
     rate_ring_.push_back(RateEpoch{now, snap.checks_total, snap.denied});
     while (rate_ring_.size() > 2 &&
-           now - rate_ring_[1].t_ns >= options_.rate_window_ns) {
+           now - rate_ring_[1].t_ns >= kRateWindowNs) {
       rate_ring_.pop_front();
     }
     // Build the immutable epoch and swap it in. Even an unchanged tick
@@ -555,62 +471,41 @@ uint64_t StatsService::Tick() {
     epoch->tick_ns = now;
     epoch->checks_per_sec = ChecksPerSecLocked();
     epoch->denials_per_sec = DenialsPerSecLocked();
-    epoch->rendered = RenderEpoch(*epoch, nullptr);
+    epoch->rendered = RenderEpoch(*epoch);
     next = std::move(epoch);
     Publish(next);
     last_tick_ns_.store(now, std::memory_order_relaxed);
   }
   if (changed) {
-    {
-      // Empty critical section: a waiter that checked the pointer before the
-      // swap is either already parked (the notify below wakes it) or still
-      // holds wait_mu_ (this lock waits for it to park first).
-      std::lock_guard<std::mutex> lock(wait_mu_);
-    }
-    wait_cv_.notify_all();
     FanOut(next->version, next);
   }
   return next->version;
 }
 
 void StatsService::FanOut(uint64_t version, const PublishedPtr& epoch) {
-  // Fast path: one sub_mu_ hold pushes the epoch pointer to every channel
-  // with room (or evicts per kDropOldest). The only slow case — a *full*
-  // kBlockPublisher queue — is deferred, because its capped wait must not
-  // hold sub_mu_ against every other channel.
-  std::vector<std::shared_ptr<SubscriberChannel>> deferred;
   uint64_t shed = 0;  // batched into subscriber_dropped_total_ once, below
   {
     std::lock_guard<std::mutex> lock(sub_mu_);
     for (const auto& channel : fanout_order_) {
-      if (channel->closed || version <= channel->last_version) {
-        continue;  // gone, or a concurrent Tick already delivered this epoch
+      if (version <= channel->last_version) {
+        continue;  // a concurrent Tick already pushed a newer epoch
       }
+      // Versions between the channel's last one and this were published by
+      // Ticks whose fan-out this one overtook; they will be skipped above,
+      // so they are counted as dropped here.
+      shed += version - channel->last_version - 1;
+      channel->last_version = version;
       if (XSEC_FAILPOINT_FIRED("stats.fanout.push")) {
         // Injected delivery failure: the epoch is lost to this channel
-        // exactly like a backpressure drop (a sleep spec instead stalls
-        // fan-out under sub_mu_, the shape of a wedged delivery path).
-        channel->last_version = version;
-        ++channel->dropped;
+        // exactly like an eviction (a sleep spec instead stalls fan-out
+        // under sub_mu_, the shape of a wedged delivery path).
         ++shed;
         continue;
       }
       if (channel->queue.size() >= options_.subscriber_queue_capacity) {
-        if (channel->backpressure == SubscriberBackpressure::kBlockPublisher) {
-          deferred.push_back(channel);  // last_version set when handled below
-          continue;
-        }
-        channel->last_version = version;
         channel->queue.pop_front();  // evict: the subscriber sees a gap
-        channel->queue.push_back(epoch);
-        ++channel->dropped;
         ++shed;
-        if (channel->waiters != 0) {
-          channel->cv.notify_all();
-        }
-        continue;
       }
-      channel->last_version = version;
       channel->queue.push_back(epoch);
       if (channel->waiters != 0) {
         channel->cv.notify_all();
@@ -619,33 +514,6 @@ void StatsService::FanOut(uint64_t version, const PublishedPtr& epoch) {
   }
   if (shed != 0) {
     subscriber_dropped_total_.fetch_add(shed, std::memory_order_relaxed);
-  }
-  for (const auto& channel : deferred) {
-    std::unique_lock<std::mutex> lock(sub_mu_);
-    if (channel->closed || version <= channel->last_version) {
-      continue;
-    }
-    if (channel->queue.size() >= options_.subscriber_queue_capacity) {
-      // Wait for the subscriber to drain — capped, so a stuck subscriber
-      // costs the publisher at most publisher_block_cap_ns per epoch.
-      channel->cv.wait_for(
-          lock, std::chrono::nanoseconds(options_.publisher_block_cap_ns), [&] {
-            return channel->closed ||
-                   channel->queue.size() < options_.subscriber_queue_capacity;
-          });
-      if (channel->closed) {
-        continue;
-      }
-    }
-    channel->last_version = version;
-    if (channel->queue.size() >= options_.subscriber_queue_capacity) {
-      // Past the cap: the new epoch is the one dropped.
-      ++channel->dropped;
-      subscriber_dropped_total_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    channel->queue.push_back(epoch);
-    channel->cv.notify_all();
   }
 }
 
@@ -668,73 +536,7 @@ std::string StatsService::RenderSnapshot() {
   return cur == nullptr ? std::string() : cur->rendered;
 }
 
-StatusOr<std::string> StatsService::WaitForUpdate(uint64_t since, uint64_t deadline_ns,
-                                                  const CallContext* call) {
-  for (;;) {
-    // Wakeup-path injection point: a sleep spec delays each recheck cycle
-    // (simulating a tardy wakeup), an error spec just counts a fire — the
-    // wait itself must not fail, only the deadline/cancel checks below can
-    // end it.
-    (void)XSEC_FAILPOINT_FIRED("stats.poll.wakeup");
-    // Lock-free fast path: the reader never touches the writer's lock. A
-    // `since` *ahead* of the published version is a handle from before a
-    // service restart (version counters restart at 1): the caller's era is
-    // gone, so the honest answer is the current state now, not a park that
-    // can only time out.
-    PublishedPtr cur = LoadPublished();
-    if ((cur == nullptr ? 0 : cur->version) != since) {
-      return cur == nullptr ? std::string() : cur->rendered;
-    }
-    uint64_t now = MonotonicNowNs();
-    if (call != nullptr) {
-      XSEC_RETURN_IF_ERROR(call->CheckDeadline());  // lock-free cancellation point
-    }
-    if (deadline_ns != 0 && now >= deadline_ns) {
-      return DeadlineExceededError(
-          StrFormat("no stats update past version %llu within the deadline",
-                    static_cast<unsigned long long>(since)));
-    }
-    // Self-clocking: when the current epoch has elapsed, this watcher takes
-    // its own fresh capture instead of waiting for a publisher thread that
-    // may not exist.
-    uint64_t next_capture =
-        last_tick_ns_.load(std::memory_order_relaxed) + options_.epoch_interval_ns;
-    if (now >= next_capture) {
-      Tick();
-      continue;
-    }
-    uint64_t wake = next_capture;
-    if (deadline_ns != 0 && deadline_ns < wake) {
-      wake = deadline_ns;
-    }
-    if (call != nullptr && options_.cancel_poll_interval_ns != 0 &&
-        now + options_.cancel_poll_interval_ns < wake) {
-      // A cancellable waiter never parks a whole epoch blind: cap the slice
-      // so the loop re-polls CheckDeadline at cancel granularity. (Before
-      // this cap a cancelled watcher slept out the full slice — up to the
-      // epoch interval — before noticing.)
-      wake = now + options_.cancel_poll_interval_ns;
-    }
-    {
-      std::unique_lock<std::mutex> lock(wait_mu_);
-      // Re-check under wait_mu_ before parking: Tick swaps the pointer and
-      // then passes through this mutex before notifying, so a version that
-      // landed after the fast-path check cannot be slept through.
-      PublishedPtr again = LoadPublished();
-      if ((again == nullptr ? 0 : again->version) == since) {
-        wait_cv_.wait_for(lock, std::chrono::nanoseconds(wake - now));
-      }
-    }
-    if (call != nullptr) {
-      // Recheck before re-arming: a spurious wakeup (or a notify for some
-      // other waiter) must not put a cancelled caller back to sleep.
-      XSEC_RETURN_IF_ERROR(call->CheckDeadline());
-    }
-  }
-}
-
-StatusOr<uint64_t> StatsService::Subscribe(Subject& subject, int64_t since,
-                                           SubscriberBackpressure backpressure) {
+StatusOr<uint64_t> StatsService::Subscribe(Subject& subject, int64_t since) {
   if (since < -1) {
     return InvalidArgumentError(
         StrFormat("since must be a version or -1, got %lld", static_cast<long long>(since)));
@@ -748,67 +550,47 @@ StatusOr<uint64_t> StatsService::Subscribe(Subject& subject, int64_t since,
   }
   // Baseline a fresh publication (folds in the admission check above), so
   // the channel starts at a well-defined epoch.
-  uint64_t version = Tick();
-  PublishedPtr current = LoadPublished();
+  uint64_t baseline = Tick();
   auto channel = std::make_shared<SubscriberChannel>();
   channel->owner = subject.principal;
-  channel->backpressure = backpressure;
-  channel->last_version = version;
-  if (since >= 0 && static_cast<uint64_t>(since) != version) {
-    // The subscriber is behind — or ahead, holding a version from a previous
-    // service incarnation whose era is gone. Either way: seed the queue with
-    // one catch-up snapshot. Intermediate epochs are not retained — a
-    // subscription delivers current state plus every change from now on,
-    // not history. last_delivered stays null so the catch-up renders full.
+  std::lock_guard<std::mutex> lock(sub_mu_);
+  if (subscribers_.size() >= options_.max_subscribers) {
+    return ResourceExhaustedError(
+        StrFormat("subscriber limit (%zu) reached", options_.max_subscribers));
+  }
+  if (options_.max_channels_per_principal != 0) {
+    size_t owned = 0;
+    for (const auto& [id, existing] : subscribers_) {
+      if (existing->owner == subject.principal) {
+        ++owned;
+      }
+    }
+    if (owned >= options_.max_channels_per_principal) {
+      quota_denied_total_.fetch_add(1, std::memory_order_relaxed);
+      return ResourceExhaustedError(StrFormat(
+          "per-principal channel quota (%zu) reached; unsubscribe or raise "
+          "max_channels_per_principal",
+          options_.max_channels_per_principal));
+    }
+  }
+  // Compare against the published epoch in the same sub_mu_ hold that
+  // registers the channel: every later publication fans out to it, and one
+  // whose fan-out ran before this hold — a concurrent Tick after the
+  // baseline — is caught up here instead of being lost uncounted. A caller
+  // behind (or ahead, holding a version from a previous service incarnation
+  // whose era is gone) gets the same one catch-up snapshot. Intermediate
+  // epochs are not retained: a subscription delivers current state plus
+  // every change from now on, not history.
+  PublishedPtr current = LoadPublished();
+  uint64_t seen = since >= 0 ? static_cast<uint64_t>(since) : baseline;
+  if (current->version != seen) {
     channel->queue.push_back(current);
-  } else {
-    // Baselined now: the next delivery is a delta against this epoch.
-    channel->last_delivered = current;
   }
-  {
-    std::lock_guard<std::mutex> lock(sub_mu_);
-    if (subscribers_.size() >= options_.max_subscribers) {
-      return ResourceExhaustedError(
-          StrFormat("subscriber limit (%zu) reached", options_.max_subscribers));
-    }
-    if (options_.max_channels_per_principal != 0) {
-      size_t owned = 0;
-      for (const auto& [id, existing] : subscribers_) {
-        if (existing->owner == subject.principal) {
-          ++owned;
-        }
-      }
-      if (owned >= options_.max_channels_per_principal) {
-        quota_denied_total_.fetch_add(1, std::memory_order_relaxed);
-        return ResourceExhaustedError(StrFormat(
-            "per-principal channel quota (%zu) reached; unsubscribe or raise "
-            "max_channels_per_principal",
-            options_.max_channels_per_principal));
-      }
-    }
-    channel->id = next_subscriber_id_++;
-    subscribers_.emplace(channel->id, channel);
-    fanout_order_.push_back(channel);
-  }
-  Status mounted = MountSubscriberLeaves(channel);
-  if (!mounted.ok()) {
-    (void)Unsubscribe(subject, channel->id);
-    return mounted;
-  }
-  {
-    // The leaves were mounted outside sub_mu_ (lock order), so a concurrent
-    // Unsubscribe or GcChannelsFor may have reaped the channel in between —
-    // and its unmount pass can have run before the mount finished. Re-check
-    // under the lock: if the channel is closed, the leaves just mounted are
-    // orphans that would resurrect telemetry for a dead channel. Tear them
-    // down and report the reap instead of handing out a dead capability.
-    std::lock_guard<std::mutex> lock(sub_mu_);
-    if (!channel->closed) {
-      return channel->id;
-    }
-  }
-  UnmountSubscriberLeaves(channel->id);
-  return FailedPreconditionError("subscription was reaped during subscribe");
+  channel->last_version = current->version;
+  channel->id = next_subscriber_id_++;
+  subscribers_.emplace(channel->id, channel);
+  fanout_order_.push_back(channel);
+  return channel->id;
 }
 
 StatusOr<std::string> StatsService::PollSubscription(Subject& subject, uint64_t id,
@@ -832,28 +614,19 @@ StatusOr<std::string> StatsService::PollSubscription(Subject& subject, uint64_t 
   for (;;) {
     (void)XSEC_FAILPOINT_FIRED("stats.poll.wakeup");
     PublishedPtr epoch;
-    PublishedPtr prev;
     {
       std::lock_guard<std::mutex> lock(sub_mu_);
       if (!channel->queue.empty()) {
         epoch = std::move(channel->queue.front());
         channel->queue.pop_front();
-        ++channel->delivered;
-        prev = channel->last_delivered;
-        channel->last_delivered = epoch;
-        channel->cv.notify_all();  // a capped publisher may be waiting for space
       } else if (channel->closed) {
         return FailedPreconditionError("subscription was closed");
       }
     }
     if (epoch != nullptr) {
-      // Render outside sub_mu_: a delta against the channel's previous
-      // delivery (cumulative counters, so epochs dropped in between are
-      // folded in exactly), or the full text on a first/catch-up delivery.
-      if (prev == nullptr) {
-        return epoch->rendered;
-      }
-      return RenderEpoch(*epoch, prev.get());
+      // Copied outside sub_mu_; the counters are cumulative, so the full
+      // text is exact however many epochs were dropped before it.
+      return epoch->rendered;
     }
     if (call != nullptr) {
       XSEC_RETURN_IF_ERROR(call->CheckDeadline());
@@ -862,9 +635,8 @@ StatusOr<std::string> StatsService::PollSubscription(Subject& subject, uint64_t 
     if (deadline_ns != 0 && now >= deadline_ns) {
       return DeadlineExceededError("no epoch published within the deadline");
     }
-    // Self-clocking, like WaitForUpdate: with no background publisher the
-    // blocked poller captures an epoch itself once the interval elapses
-    // (Tick fans out to this very channel).
+    // Self-clocking: the blocked poller captures an epoch itself once the
+    // interval elapses (Tick fans out to this very channel).
     uint64_t next_capture =
         last_tick_ns_.load(std::memory_order_relaxed) + options_.epoch_interval_ns;
     if (now >= next_capture) {
@@ -875,11 +647,10 @@ StatusOr<std::string> StatsService::PollSubscription(Subject& subject, uint64_t 
     if (deadline_ns != 0 && deadline_ns < wake) {
       wake = deadline_ns;
     }
-    if (call != nullptr && options_.cancel_poll_interval_ns != 0 &&
-        now + options_.cancel_poll_interval_ns < wake) {
-      // Same cancel-granularity cap as WaitForUpdate: a cancelled poller
-      // must not sleep out a whole epoch slice before noticing.
-      wake = now + options_.cancel_poll_interval_ns;
+    if (call != nullptr && now + kCancelPollIntervalNs < wake) {
+      // A cancellable poller never parks a whole epoch blind: cap the slice
+      // so the loop re-polls CheckDeadline at cancel granularity.
+      wake = now + kCancelPollIntervalNs;
     }
     {
       std::unique_lock<std::mutex> lock(sub_mu_);
@@ -900,191 +671,50 @@ StatusOr<std::string> StatsService::PollSubscription(Subject& subject, uint64_t 
 }
 
 Status StatsService::Unsubscribe(Subject& subject, uint64_t id) {
-  {
-    std::lock_guard<std::mutex> lock(sub_mu_);
-    auto it = subscribers_.find(id);
-    if (it == subscribers_.end()) {
-      return NotFoundError(StrFormat("no subscription with handle %llu",
-                                     static_cast<unsigned long long>(id)));
-    }
-    if (it->second->owner != subject.principal) {
-      return PermissionDeniedError("subscription handle belongs to another principal");
-    }
-    it->second->closed = true;
-    it->second->cv.notify_all();  // release any blocked poller or publisher
-    subscribers_.erase(it);
-    fanout_order_.erase(
-        std::remove_if(fanout_order_.begin(), fanout_order_.end(),
-                       [id](const auto& c) { return c->id == id; }),
-        fanout_order_.end());
-  }
-  UnmountSubscriberLeaves(id);
-  return OkStatus();
-}
-
-StatusOr<std::string> StatsService::ExportSubscription(Subject& subject, uint64_t id) {
   std::lock_guard<std::mutex> lock(sub_mu_);
   auto it = subscribers_.find(id);
   if (it == subscribers_.end()) {
     return NotFoundError(StrFormat("no subscription with handle %llu",
                                    static_cast<unsigned long long>(id)));
   }
-  const SubscriberChannel& channel = *it->second;
-  if (channel.owner != subject.principal) {
+  if (it->second->owner != subject.principal) {
     return PermissionDeniedError("subscription handle belongs to another principal");
   }
-  // The durable identity is deliberately tiny: who, how far they have read,
-  // and how they want backpressure handled. No capability material — resume
-  // re-runs admission, so the token is a bookmark, not a bearer credential.
-  return StrFormat(
-      "xsec-sub-v1 principal=%lu since=%llu policy=%s",
-      static_cast<unsigned long>(channel.owner.value),
-      static_cast<unsigned long long>(channel.last_version),
-      channel.backpressure == SubscriberBackpressure::kBlockPublisher ? "block" : "drop");
-}
-
-StatusOr<uint64_t> StatsService::ResumeSubscription(Subject& subject,
-                                                    const std::string& token) {
-  std::vector<std::string> parts = StrSplit(token, ' ', /*skip_empty=*/true);
-  if (parts.size() != 4 || parts[0] != "xsec-sub-v1") {
-    return InvalidArgumentError("unrecognized subscription token");
-  }
-  uint64_t principal = 0;
-  uint64_t since = 0;
-  SubscriberBackpressure backpressure = SubscriberBackpressure::kDropOldest;
-  bool have_principal = false;
-  bool have_since = false;
-  bool have_policy = false;
-  for (size_t i = 1; i < parts.size(); ++i) {
-    size_t eq = parts[i].find('=');
-    if (eq == std::string::npos) {
-      return InvalidArgumentError("malformed subscription token field");
-    }
-    std::string key = parts[i].substr(0, eq);
-    std::string val = parts[i].substr(eq + 1);
-    if (key == "principal" || key == "since") {
-      uint64_t parsed = 0;
-      if (val.empty()) {
-        return InvalidArgumentError("malformed subscription token field");
-      }
-      for (char c : val) {
-        if (c < '0' || c > '9') {
-          return InvalidArgumentError("malformed subscription token field");
-        }
-        if (parsed > (std::numeric_limits<uint64_t>::max() - (c - '0')) / 10) {
-          return InvalidArgumentError("subscription token field overflows");
-        }
-        parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
-      }
-      if (key == "principal") {
-        principal = parsed;
-        have_principal = true;
-      } else {
-        since = parsed;
-        have_since = true;
-      }
-    } else if (key == "policy") {
-      if (val == "block") {
-        backpressure = SubscriberBackpressure::kBlockPublisher;
-      } else if (val != "drop") {
-        return InvalidArgumentError("subscription token policy must be drop or block");
-      }
-      have_policy = true;
-    } else {
-      return InvalidArgumentError("unrecognized subscription token field");
-    }
-  }
-  if (!have_principal || !have_since || !have_policy) {
-    return InvalidArgumentError("incomplete subscription token");
-  }
-  if (principal != subject.principal.value) {
-    // A token names its owner; presenting someone else's bookmark is denied
-    // before any admission work happens.
-    return PermissionDeniedError("subscription token belongs to another principal");
-  }
-  if (since > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-    return InvalidArgumentError("subscription token version out of range");
-  }
-  // Subscribe re-runs the monitor admission Check: a principal whose read
-  // right was revoked since the export is denied here, token or no token.
-  // A `since` from the previous incarnation that differs from the current
-  // version seeds one catch-up snapshot, so the resumed channel starts from
-  // observable state instead of a silent gap.
-  return Subscribe(subject, static_cast<int64_t>(since), backpressure);
+  it->second->closed = true;
+  it->second->cv.notify_all();  // release any blocked poller
+  subscribers_.erase(it);
+  fanout_order_.erase(
+      std::remove_if(fanout_order_.begin(), fanout_order_.end(),
+                     [id](const auto& c) { return c->id == id; }),
+      fanout_order_.end());
+  return OkStatus();
 }
 
 size_t StatsService::GcChannelsFor(PrincipalId principal) {
-  std::vector<uint64_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(sub_mu_);
-    for (auto it = subscribers_.begin(); it != subscribers_.end();) {
-      if (it->second->owner == principal) {
-        ids.push_back(it->first);
-        it->second->closed = true;
-        it->second->cv.notify_all();  // release blocked pollers/publishers
-        it = subscribers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (!ids.empty()) {
-      fanout_order_.erase(
-          std::remove_if(fanout_order_.begin(), fanout_order_.end(),
-                         [](const auto& c) { return c->closed; }),
-          fanout_order_.end());
+  std::lock_guard<std::mutex> lock(sub_mu_);
+  size_t closed = 0;
+  for (auto it = subscribers_.begin(); it != subscribers_.end();) {
+    if (it->second->owner == principal) {
+      it->second->closed = true;
+      it->second->cv.notify_all();  // release blocked pollers
+      it = subscribers_.erase(it);
+      ++closed;
+    } else {
+      ++it;
     }
   }
-  // Leaves are unmounted outside sub_mu_ (lock order: values_mu_ is never
-  // taken while sub_mu_ is held). A Subscribe racing this reap re-checks
-  // `closed` after its own mount and tears the leaves down itself, so the
-  // channel cannot come back as orphaned telemetry.
-  for (uint64_t id : ids) {
-    UnmountSubscriberLeaves(id);
+  if (closed != 0) {
+    fanout_order_.erase(
+        std::remove_if(fanout_order_.begin(), fanout_order_.end(),
+                       [](const auto& c) { return c->closed; }),
+        fanout_order_.end());
   }
-  return ids.size();
+  return closed;
 }
 
 size_t StatsService::active_subscribers() const {
   std::lock_guard<std::mutex> lock(sub_mu_);
   return subscribers_.size();
-}
-
-Status StatsService::MountSubscriberLeaves(const std::shared_ptr<SubscriberChannel>& channel) {
-  // Renders hold the channel shared_ptr, so a leaf read races safely with
-  // Unsubscribe (it reports the channel's final counters until unmounted).
-  std::string base = StrFormat("subscribers/%llu", static_cast<unsigned long long>(channel->id));
-  XSEC_RETURN_IF_ERROR(MountLeaf(base + "/queued", [this, channel] {
-    std::lock_guard<std::mutex> lock(sub_mu_);
-    return std::to_string(channel->queue.size());
-  }));
-  XSEC_RETURN_IF_ERROR(MountLeaf(base + "/delivered", [this, channel] {
-    std::lock_guard<std::mutex> lock(sub_mu_);
-    return std::to_string(channel->delivered);
-  }));
-  XSEC_RETURN_IF_ERROR(MountLeaf(base + "/dropped", [this, channel] {
-    std::lock_guard<std::mutex> lock(sub_mu_);
-    return std::to_string(channel->dropped);
-  }));
-  return OkStatus();
-}
-
-void StatsService::UnmountSubscriberLeaves(uint64_t id) {
-  std::string prefix = JoinPath(
-      options_.mount_path,
-      StrFormat("subscribers/%llu", static_cast<unsigned long long>(id)));
-  std::unique_lock<std::shared_mutex> lock(values_mu_);
-  for (auto it = values_.lower_bound(prefix); it != values_.end();) {
-    if (!StartsWith(it->first, prefix + "/")) {
-      break;
-    }
-    (void)kernel_->name_space().Unbind(it->second.node);
-    it = values_.erase(it);
-  }
-  // The now-empty per-channel directory goes too.
-  auto dir = kernel_->name_space().Lookup(prefix);
-  if (dir.ok()) {
-    (void)kernel_->name_space().Unbind(*dir);
-  }
 }
 
 double StatsService::ChecksPerSecLocked() const {
@@ -1126,70 +756,47 @@ void StatsService::Publish(PublishedPtr next) {
   // `next` now holds the displaced epoch; it is released here, unlocked.
 }
 
-std::string StatsService::RenderEpoch(const PublishedEpoch& cur,
-                                      const PublishedEpoch* prev) const {
+std::string StatsService::RenderEpoch(const PublishedEpoch& cur) const {
   const std::string& m = options_.mount_path;
   const MonitorStats::Snapshot& s = cur.snap;
   std::string out;
   out += StrFormat("version %llu\n", static_cast<unsigned long long>(cur.version));
-  if (prev != nullptr) {
-    // Delta framing: every counter below is cumulative, so a delta against
-    // any older epoch is exact — including across epochs the channel
-    // dropped. Unchanged leaves are omitted.
-    out += StrFormat("delta_from %llu\n", static_cast<unsigned long long>(prev->version));
-  }
-  auto line = [&out, &m, prev](const char* rel, uint64_t v, uint64_t prev_v) {
-    if (prev != nullptr && v == prev_v) {
-      return;
-    }
+  auto line = [&out, &m](const char* rel, uint64_t v) {
     out += StrFormat("%s/%s %llu\n", m.c_str(), rel, static_cast<unsigned long long>(v));
   };
-  auto text_line = [&out, &m, prev](const char* rel, const std::string& v,
-                                    const std::string& prev_v) {
-    if (prev != nullptr && v == prev_v) {
-      return;
-    }
+  auto text_line = [&out, &m](const char* rel, const std::string& v) {
     out += StrFormat("%s/%s %s\n", m.c_str(), rel, v.c_str());
   };
-  const MonitorStats::Snapshot* p = prev == nullptr ? nullptr : &prev->snap;
-  line("checks/total", s.checks_total, p == nullptr ? 0 : p->checks_total);
-  line("checks/allowed", s.allowed, p == nullptr ? 0 : p->allowed);
-  line("checks/denied", s.denied, p == nullptr ? 0 : p->denied);
+  line("checks/total", s.checks_total);
+  line("checks/allowed", s.allowed);
+  line("checks/denied", s.denied);
   for (int i = 0; i < kAccessModeCount; ++i) {
     AccessMode mode = static_cast<AccessMode>(1u << i);
     line(StrFormat("checks/by-mode/%s", std::string(AccessModeName(mode)).c_str()).c_str(),
-         s.by_mode[i], p == nullptr ? 0 : p->by_mode[i]);
+         s.by_mode[i]);
   }
   for (size_t r = 1; r < kDenyReasonCount; ++r) {
     DenyReason reason = static_cast<DenyReason>(r);
     line(StrFormat("denials/by-reason/%s", std::string(DenyReasonName(reason)).c_str()).c_str(),
-         s.by_reason[r], p == nullptr ? 0 : p->by_reason[r]);
+         s.by_reason[r]);
   }
-  line("cache/hits", cur.cache_hits, prev == nullptr ? 0 : prev->cache_hits);
-  line("cache/misses", cur.cache_misses, prev == nullptr ? 0 : prev->cache_misses);
-  line("cache/stale", cur.cache_stale, prev == nullptr ? 0 : prev->cache_stale);
-  auto hit_rate = [](const PublishedEpoch& e) {
-    uint64_t probes = e.cache_hits + e.cache_misses;
-    return FormatFixed(probes == 0 ? 0.0
-                                   : static_cast<double>(e.cache_hits) /
-                                         static_cast<double>(probes),
-                       4);
-  };
-  text_line("cache/hit_rate", hit_rate(cur),
-            prev == nullptr ? std::string() : hit_rate(*prev));
-  line("latency/p50", s.LatencyQuantileNs(0.50),
-       p == nullptr ? 0 : p->LatencyQuantileNs(0.50));
-  line("latency/p90", s.LatencyQuantileNs(0.90),
-       p == nullptr ? 0 : p->LatencyQuantileNs(0.90));
-  line("latency/p99", s.LatencyQuantileNs(0.99),
-       p == nullptr ? 0 : p->LatencyQuantileNs(0.99));
-  line("latency/samples", s.latency_samples, p == nullptr ? 0 : p->latency_samples);
-  line("audit/retained", cur.audit_retained, prev == nullptr ? 0 : prev->audit_retained);
-  line("audit/dropped", cur.audit_dropped, prev == nullptr ? 0 : prev->audit_dropped);
-  text_line("rate/checks_per_sec", FormatFixed(cur.checks_per_sec, 2),
-            prev == nullptr ? std::string() : FormatFixed(prev->checks_per_sec, 2));
-  text_line("rate/denials_per_sec", FormatFixed(cur.denials_per_sec, 2),
-            prev == nullptr ? std::string() : FormatFixed(prev->denials_per_sec, 2));
+  line("cache/hits", cur.cache_hits);
+  line("cache/misses", cur.cache_misses);
+  line("cache/stale", cur.cache_stale);
+  uint64_t probes = cur.cache_hits + cur.cache_misses;
+  text_line("cache/hit_rate",
+            FormatFixed(probes == 0 ? 0.0
+                                    : static_cast<double>(cur.cache_hits) /
+                                          static_cast<double>(probes),
+                        4));
+  line("latency/p50", s.LatencyQuantileNs(0.50));
+  line("latency/p90", s.LatencyQuantileNs(0.90));
+  line("latency/p99", s.LatencyQuantileNs(0.99));
+  line("latency/samples", s.latency_samples);
+  line("audit/retained", cur.audit_retained);
+  line("audit/dropped", cur.audit_dropped);
+  text_line("rate/checks_per_sec", FormatFixed(cur.checks_per_sec, 2));
+  text_line("rate/denials_per_sec", FormatFixed(cur.denials_per_sec, 2));
   return out;
 }
 

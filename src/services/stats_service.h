@@ -32,38 +32,30 @@
 //   /sys/monitor/rate/denials_per_sec
 //   /sys/monitor/subscribers/active      live subscription channels
 //   /sys/monitor/subscribers/dropped     epochs dropped across all channels ever
-//   /sys/monitor/subscribers/<id>/queued|delivered|dropped   per channel
+//   /sys/monitor/subscribers/quota_denied   subscribes refused by the quota
 //
 // Publication (RCU rule, MODEL.md §11): every Tick builds one immutable
 // PublishedEpoch — snapshot, gauges, windowed rates, and the full rendered
 // text — and swaps it into one shared_ptr slot. Readers (the snapshot /
-// version / rate leaves, watch fast paths, version()) copy that pointer
-// under a mutex held for nothing else, and never contend with a publisher
-// building its epoch; pub_mu_ is writer-side only (it serializes concurrent
-// Ticks). The version leaf and the snapshot leaf read the *same* pointer,
-// so a reader can never observe a version older than a snapshot it already
-// rendered.
+// version / rate leaves, version()) copy that pointer under a mutex held
+// for nothing else, and never contend with a publisher building its epoch;
+// pub_mu_ is writer-side only (it serializes concurrent Ticks). The version
+// leaf and the snapshot leaf read the *same* pointer, so a reader can never
+// observe a version older than a snapshot it already rendered.
 //
 // Subscription channels: Subscribe() performs ONE admission check (read on
 // the snapshot leaf) and returns a numeric capability handle backed by a
 // bounded per-subscriber queue of published-epoch pointers. Tick() fans each
 // newly published epoch out to every channel as a shared_ptr — a queue slot
-// costs one pointer, not one rendered snapshot, so bounded queues hold deep
-// history. Poll renders a *delta* against the last epoch that channel
-// delivered (only the counters that changed, cumulative so drops in between
-// are harmless); the first delivery after a catch-up seed renders the full
-// snapshot. A full queue applies the channel's backpressure policy —
-// kDropOldest evicts the oldest queued epoch (counted in the channel's
-// `dropped` leaf), kBlockPublisher makes the publisher wait for space, but
-// only up to publisher_block_cap_ns before dropping the new epoch — so a
-// subscriber that never drains can never wedge Tick. The handle is
-// owner-bound: poll/unsubscribe verify the calling principal, no further
-// monitor checks are made (admission-once-then-act, like an open file).
-//
-// Durable subscriptions: ExportSubscription serializes a channel's identity
-// (principal, last delivered version, backpressure policy) into a one-line
-// token; ResumeSubscription re-admits it — the monitor Check runs again, so
-// a revoked principal cannot smuggle a stale capability across a restart.
+// costs one pointer, not one rendered snapshot. Every poll returns the
+// epoch's precomputed full rendering; the counters are cumulative, so a full
+// snapshot after drops is exact. A full queue evicts its oldest epoch
+// (counted at subscribers/dropped), so a subscriber that never drains can
+// never stall Tick. The handle is owner-bound: poll/unsubscribe verify the
+// calling principal, no further monitor checks are made
+// (admission-once-then-act, like an open file). `watch` is a one-shot
+// subscription: subscribe, one poll, unsubscribe — PollSubscription holds
+// the service's only wait loop.
 
 #ifndef XSEC_SRC_SERVICES_STATS_SERVICE_H_
 #define XSEC_SRC_SERVICES_STATS_SERVICE_H_
@@ -78,87 +70,58 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "src/extsys/kernel.h"
 #include "src/monitor/monitor_stats.h"
 
 namespace xsec {
 
-// What Tick() does when a subscriber's queue is full.
-enum class SubscriberBackpressure : uint8_t {
-  // Evict the oldest queued epoch to make room (the subscriber sees a gap;
-  // the channel's `dropped` counter says how wide). The publisher never
-  // waits. This is the default.
-  kDropOldest = 0,
-  // The publisher waits for the subscriber to drain — but only up to
-  // StatsServiceOptions::publisher_block_cap_ns, after which the *new* epoch
-  // is dropped instead. Bounded losslessness: a briefly slow subscriber
-  // loses nothing, a stuck one costs Tick at most the cap.
-  kBlockPublisher,
-};
-
 struct StatsServiceOptions {
   std::string mount_path = "/sys/monitor";
   std::string service_path = "/svc/stats";
   // Publication epoch: the snapshot/rate leaves refresh at most this often,
-  // and a blocked watcher re-examines the counters once per interval (the
-  // watch path is self-clocking; no background thread is required).
+  // and a blocked poller re-examines the counters once per interval (the
+  // poll path is self-clocking; no background thread is required).
   uint64_t epoch_interval_ns = 20'000'000;  // 20 ms
-  // Window the /sys/monitor/rate/* leaves average over.
-  uint64_t rate_window_ns = 1'000'000'000;  // 1 s
-  // Optionally run a dedicated publisher thread that Ticks every epoch so
-  // versions advance even with no readers. Off by default: tests and tools
-  // get deterministic, single-threaded behavior unless they opt in.
-  bool background_publisher = false;
-  // Bounded per-subscriber epoch queue depth.
+  // Bounded per-subscriber epoch queue depth; a full queue evicts its
+  // oldest epoch.
   size_t subscriber_queue_capacity = 8;
-  // Longest a kBlockPublisher channel may stall the publisher per epoch.
-  uint64_t publisher_block_cap_ns = 50'000'000;  // 50 ms
-  // Admission-time cap on live subscription channels.
+  // Admission-time cap on live subscription channels (a parked `watch`
+  // holds one too).
   size_t max_subscribers = 64;
   // Admission-time cap on live channels per owning principal (0 = no
   // per-principal cap). Denials are counted at
   // /sys/monitor/subscribers/quota_denied. Contains one misbehaving subject
   // without starving everyone else of the global max_subscribers budget.
   size_t max_channels_per_principal = 4;
-  // A watch/poll waiter carrying a cancel flag or deadline never parks
-  // longer than this per wait slice, so cancellation is honored at this
-  // granularity even when epoch_interval_ns is huge (0 = no cap: a
-  // cancelled waiter may sleep up to one full epoch).
-  uint64_t cancel_poll_interval_ns = 5'000'000;  // 5 ms
 };
 
 class StatsService {
  public:
   // The kernel must outlive this service.
   explicit StatsService(Kernel* kernel, StatsServiceOptions options = {});
-  // Legacy convenience: custom mount/service paths, default intervals.
-  StatsService(Kernel* kernel, std::string mount_path,
-               std::string service_path = "/svc/stats");
-  ~StatsService();
 
   // Binds the stats tree under mount_path (fail-closed ACL on the mount
   // root) and registers the /svc/stats procedures:
   //   read <path>            -> the node's current value (string)
   //   dump                   -> every readable single-line node, "path value"
-  //   watch <since> [ms]     -> blocks until the published snapshot version
-  //                             exceeds `since` (pass -1 for "any change
-  //                             after this call"), then returns the new
-  //                             snapshot text; kDeadlineExceeded on timeout.
-  //                             A `since` beyond the published version is a
-  //                             stale handle from a previous service
-  //                             incarnation: the current snapshot is
-  //                             returned immediately.
-  //   subscribe [since] [policy] -> opens a channel ("drop" or "block"
-  //                             backpressure), returns its handle; a `since`
-  //                             below the current version seeds the queue
-  //                             with one catch-up snapshot.
+  //   watch <since> [ms]     -> a one-shot subscription: Subscribe(since),
+  //                             one poll, unsubscribe. Blocks until a
+  //                             version past `since` is published (pass -1
+  //                             for "any change after this call"), then
+  //                             returns its snapshot text; kDeadlineExceeded
+  //                             on timeout. A `since` that differs from the
+  //                             published version (behind, or a stale handle
+  //                             from a previous service incarnation) returns
+  //                             the current snapshot immediately. The parked
+  //                             watch counts against the channel quotas.
+  //   subscribe [since]      -> opens a channel, returns its handle; a
+  //                             `since` other than the current version seeds
+  //                             the queue with one catch-up snapshot.
   //   poll <handle> [ms]     -> next queued epoch, blocking up to ms;
   //                             kDeadlineExceeded if none arrives.
   //   unsubscribe <handle>   -> closes the channel.
-  //   export <handle>        -> one-line durable token for the channel.
-  //   resume <token>         -> re-admits the token; returns a new handle.
   Status Install();
 
   // Mounts the per-monitor-shard telemetry leaves
@@ -193,9 +156,9 @@ class StatsService {
   // -- Snapshot publication ---------------------------------------------------
 
   // Captures the counters now and publishes them as a new version if they
-  // changed since the last publication (gauges included). Returns the
-  // current version either way. Thread-safe; wakes blocked watchers on a
-  // version change. Even when nothing changed the immutable epoch is
+  // changed since the last publication (gauges included), fanning the new
+  // epoch out to every channel. Returns the current version either way.
+  // Thread-safe. Even when nothing changed the immutable epoch is
   // re-swapped (same version, fresher rates), so rate leaves keep decaying.
   uint64_t Tick();
 
@@ -209,18 +172,6 @@ class StatsService {
   // Trusted render of every single-line leaf, no mediation (tools, tests).
   std::string RenderAll() const;
 
-  // Blocks until the published version differs from `since` or `deadline_ns`
-  // (absolute, MonotonicNowNs clock; 0 = unbounded) passes. Self-clocking:
-  // a blocked caller re-captures the counters once per epoch interval, so
-  // changes are observed within one epoch even with no background publisher.
-  // A `since` ahead of the published version (a handle from before a service
-  // restart) returns the current snapshot immediately instead of parking.
-  // `call`, when given, makes the wait a cancellation point: the caller's
-  // deadline/cancel flag is polled once per wakeup. Returns the new snapshot
-  // text, or kDeadlineExceeded / kCancelled.
-  StatusOr<std::string> WaitForUpdate(uint64_t since, uint64_t deadline_ns,
-                                      const CallContext* call = nullptr);
-
   // -- Subscription channels --------------------------------------------------
 
   // One admission check (read on the snapshot leaf), then a capability
@@ -228,45 +179,28 @@ class StatsService {
   // `since` that differs from the current version seeds the queue with one
   // catch-up full snapshot (a `since` *ahead* of the version is a handle
   // from a previous service incarnation — its era is gone, so it catches up
-  // too). Mounts /sys/monitor/subscribers/<id>/... telemetry.
-  StatusOr<uint64_t> Subscribe(Subject& subject, int64_t since,
-                               SubscriberBackpressure backpressure =
-                                   SubscriberBackpressure::kDropOldest);
+  // too). An epoch published between the baseline and the registration is
+  // queued as a catch-up as well, so no epoch is lost uncounted. Binds no
+  // name-space node.
+  StatusOr<uint64_t> Subscribe(Subject& subject, int64_t since);
 
-  // Pops the next queued epoch, blocking until `deadline_ns` (absolute; 0 =
-  // unbounded) if the queue is empty. Self-clocking like WaitForUpdate, and
-  // a cancellation point when `call` is given. No monitor check: the handle
-  // was admitted at Subscribe; only the owning principal may poll. The
-  // rendered text is a delta against the channel's previous delivery
-  // (header lines `version`, `delta_from`, then only the leaves whose
-  // values changed); full snapshot on first/catch-up delivery.
+  // Pops the next queued epoch and returns its full snapshot text, blocking
+  // until `deadline_ns` (absolute; 0 = unbounded) if the queue is empty.
+  // Self-clocking: a blocked caller captures an epoch itself once per epoch
+  // interval, so changes arrive within one epoch with no publisher thread.
+  // A cancellation point when `call` is given: the caller's deadline and
+  // cancel flag are re-polled at least every 5 ms. No monitor check: the handle
+  // was admitted at Subscribe; only the owning principal may poll.
   StatusOr<std::string> PollSubscription(Subject& subject, uint64_t id,
                                          uint64_t deadline_ns,
                                          const CallContext* call = nullptr);
 
-  // Closes the channel and unmounts its telemetry. Owner-only.
+  // Closes the channel. Owner-only.
   Status Unsubscribe(Subject& subject, uint64_t id);
 
-  // -- Durable subscriptions --------------------------------------------------
-
-  // Serializes the channel's durable identity (owner principal, last
-  // delivered version, backpressure policy) into a one-line token the owner
-  // can present to a future incarnation of this service. Owner-only.
-  StatusOr<std::string> ExportSubscription(Subject& subject, uint64_t id);
-
-  // Re-establishes a channel from an exported token. The token must belong
-  // to the calling principal, and admission is checked AGAIN (the same
-  // monitor Check as Subscribe) — a principal whose read right was revoked
-  // between export and resume is denied, token or no token. Returns the new
-  // handle; the queue is seeded with one catch-up snapshot whenever the
-  // token's version differs from the current one.
-  StatusOr<uint64_t> ResumeSubscription(Subject& subject,
-                                        const std::string& token);
-
-  // Bulk-closes every channel owned by `principal` and unmounts their
-  // telemetry; returns how many were closed. The hook a hosting shell calls
-  // when a subject exits — trusted (no subject check), like the shell's own
-  // teardown of the principal.
+  // Bulk-closes every channel owned by `principal`; returns how many were
+  // closed. The hook a hosting shell calls when a subject exits — trusted
+  // (no subject check), like the shell's own teardown of the principal.
   size_t GcChannelsFor(PrincipalId principal);
 
   // Live channels / epochs dropped across all channels ever (both also
@@ -282,8 +216,6 @@ class StatsService {
   }
 
  private:
-  struct SubscriberChannel;
-
   // One published epoch, immutable after the atomic swap: the consistent
   // snapshot, the gauges captured alongside it, the precomputed windowed
   // rates, and the full rendered text. Readers share it by pointer.
@@ -308,25 +240,15 @@ class StatsService {
   Status MountLeaf(const std::string& relative_path, std::function<std::string()> render,
                    bool in_dump = true);
 
-  // Mounts / unmounts the per-channel telemetry leaves
-  // (subscribers/<id>/queued|delivered|dropped).
-  Status MountSubscriberLeaves(const std::shared_ptr<SubscriberChannel>& channel);
-  void UnmountSubscriberLeaves(uint64_t id);
-
-  // Pushes a newly published epoch to every channel, applying each one's
-  // backpressure policy. Never called with pub_mu_ held (a kBlockPublisher
-  // wait must not stall watchers), and never holds sub_mu_ while waiting.
+  // Pushes a newly published epoch to every channel in one sub_mu_ hold; a
+  // full queue evicts its oldest epoch. Never called with pub_mu_ held.
   void FanOut(uint64_t version, const PublishedPtr& epoch);
 
   // Re-publishes only if the published snapshot is older than one epoch.
   void MaybeTick();
 
-  // Renders `cur` as snapshot text. With `prev` == nullptr every leaf is
-  // emitted (the full snapshot); otherwise only the leaves whose values
-  // changed since `prev`, after a `delta_from <prev version>` header —
-  // counters are cumulative, so a delta spanning dropped epochs is exact.
-  std::string RenderEpoch(const PublishedEpoch& cur,
-                          const PublishedEpoch* prev) const;
+  // Renders every leaf of `cur` as the full snapshot text.
+  std::string RenderEpoch(const PublishedEpoch& cur) const;
 
   // Windowed rates over the epoch ring. Caller holds pub_mu_.
   double ChecksPerSecLocked() const;
@@ -346,28 +268,19 @@ class StatsService {
     uint64_t denials = 0;
   };
 
-  // A persistent subscription channel. All mutable state is guarded by the
-  // service-wide sub_mu_; the cv is per channel so a publisher waiting for
-  // space on one channel and a poller waiting for data on another never
-  // thunder each other. Held by shared_ptr: renders, pollers, and a blocked
-  // publisher keep the channel alive across a concurrent Unsubscribe.
+  // A subscription channel. All mutable state is guarded by the
+  // service-wide sub_mu_; the cv is per channel so pollers of different
+  // channels never thunder each other. Held by shared_ptr: a poller keeps
+  // the channel alive across a concurrent Unsubscribe.
   struct SubscriberChannel {
     uint64_t id = 0;
     PrincipalId owner;
-    SubscriberBackpressure backpressure = SubscriberBackpressure::kDropOldest;
     // Queue slots are epoch pointers (one machine word + refcount), not
-    // rendered text: a bounded queue holds deep history cheaply, and the
-    // delta against `last_delivered` is rendered lazily at poll time.
+    // rendered text: a bounded queue holds deep history cheaply.
     std::deque<PublishedPtr> queue;
-    // The epoch most recently handed to the poller; the baseline the next
-    // delivery's delta is computed against. nullptr = the next delivery is
-    // a catch-up (or first) delivery and renders the full snapshot.
-    PublishedPtr last_delivered;
-    // Highest version ever pushed (or dropped at the cap): concurrent Ticks
-    // fan out unordered, and this keeps each channel's stream monotone.
+    // Highest version ever pushed (or dropped): concurrent Ticks fan out
+    // unordered, and this keeps each channel's stream monotone.
     uint64_t last_version = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped = 0;
     bool closed = false;
     // Threads currently parked on `cv` (guarded by sub_mu_). The publisher's
     // fan-out loop skips the notify when this is zero — with no waiter a
@@ -375,16 +288,16 @@ class StatsService {
     // counter is exact because a poller increments it under sub_mu_ before
     // the wait atomically releases the lock.
     size_t waiters = 0;
-    std::condition_variable cv;  // space (publisher) and data (poller)
+    std::condition_variable cv;  // data (or close) for the poller
   };
 
   Kernel* kernel_;
   StatsServiceOptions options_;
   // Full path -> bound node + value renderer; ordered so dumps are
-  // deterministic. Written at Install and on subscribe/unsubscribe, read by
-  // every dump — hence the shared_mutex. Lock order: renders run under a
-  // shared hold and may take pub_mu_ or sub_mu_, so code holding either of
-  // those must never take values_mu_.
+  // deterministic. Written at Install and as supervised extensions
+  // register, read by every dump — hence the shared_mutex. Lock order:
+  // renders run under a shared hold and may take pub_mu_ or sub_mu_, so
+  // code holding either of those must never take values_mu_.
   mutable std::shared_mutex values_mu_;
   std::map<std::string, Leaf> values_;
   NodeId snapshot_node_;
@@ -396,8 +309,8 @@ class StatsService {
   std::map<uint64_t, std::shared_ptr<SubscriberChannel>> subscribers_;
   // The same open channels, flat, for the publisher's fan-out loop: the
   // node-based map costs a dependent cache miss per channel, which at 64
-  // subscribers is visible next to the O(1) pointer push the tentpole
-  // promises. Kept in lockstep with subscribers_ under sub_mu_.
+  // subscribers is visible next to the O(1) pointer push per channel.
+  // Kept in lockstep with subscribers_ under sub_mu_.
   std::vector<std::shared_ptr<SubscriberChannel>> fanout_order_;
   uint64_t next_subscriber_id_ = 1;
   std::atomic<uint64_t> subscriber_dropped_total_{0};
@@ -411,10 +324,8 @@ class StatsService {
   // construction, but GCC 12's implementation unlocks its internal spinlock
   // with a relaxed order, which TSan rightly flags.) pub_mu_ is WRITER-side
   // only: it serializes concurrent Ticks and guards version_ and the rate
-  // ring; no read path takes it. wait_mu_/wait_cv_ exist only to park
-  // watchers: a waiter re-checks the pointer under wait_mu_ before sleeping,
-  // and Tick notifies after the swap, so wakeups are never lost and the
-  // publisher's critical section never includes a render read.
+  // ring; no read path takes it. Waiters park on their channel's cv, which
+  // FanOut notifies under sub_mu_.
   PublishedPtr LoadPublished() const;
   // Swaps in `next`; the displaced epoch is released after published_mu_ is
   // dropped, so its destructor (snapshot + rendered text) never runs under it.
@@ -425,13 +336,6 @@ class StatsService {
   uint64_t version_ = 0;       // guarded by pub_mu_
   std::deque<RateEpoch> rate_ring_;  // guarded by pub_mu_
   std::atomic<uint64_t> last_tick_ns_{0};
-
-  mutable std::mutex wait_mu_;
-  std::condition_variable wait_cv_;
-
-  // Optional background publisher.
-  bool stop_ = false;  // guarded by wait_mu_
-  std::thread publisher_;
 };
 
 }  // namespace xsec

@@ -1,11 +1,12 @@
 // Tests for the snapshot + subscription layer of StatsService: the
 // versioned /sys/monitor/snapshot rendering, the version leaf, the windowed
-// rate leaves, and the /svc/stats watch long-poll.
+// rate leaves, and the /svc/stats watch long-poll (a one-shot subscription).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -331,24 +332,110 @@ TEST(StatsWatchTest, WatchIsDeniedForUnprivilegedSubjects) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 5000);
 }
 
-TEST(StatsWatchTest, BackgroundPublisherAdvancesVersionsUnaided) {
-  Kernel kernel;
-  StatsServiceOptions options;
-  options.epoch_interval_ns = 5'000'000;  // 5ms
-  options.background_publisher = true;
-  {
-    StatsService stats(&kernel, options);
-    ASSERT_TRUE(stats.Install().ok());
-    uint64_t v0 = stats.version();
-    Subject subject = kernel.SystemSubject();
-    (void)kernel.monitor().Check(subject, kernel.name_space().root(), AccessMode::kList);
-    // No explicit Tick: the publisher thread must fold the change in.
-    uint64_t deadline = MonotonicNowNs() + uint64_t{5} * 1'000'000'000;
-    while (stats.version() == v0 && MonotonicNowNs() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+// A parked watch holds a subscription channel, so it is bounded by the same
+// quotas: at the per-principal cap it is refused at once, and the refusal is
+// counted like any other quota denial.
+TEST(StatsWatchTest, WatchAtTheChannelQuotaIsRefusedAtOnce) {
+  SecureSystem sys;  // default quota: 4 channels per principal
+  Subject watcher = LoginAuditor(sys);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(sys.stats().Subscribe(watcher, -1).ok());
+  }
+  uint64_t denied_before = sys.stats().quota_denied_total();
+  auto start = std::chrono::steady_clock::now();
+  auto result = sys.Invoke(watcher, "/svc/stats/watch",
+                           {Value{int64_t{-1}}, Value{int64_t{10'000}}});
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 5000);
+  auto leaf = sys.stats().ReadStat(watcher, "/sys/monitor/subscribers/quota_denied");
+  ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+  EXPECT_EQ(std::stoull(*leaf), denied_before + 1);
+}
+
+// Runs one watch on its own thread, checks that it holds a channel while it
+// waits, lets `release` end the wait, and returns the watch's result.
+StatusOr<Value> WatchHoldingAChannel(SecureSystem& sys, Subject& watcher,
+                                     const CallOptions& options, int64_t timeout_ms,
+                                     const std::function<void()>& release) {
+  size_t before = sys.stats().active_subscribers();
+  StatusOr<Value> result = InvalidArgumentError("not run");
+  std::thread blocked([&] {
+    result = sys.Invoke(watcher, "/svc/stats/watch",
+                        {Value{int64_t{-1}}, Value{timeout_ms}}, options);
+  });
+  uint64_t give_up = MonotonicNowNs() + uint64_t{5} * 1'000'000'000;
+  while (sys.stats().active_subscribers() == before && MonotonicNowNs() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sys.stats().active_subscribers(), before + 1);
+  release();
+  blocked.join();
+  EXPECT_EQ(sys.stats().active_subscribers(), before);
+  return result;
+}
+
+// Whatever ends the wait — an update, the timeout, or a cancel — the watch's
+// channel is closed and subscribers/active returns to its prior value.
+TEST(StatsWatchTest, WatchReleasesItsChannelOnEveryExit) {
+  SecureSystem sys;
+  Subject watcher = LoginAuditor(sys);
+  Subject system = sys.SystemSubject();
+
+  auto updated = WatchHoldingAChannel(sys, watcher, {}, 10'000, [&] {
+    (void)sys.monitor().Check(system, sys.name_space().root(), AccessMode::kList);
+  });
+  EXPECT_TRUE(updated.ok()) << updated.status().ToString();
+
+  auto timed_out = WatchHoldingAChannel(sys, watcher, {}, 200, [] {});
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
+
+  std::atomic<bool> cancel{false};
+  CallOptions cancellable;
+  cancellable.cancel = &cancel;
+  auto cancelled = WatchHoldingAChannel(sys, watcher, cancellable, 10'000,
+                                        [&] { cancel.store(true); });
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+
+  auto active = sys.stats().ReadStat(system, "/sys/monitor/subscribers/active");
+  ASSERT_TRUE(active.ok());
+  EXPECT_EQ(*active, "0");
+}
+
+// The TSan hammer for Subscribe's catch-up: a Tick whose fan-out lands
+// between a watch's baseline and its channel registration must still reach
+// that watch. Watchers call watch(-1) while a publisher moves a counter and
+// Ticks about every millisecond for as long as any watch can wait, so every
+// watch must see an epoch; none may time out.
+TEST(StatsWatchTest, WatchUnderAPublishStormNeverTimesOut) {
+  SecureSystem sys;
+  Subject watcher = LoginAuditor(sys);
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    Subject system = sys.SystemSubject();
+    while (!stop.load()) {
+      (void)sys.monitor().Check(system, sys.name_space().root(), AccessMode::kList);
+      sys.stats().Tick();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    EXPECT_GT(stats.version(), v0);
-  }  // the destructor must stop and join the publisher cleanly
+  });
+  std::vector<std::thread> watchers;
+  for (int t = 0; t < 3; ++t) {  // under the per-principal quota of 4
+    watchers.emplace_back([&sys, watcher] {
+      Subject mine = watcher;
+      for (int round = 0; round < 100; ++round) {
+        auto result = sys.Invoke(mine, "/svc/stats/watch",
+                                 {Value{int64_t{-1}}, Value{int64_t{5'000}}});
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+      }
+    });
+  }
+  for (std::thread& th : watchers) {
+    th.join();
+  }
+  stop.store(true);
+  publisher.join();
+  EXPECT_EQ(sys.stats().active_subscribers(), 0u);
 }
 
 }  // namespace

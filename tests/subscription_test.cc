@@ -1,7 +1,8 @@
-// Tests for the persistent stats subscription channels: one admission check
-// at Subscribe, a bounded per-subscriber epoch queue fed by Tick, drop-oldest
-// vs block-publisher backpressure, owner-bound handles, and the
-// /sys/monitor/subscribers/... telemetry.
+// Tests for the stats subscription channels: one admission check at
+// Subscribe, a bounded per-subscriber epoch queue fed by Tick that evicts its
+// oldest epoch when full, full-snapshot deliveries, owner-bound handles, the
+// aggregate /sys/monitor/subscribers/... telemetry, and channels that bind no
+// name-space node.
 
 #include <gtest/gtest.h>
 
@@ -120,7 +121,7 @@ TEST(SubscriptionTest, DropOldestShedsAndCountsWithoutBlockingTick) {
   StatsService stats(&kernel, options);
   ASSERT_TRUE(stats.Install().ok());
   Subject system = kernel.SystemSubject();
-  auto id = stats.Subscribe(system, -1, SubscriberBackpressure::kDropOldest);
+  auto id = stats.Subscribe(system, -1);
   ASSERT_TRUE(id.ok());
 
   // A subscriber that never drains: 6 published epochs into a queue of 2.
@@ -130,21 +131,12 @@ TEST(SubscriptionTest, DropOldestShedsAndCountsWithoutBlockingTick) {
     last_version = Publish(kernel, stats);
   }
   auto elapsed = std::chrono::steady_clock::now() - start;
-  // Drop-oldest applies no backpressure at all: well under the 50ms
-  // publisher block cap even once per epoch.
+  // Eviction applies no backpressure at all: the publisher never waits.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 5000);
 
   // The drops are observable through the mediated telemetry tree.
-  std::string base = StrFormat("/sys/monitor/subscribers/%llu",
-                               static_cast<unsigned long long>(*id));
-  auto dropped = stats.ReadStat(system, base + "/dropped");
-  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
-  EXPECT_EQ(*dropped, "4");
-  auto queued = stats.ReadStat(system, base + "/queued");
-  ASSERT_TRUE(queued.ok());
-  EXPECT_EQ(*queued, "2");
   auto aggregate = stats.ReadStat(system, "/sys/monitor/subscribers/dropped");
-  ASSERT_TRUE(aggregate.ok());
+  ASSERT_TRUE(aggregate.ok()) << aggregate.status().ToString();
   EXPECT_EQ(*aggregate, "4");
 
   // The queue holds the two NEWEST epochs: the gap is at the old end.
@@ -155,66 +147,8 @@ TEST(SubscriptionTest, DropOldestShedsAndCountsWithoutBlockingTick) {
   EXPECT_NE(second->find(StrFormat("version %llu",
                                    static_cast<unsigned long long>(last_version))),
             std::string::npos);
-  auto delivered = stats.ReadStat(system, base + "/delivered");
-  ASSERT_TRUE(delivered.ok());
-  EXPECT_EQ(*delivered, "2");
-}
-
-TEST(SubscriptionTest, BlockPublisherWaitsOnlyUpToTheCap) {
-  Kernel kernel;
-  StatsServiceOptions options = ManualOptions();
-  options.subscriber_queue_capacity = 1;
-  options.publisher_block_cap_ns = 30'000'000;  // 30ms
-  StatsService stats(&kernel, options);
-  ASSERT_TRUE(stats.Install().ok());
-  Subject system = kernel.SystemSubject();
-  auto id = stats.Subscribe(system, -1, SubscriberBackpressure::kBlockPublisher);
-  ASSERT_TRUE(id.ok());
-
-  Publish(kernel, stats);  // fills the queue; no wait
-  auto start = std::chrono::steady_clock::now();
-  Publish(kernel, stats);  // queue full: waits out the cap, then drops
-  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  EXPECT_GE(elapsed_ms, 25);    // the publisher honored the cap...
-  EXPECT_LT(elapsed_ms, 5000);  // ...but was never wedged
-  std::string base = StrFormat("/sys/monitor/subscribers/%llu",
-                               static_cast<unsigned long long>(*id));
-  auto dropped = stats.ReadStat(system, base + "/dropped");
-  ASSERT_TRUE(dropped.ok());
-  EXPECT_EQ(*dropped, "1");
-}
-
-TEST(SubscriptionTest, BlockPublisherUnblocksWhenTheSubscriberDrains) {
-  Kernel kernel;
-  StatsServiceOptions options = ManualOptions();
-  options.subscriber_queue_capacity = 1;
-  options.publisher_block_cap_ns = uint64_t{5} * 1'000'000'000;  // generous cap
-  StatsService stats(&kernel, options);
-  ASSERT_TRUE(stats.Install().ok());
-  Subject system = kernel.SystemSubject();
-  auto id = stats.Subscribe(system, -1, SubscriberBackpressure::kBlockPublisher);
-  ASSERT_TRUE(id.ok());
-  Publish(kernel, stats);  // queue now full
-
-  std::thread drainer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    auto epoch = stats.PollSubscription(system, *id, 0);
-    EXPECT_TRUE(epoch.ok());
-  });
-  auto start = std::chrono::steady_clock::now();
-  Publish(kernel, stats);  // blocks until the drain frees a slot
-  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  drainer.join();
-  EXPECT_LT(elapsed_ms, 4500);  // released by the drain, not the 5s cap
-  auto dropped = stats.ReadStat(
-      system, StrFormat("/sys/monitor/subscribers/%llu/dropped",
-                        static_cast<unsigned long long>(*id)));
-  ASSERT_TRUE(dropped.ok());
-  EXPECT_EQ(*dropped, "0");
+  EXPECT_EQ(stats.PollSubscription(system, *id, MonotonicNowNs()).status().code(),
+            StatusCode::kDeadlineExceeded);
 }
 
 TEST(SubscriptionTest, UnsubscribeClosesTheChannelAndUnmountsTelemetry) {
@@ -224,16 +158,11 @@ TEST(SubscriptionTest, UnsubscribeClosesTheChannelAndUnmountsTelemetry) {
   Subject system = kernel.SystemSubject();
   auto id = stats.Subscribe(system, -1);
   ASSERT_TRUE(id.ok());
-  std::string base = StrFormat("/sys/monitor/subscribers/%llu",
-                               static_cast<unsigned long long>(*id));
-  ASSERT_TRUE(stats.ReadStat(system, base + "/queued").ok());
   auto active = stats.ReadStat(system, "/sys/monitor/subscribers/active");
   ASSERT_TRUE(active.ok());
   EXPECT_EQ(*active, "1");
 
   ASSERT_TRUE(stats.Unsubscribe(system, *id).ok());
-  EXPECT_EQ(stats.ReadStat(system, base + "/queued").status().code(),
-            StatusCode::kNotFound);
   EXPECT_EQ(stats.PollSubscription(system, *id, 0).status().code(),
             StatusCode::kNotFound);
   active = stats.ReadStat(system, "/sys/monitor/subscribers/active");
@@ -325,12 +254,9 @@ TEST(SubscriptionTest, GcClosesEveryChannelOwnedByThePrincipal) {
 
   EXPECT_EQ(stats.GcChannelsFor(*doomed), 2u);
   EXPECT_EQ(stats.active_subscribers(), 1u);
-  // The reaped handles are gone, and so is their telemetry subtree.
+  // The reaped handles are gone.
   EXPECT_EQ(stats.PollSubscription(doomed_s, *first, 0).status().code(),
             StatusCode::kNotFound);
-  std::string leaf = StrFormat("/sys/monitor/subscribers/%llu/queued",
-                               static_cast<unsigned long long>(*first));
-  EXPECT_EQ(stats.ReadStat(system, leaf).status().code(), StatusCode::kNotFound);
   // Other principals' channels are untouched.
   Publish(kernel, stats);
   EXPECT_TRUE(stats.PollSubscription(system, *survivor, 0).ok());
@@ -448,44 +374,33 @@ TEST(SubscriptionProcedureTest, ArgumentsAreValidated) {
             StatusCode::kNotFound);
 }
 
-// Delta-encoded epochs: a poll renders only the leaves that changed since the
-// channel's previous delivery, under a delta_from header, while a catch-up
-// delivery renders the full snapshot.
-TEST(SubscriptionTest, PollRendersDeltasAgainstThePreviousDelivery) {
+// Every poll carries its epoch's full rendering — the same text the snapshot
+// leaf shows for that epoch, every counter included.
+TEST(SubscriptionTest, PollCarriesTheEpochsFullCounters) {
   Kernel kernel;
   StatsService stats(&kernel, ManualOptions());
   ASSERT_TRUE(stats.Install().ok());
   Subject system = kernel.SystemSubject();
-  auto id = stats.Subscribe(system, -1);  // baseline: next delivery is a delta
+  auto id = stats.Subscribe(system, -1);
   ASSERT_TRUE(id.ok());
-  // Drive the next epoch with a check that is ALLOWED (a mediated read of
-  // the version leaf) — the generic Publish helper's root list check is
-  // denied under DAC, which would legitimately move the denied counter and
-  // defeat the omitted-leaf assertion below.
+  // An ALLOWED check moves the counters, so the denied leaf is unchanged
+  // between the baseline and this epoch — and is still carried.
   ASSERT_TRUE(stats.ReadStat(system, "/sys/monitor/version").ok());
   uint64_t v = stats.Tick();
-  auto delta = stats.PollSubscription(system, *id, /*deadline_ns=*/0);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_NE(delta->find(StrFormat("version %llu", static_cast<unsigned long long>(v))),
+  auto polled = stats.PollSubscription(system, *id, /*deadline_ns=*/0);
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_NE(polled->find(StrFormat("version %llu", static_cast<unsigned long long>(v))),
             std::string::npos);
-  EXPECT_NE(delta->find("delta_from "), std::string::npos);
-  EXPECT_NE(delta->find("/sys/monitor/checks/total"), std::string::npos);
-  // Nothing was denied between the baseline and this epoch, so the denied
-  // leaf is omitted from the delta...
-  EXPECT_EQ(delta->find("/sys/monitor/checks/denied"), std::string::npos);
-  // ...while a catch-up (full) rendering always carries it.
-  auto behind = stats.Subscribe(system, 0);
-  ASSERT_TRUE(behind.ok());
-  auto full = stats.PollSubscription(system, *behind, /*deadline_ns=*/0);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full->find("delta_from "), std::string::npos);
-  EXPECT_NE(full->find("/sys/monitor/checks/denied"), std::string::npos);
+  EXPECT_NE(polled->find("/sys/monitor/checks/total"), std::string::npos);
+  EXPECT_NE(polled->find("/sys/monitor/checks/denied"), std::string::npos);
+  EXPECT_EQ(polled->find("delta_from"), std::string::npos);
+  // Nothing published since: the snapshot leaf renders the same epoch.
+  EXPECT_EQ(*polled, stats.RenderSnapshot());
 }
 
-// Deltas are computed against the last DELIVERED epoch, not the last queued
-// one, so epochs evicted by backpressure fold into the next delta exactly
-// (the counters are cumulative).
-TEST(SubscriptionTest, DeltaSpansDroppedEpochsExactly) {
+// Epochs evicted by a full queue cost nothing in accuracy: the counters are
+// cumulative, so the one delivery after the drops is the exact current state.
+TEST(SubscriptionTest, PollAfterDropsCarriesTheFullCounters) {
   Kernel kernel;
   StatsServiceOptions options = ManualOptions();
   options.subscriber_queue_capacity = 1;
@@ -494,146 +409,45 @@ TEST(SubscriptionTest, DeltaSpansDroppedEpochsExactly) {
   Subject system = kernel.SystemSubject();
   auto id = stats.Subscribe(system, -1);
   ASSERT_TRUE(id.ok());
-  uint64_t baseline = stats.version();
   // Three epochs into a queue of one: the first two are evicted.
   Publish(kernel, stats);
   Publish(kernel, stats);
   uint64_t last = Publish(kernel, stats);
-  auto delta = stats.PollSubscription(system, *id, /*deadline_ns=*/0);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  // The one delivery is version `last`, delta'd all the way back to the
-  // baseline: the three list checks appear as one cumulative movement.
-  EXPECT_NE(delta->find(StrFormat("version %llu", static_cast<unsigned long long>(last))),
+  EXPECT_EQ(stats.subscriber_dropped_total(), 2u);
+  auto polled = stats.PollSubscription(system, *id, /*deadline_ns=*/0);
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_NE(polled->find(StrFormat("version %llu", static_cast<unsigned long long>(last))),
             std::string::npos);
-  EXPECT_NE(delta->find(StrFormat("delta_from %llu",
-                                  static_cast<unsigned long long>(baseline))),
-            std::string::npos);
+  EXPECT_EQ(*polled, stats.RenderSnapshot());
+  std::string total = StrFormat("/sys/monitor/checks/total %llu\n",
+                                static_cast<unsigned long long>(
+                                    kernel.monitor().stats().checks_total()));
+  EXPECT_NE(polled->find(total), std::string::npos) << *polled;
 }
 
-// -- Durable subscriptions ----------------------------------------------------
-
-TEST(SubscriptionDurableTest, ExportedTokenResumesAcrossAMonitorRestart) {
-  std::string token;
-  {
-    Kernel kernel;
-    StatsService stats(&kernel, ManualOptions());
-    ASSERT_TRUE(stats.Install().ok());
-    Subject system = kernel.SystemSubject();
-    auto id = stats.Subscribe(system, -1);
-    ASSERT_TRUE(id.ok());
-    Publish(kernel, stats);
-    Publish(kernel, stats);
-    Publish(kernel, stats);  // push the old era's version well past the new one's
-    ASSERT_TRUE(stats.PollSubscription(system, *id, 0).ok());
-    auto exported = stats.ExportSubscription(system, *id);
-    ASSERT_TRUE(exported.ok()) << exported.status().ToString();
-    token = *exported;
-    EXPECT_NE(token.find("xsec-sub-v1 "), std::string::npos);
-  }  // the whole monitor goes away
-
-  // A fresh incarnation: the token re-admits (the owner still holds read on
-  // the new mount) and the era mismatch seeds one catch-up snapshot.
-  Kernel kernel;
-  StatsService stats(&kernel, ManualOptions());
-  ASSERT_TRUE(stats.Install().ok());
-  Subject system = kernel.SystemSubject();
-  auto resumed = stats.ResumeSubscription(system, token);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  auto caught_up = stats.PollSubscription(system, *resumed, 0);
-  ASSERT_TRUE(caught_up.ok()) << caught_up.status().ToString();
-  EXPECT_EQ(caught_up->find("delta_from "), std::string::npos);  // full snapshot
-  EXPECT_NE(caught_up->find("/sys/monitor/checks/total"), std::string::npos);
-}
-
-TEST(SubscriptionDurableTest, ResumeReRunsAdmissionAndDeniesRevokedPrincipals) {
-  std::string token;
-  {
-    Kernel kernel;
-    StatsService stats(&kernel, ManualOptions());
-    ASSERT_TRUE(stats.Install().ok());
-    auto analyst = kernel.principals().CreateUser("analyst");
-    ASSERT_TRUE(analyst.ok());
-    GrantSubscribe(kernel, *analyst);
-    Subject analyst_s = kernel.CreateSubject(*analyst, kernel.labels().Bottom());
-    auto id = stats.Subscribe(analyst_s, -1);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    auto exported = stats.ExportSubscription(analyst_s, *id);
-    ASSERT_TRUE(exported.ok());
-    token = *exported;
-  }
-
-  // Same principal id in the new incarnation — but nobody re-granted read on
-  // the fail-closed mount. The token is a bookmark, not a bearer credential:
-  // resume re-runs the monitor Check and is denied.
-  Kernel kernel;
-  StatsService stats(&kernel, ManualOptions());
-  ASSERT_TRUE(stats.Install().ok());
-  auto analyst = kernel.principals().CreateUser("analyst");
-  ASSERT_TRUE(analyst.ok());
-  Subject analyst_s = kernel.CreateSubject(*analyst, kernel.labels().Bottom());
-  EXPECT_EQ(stats.ResumeSubscription(analyst_s, token).status().code(),
-            StatusCode::kPermissionDenied);
-}
-
-TEST(SubscriptionDurableTest, TokensAreOwnerBound) {
-  Kernel kernel;
-  StatsService stats(&kernel, ManualOptions());
-  ASSERT_TRUE(stats.Install().ok());
-  Subject system = kernel.SystemSubject();
-  auto id = stats.Subscribe(system, -1);
-  ASSERT_TRUE(id.ok());
-  auto token = stats.ExportSubscription(system, *id);
-  ASSERT_TRUE(token.ok());
-  auto thief = kernel.principals().CreateUser("thief");
-  ASSERT_TRUE(thief.ok());
-  GrantSubscribe(kernel, *thief);  // even WITH read rights of their own
-  Subject thief_s = kernel.CreateSubject(*thief, kernel.labels().Bottom());
-  EXPECT_EQ(stats.ResumeSubscription(thief_s, *token).status().code(),
-            StatusCode::kPermissionDenied);
-  // Export itself is owner-only too.
-  EXPECT_EQ(stats.ExportSubscription(thief_s, *id).status().code(),
-            StatusCode::kPermissionDenied);
-}
-
-TEST(SubscriptionDurableTest, MalformedTokensAreRejected) {
-  Kernel kernel;
-  StatsService stats(&kernel, ManualOptions());
-  ASSERT_TRUE(stats.Install().ok());
-  Subject system = kernel.SystemSubject();
-  const char* bad[] = {
-      "",
-      "garbage",
-      "xsec-sub-v2 principal=1 since=2 policy=drop",       // unknown version
-      "xsec-sub-v1 principal=1 since=2",                   // missing field
-      "xsec-sub-v1 principal=1 since=2 policy=flood",      // bad policy
-      "xsec-sub-v1 principal=1 since=-2 policy=drop",      // non-numeric
-      "xsec-sub-v1 principal=1 since=2 policy=drop extra=1",
-      "xsec-sub-v1 principal=99999999999999999999999999 since=2 policy=drop",
-  };
-  for (const char* token : bad) {
-    EXPECT_EQ(stats.ResumeSubscription(system, token).status().code(),
-              StatusCode::kInvalidArgument)
-        << "token accepted: " << token;
-  }
-}
-
-TEST(SubscriptionProcedureTest, ExportResumeRoundTripOverTheServiceSurface) {
+// Channels are registry entries, not name-space objects: opening and closing
+// them — directly or through a one-shot watch — binds no node (unbound nodes
+// are never freed, so any per-channel node would leak on every call).
+TEST(SubscriptionTest, ChannelsBindNoNamespaceNodes) {
   SecureSystem sys;
   Subject auditor = LoginAuditor(sys);
-  auto handle = sys.Invoke(auditor, "/svc/stats/subscribe", {});
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  int64_t id = static_cast<int64_t>(std::stoull(std::get<std::string>(*handle)));
-  auto token = sys.Invoke(auditor, "/svc/stats/export", {Value{id}});
-  ASSERT_TRUE(token.ok()) << token.status().ToString();
-  auto resumed = sys.Invoke(auditor, "/svc/stats/resume",
-                            {Value{std::get<std::string>(*token)}});
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  uint64_t new_id = std::stoull(std::get<std::string>(*resumed));
-  EXPECT_NE(new_id, static_cast<uint64_t>(id));  // a NEW channel, old one intact
-  EXPECT_TRUE(sys.Invoke(auditor, "/svc/stats/unsubscribe", {Value{id}}).ok());
-  EXPECT_TRUE(sys.Invoke(auditor, "/svc/stats/unsubscribe",
-                         {Value{static_cast<int64_t>(new_id)}})
-                  .ok());
+  size_t nodes = sys.kernel().name_space().node_count();
+  for (int round = 0; round < 100; ++round) {
+    auto id = sys.stats().Subscribe(auditor, 0);  // seeded: the poll never waits
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(sys.stats().PollSubscription(auditor, *id, /*deadline_ns=*/0).ok());
+    ASSERT_TRUE(sys.stats().Unsubscribe(auditor, *id).ok());
+  }
+  for (int round = 0; round < 10; ++round) {
+    // Alternate an immediate catch-up with a short wait that times out.
+    int64_t since = round % 2 == 0 ? 0 : -1;
+    auto watched = sys.Invoke(auditor, "/svc/stats/watch",
+                              {Value{since}, Value{int64_t{1}}});
+    EXPECT_TRUE(watched.ok() || watched.status().code() == StatusCode::kDeadlineExceeded)
+        << watched.status().ToString();
+  }
+  EXPECT_EQ(sys.kernel().name_space().node_count(), nodes);
+  EXPECT_EQ(sys.stats().active_subscribers(), 0u);
 }
 
 // The TSan target: subscribers come and go while a publisher storms and a
@@ -662,13 +476,10 @@ TEST(SubscriptionConcurrencyTest, SubscribePublishPollCancelUnsubscribeRace) {
   });
   std::vector<std::thread> churners;
   for (int t = 0; t < 3; ++t) {
-    churners.emplace_back([&, t] {
+    churners.emplace_back([&] {
       Subject mine = kernel.SystemSubject();
-      SubscriberBackpressure backpressure = t % 2 == 0
-                                                ? SubscriberBackpressure::kDropOldest
-                                                : SubscriberBackpressure::kBlockPublisher;
       for (int round = 0; round < 20; ++round) {
-        auto id = stats.Subscribe(mine, -1, backpressure);
+        auto id = stats.Subscribe(mine, -1);
         ASSERT_TRUE(id.ok()) << id.status().ToString();
         for (int polls = 0; polls < 3; ++polls) {
           (void)stats.PollSubscription(mine, *id, MonotonicNowNs() + 5'000'000);
@@ -700,9 +511,10 @@ uint64_t DeliveredVersion(const std::string& text) {
 // publisher storms, with a long-lived channel riding along. No channel may
 // see the same epoch twice (per-channel versions strictly increase), and the
 // long-lived channel's accounting must reconcile: every version published
-// after its baseline was delivered, is still queued, or was counted dropped
-// (concurrently raced fan-outs may additionally skip a version, never
-// duplicate one — hence <=).
+// after its baseline was delivered to it or counted in the aggregate
+// subscribers/dropped gauge (an epoch overtaken by a concurrent Tick's
+// fan-out counts as dropped too), and the aggregate never counts more drops
+// than the channels could have seen.
 TEST(SubscriptionConcurrencyTest, ChurnSoakDeliversNoEpochTwiceAndReconcilesDrops) {
   Kernel kernel;
   StatsServiceOptions options = ManualOptions();  // publisher-driven only
@@ -715,7 +527,7 @@ TEST(SubscriptionConcurrencyTest, ChurnSoakDeliversNoEpochTwiceAndReconcilesDrop
   ASSERT_TRUE(stats.Install().ok());
   Subject system = kernel.SystemSubject();
 
-  auto longlived = stats.Subscribe(system, -1, SubscriberBackpressure::kDropOldest);
+  auto longlived = stats.Subscribe(system, -1);
   ASSERT_TRUE(longlived.ok());
   uint64_t baseline = stats.version();
 
@@ -726,6 +538,7 @@ TEST(SubscriptionConcurrencyTest, ChurnSoakDeliversNoEpochTwiceAndReconcilesDrop
       std::this_thread::yield();
     }
   });
+  std::atomic<uint64_t> churn_subscribes{0};
   std::vector<std::thread> churners;
   for (int t = 0; t < 4; ++t) {
     churners.emplace_back([&] {
@@ -733,6 +546,7 @@ TEST(SubscriptionConcurrencyTest, ChurnSoakDeliversNoEpochTwiceAndReconcilesDrop
       for (int round = 0; round < 15; ++round) {
         auto id = stats.Subscribe(mine, -1);
         ASSERT_TRUE(id.ok()) << id.status().ToString();
+        churn_subscribes.fetch_add(1);
         uint64_t last_seen = 0;
         for (int polls = 0; polls < 4; ++polls) {
           auto epoch = stats.PollSubscription(mine, *id, MonotonicNowNs() + 50'000'000);
@@ -768,27 +582,28 @@ TEST(SubscriptionConcurrencyTest, ChurnSoakDeliversNoEpochTwiceAndReconcilesDrop
   }
   uint64_t final_version = stats.version();
   ASSERT_GT(final_version, baseline);  // the storm published plenty
-  std::string delivered_leaf = StrFormat("/sys/monitor/subscribers/%llu/delivered",
-                                         static_cast<unsigned long long>(*longlived));
-  std::string dropped_leaf = StrFormat("/sys/monitor/subscribers/%llu/dropped",
-                                       static_cast<unsigned long long>(*longlived));
-  auto delivered_text = stats.ReadStat(system, delivered_leaf);
-  auto dropped_text = stats.ReadStat(system, dropped_leaf);
-  ASSERT_TRUE(delivered_text.ok() && dropped_text.ok());
-  uint64_t delivered = std::stoull(*delivered_text);
+  // The channel never polled during the storm, so it ends holding the
+  // newest epochs: at least one, at most a full queue.
+  EXPECT_GE(drained, 1u);
+  EXPECT_LE(drained, options.subscriber_queue_capacity);
+  EXPECT_EQ(last_seen, final_version);
+  auto dropped_text = stats.ReadStat(system, "/sys/monitor/subscribers/dropped");
+  ASSERT_TRUE(dropped_text.ok()) << dropped_text.status().ToString();
   uint64_t dropped = std::stoull(*dropped_text);
-  EXPECT_GE(delivered, drained);
-  // Reconciliation: accounted epochs never exceed published ones, and the
-  // aggregate drop gauge covers this channel's share.
-  EXPECT_LE(delivered + dropped, final_version - baseline);
-  EXPECT_GE(stats.subscriber_dropped_total(), dropped);
+  // Every epoch after the baseline reached the long-lived channel or was
+  // counted dropped...
+  EXPECT_GE(drained + dropped, final_version - baseline);
+  // ...and no channel can drop more epochs than were published in its
+  // lifetime.
+  EXPECT_LE(dropped, (churn_subscribes.load() + 1) * (final_version - baseline));
   EXPECT_TRUE(stats.Unsubscribe(system, *longlived).ok());
 }
 
 // The Tick-fan-out vs GcChannelsFor race (the reaped-channel bugfix): a
 // channel reaped between the publisher's registry scan and its delivery must
-// not be delivered into a dead queue, and a Subscribe racing the reap must
-// not leave orphan telemetry leaves behind (resurrection). TSan-hammered.
+// not be delivered into a dead queue, and a Subscribe racing the reap
+// registers atomically — it never fails and never leaves a name-space node
+// behind. TSan-hammered.
 TEST(SubscriptionConcurrencyTest, GcVersusSubscribeAndFanOutLeavesNoOrphans) {
   Kernel kernel;
   StatsServiceOptions options;
@@ -798,8 +613,8 @@ TEST(SubscriptionConcurrencyTest, GcVersusSubscribeAndFanOutLeavesNoOrphans) {
   options.max_channels_per_principal = 0;  // the reaper is the limit here
   StatsService stats(&kernel, options);
   ASSERT_TRUE(stats.Install().ok());
-  Subject system = kernel.SystemSubject();
   PrincipalId principal = kernel.system_principal();
+  size_t nodes = kernel.name_space().node_count();
 
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
@@ -820,13 +635,11 @@ TEST(SubscriptionConcurrencyTest, GcVersusSubscribeAndFanOutLeavesNoOrphans) {
       Subject mine = kernel.SystemSubject();
       for (int round = 0; round < 40; ++round) {
         auto id = stats.Subscribe(mine, -1);
-        if (!id.ok()) {
-          // The reaper got between mount and registration: the documented
-          // outcome, never a dead capability.
-          EXPECT_EQ(id.status().code(), StatusCode::kFailedPrecondition)
-              << id.status().ToString();
-          continue;
-        }
+        // Registration is one sub_mu_ hold: the reaper can close the channel
+        // afterwards, but Subscribe itself never reports a reap.
+        ASSERT_NE(id.status().code(), StatusCode::kFailedPrecondition)
+            << id.status().ToString();
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
         (void)stats.PollSubscription(mine, *id, MonotonicNowNs() + 2'000'000);
         // Unsubscribe may lose to the reaper; either way the channel dies.
         Status bye = stats.Unsubscribe(mine, *id);
@@ -844,15 +657,7 @@ TEST(SubscriptionConcurrencyTest, GcVersusSubscribeAndFanOutLeavesNoOrphans) {
 
   (void)stats.GcChannelsFor(principal);
   EXPECT_EQ(stats.active_subscribers(), 0u);
-  // No resurrected telemetry: with every channel reaped, the dump must hold
-  // no per-channel subtree (only the aggregate subscribers/ gauges).
-  std::string dump = stats.RenderAll();
-  for (const std::string& line : StrSplit(dump, '\n', /*skip_empty=*/true)) {
-    if (StartsWith(line, "/sys/monitor/subscribers/")) {
-      char next = line.size() > 25 ? line[25] : '\0';
-      EXPECT_FALSE(next >= '0' && next <= '9') << "orphan leaf: " << line;
-    }
-  }
+  EXPECT_EQ(kernel.name_space().node_count(), nodes);
 }
 
 }  // namespace
