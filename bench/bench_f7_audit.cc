@@ -11,9 +11,17 @@
 // counter bumps; retaining a record adds path reconstruction + record
 // storage, so Allowed_All and Denied_{DenialsOnly,All} are the expensive
 // cells.
+//
+// Denied_Drained_Sparse is the retained denial as a probing extension
+// issues it: one denial per ~20 µs with the audit drain running and a sink
+// registered, timing the Check alone. It is what a recorder pays to hand a
+// record to the delivery thread, which lingers between passes instead of
+// being woken per record (docs/MODEL.md §11).
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 
 #include "src/monitor/reference_monitor.h"
@@ -70,6 +78,32 @@ BENCHMARK(BM_Allowed_All);
 BENCHMARK(BM_Denied_Off);
 BENCHMARK(BM_Denied_DenialsOnly);
 BENCHMARK(BM_Denied_All);
+
+void BM_Denied_Drained_Sparse(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kGap = std::chrono::microseconds(20);
+  AuditFixture f(AuditPolicy::kDenialsOnly);
+  AuditLog& audit = f.monitor->audit();
+  std::atomic<uint64_t> delivered{0};
+  audit.set_sink([&delivered](const AuditRecord&) {
+    delivered.fetch_add(1, std::memory_order_relaxed);
+  });
+  audit.StartDrain();
+  AccessModeSet modes(AccessMode::kWrite);
+  for (auto _ : state) {
+    Clock::time_point start = Clock::now();
+    benchmark::DoNotOptimize(f.monitor->Check(f.subject, f.node, modes));
+    Clock::time_point end = Clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(end - start).count());
+    // Spin out the gap: a sleep would add a wake of this thread to the run.
+    while (Clock::now() < end + kGap) {
+    }
+  }
+  audit.Flush();
+  state.counters["delivered"] = static_cast<double>(delivered.load());
+  audit.StopDrain();
+}
+BENCHMARK(BM_Denied_Drained_Sparse)->UseManualTime()->Iterations(20000);
 
 void BM_AuditedPathCheck(benchmark::State& state) {
   // Full-path checks retain longer paths; measures the path-dependent part.

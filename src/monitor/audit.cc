@@ -327,7 +327,11 @@ void AuditLog::Record(AuditRecord record) {
       evicted = std::exchange(log_[record.sequence % log_.size()],
                               std::make_shared<const AuditRecord>(record));
       if (draining_) {
-        wake = true;
+        // A lingering delivery thread finds this record on its next poll
+        // unprompted; only a parked one needs the wake. So does a backlog
+        // of half the log (released_ never passes the slowest cursor), so
+        // that a burst cannot overrun the log between two polls.
+        wake = parked_ > 0 || next_sequence_ - released_ >= log_.size() / 2;
       } else {
         deliver = cursors_;
       }
@@ -406,14 +410,26 @@ void AuditLog::Deliver(Cursor* cursor) {
 }
 
 void AuditLog::SinkLoop(Cursor* cursor) {
+  const auto ready = [this, cursor] {
+    return cursor->stop ||
+           cursor->next.load(std::memory_order_relaxed) < std::min(next_sequence_, cursor->end);
+  };
   for (;;) {
     bool stop;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this, cursor] {
-        return cursor->stop || cursor->next.load(std::memory_order_relaxed) <
-                                   std::min(next_sequence_, cursor->end);
-      });
+      // Linger: poll the log every kLingerPeriod, so that recorders append
+      // without waking this thread while records keep coming. Park (and be
+      // woken by Record) only after kLingerRounds empty polls, so an idle
+      // log costs no timer wakeups.
+      for (int round = 0; round < kLingerRounds && !ready(); ++round) {
+        work_cv_.wait_for(lock, kLingerPeriod);
+      }
+      if (!ready()) {
+        ++parked_;
+        work_cv_.wait(lock, ready);
+        --parked_;
+      }
       stop = cursor->stop;
     }
     Deliver(cursor);  // on stop, the final pass hands over everything appended
@@ -596,10 +612,17 @@ void AuditLog::Flush() {
   (void)XSEC_FAILPOINT_FIRED("audit.sink.flush");
   std::shared_ptr<const CursorList> cursors;
   uint64_t head;
+  bool draining;
   {
     std::lock_guard<std::mutex> lock(mu_);
     cursors = cursors_;
     head = next_sequence_;
+    draining = draining_;
+  }
+  // Lingering delivery threads would reach `head` on their next poll; wake
+  // them so the wait is a delivery pass, not up to a linger period.
+  if (draining) {
+    work_cv_.notify_all();
   }
   // Every record below `head` is being delivered by its recorder or a
   // delivery thread (a sink removed meanwhile was handed all it was owed),

@@ -19,14 +19,19 @@
 // that sink's own mutex and never under the ring mutex: on the recording
 // thread by default, or on one thread per sink after StartDrain(), so that
 // file writes and NDJSON rotation renames never run on a mediated check. A
-// sink that lags more than the log's capacity loses its oldest pending
-// records, counted in its dropped counter. See docs/MODEL.md §11 for the
+// drained sink's thread lingers after each pass, polling the log every
+// kLingerPeriod for kLingerRounds rounds before it parks, so a recorder
+// appends without waking it (a denial costs about what an allow costs);
+// the price is up to one linger period of delivery lag. A sink that lags
+// more than the log's capacity loses its oldest pending records, counted
+// in its dropped counter. See docs/MODEL.md §11 for the
 // ordering/durability semantics.
 
 #ifndef XSEC_SRC_MONITOR_AUDIT_H_
 #define XSEC_SRC_MONITOR_AUDIT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -279,6 +284,14 @@ class AuditLog {
  public:
   using Sink = std::function<void(const AuditRecord&)>;
 
+  // A drained sink's delivery thread, after each pass, re-polls the log
+  // every kLingerPeriod for up to kLingerRounds rounds, then parks until
+  // Record wakes it (MODEL.md §11). While it lingers, Record wakes it only
+  // once the backlog reaches half the log; so a record waits for delivery
+  // about one period at most, and an idle log's threads park after 10 ms.
+  static constexpr std::chrono::microseconds kLingerPeriod{500};
+  static constexpr int kLingerRounds = 20;
+
   explicit AuditLog(size_t capacity = 4096) : capacity_(capacity) {}
   ~AuditLog() { StopDrain(); }
 
@@ -359,8 +372,10 @@ class AuditLog {
 
   // Starts one delivery thread per sink (and one for each sink added while
   // running), sizing the delivery log to options.queue_capacity. From here
-  // on Record() only appends and wakes them, so sink I/O never runs on a
-  // mediated check. Idempotent while running.
+  // on Record() only appends, so sink I/O never runs on a mediated check;
+  // it wakes the threads only when one is parked or the backlog reaches
+  // half the log, and a lingering thread picks the record up within
+  // kLingerPeriod. Idempotent while running.
   void StartDrain(AuditDrainOptions options = {});
 
   // Each delivery thread hands its sink everything appended so far, then
@@ -369,8 +384,10 @@ class AuditLog {
   void StopDrain();
 
   // Blocks until every sink's cursor reaches the head as of this call, and
-  // establishes happens-before with every sink call it waited for. It only
-  // waits: the recorders or the delivery threads do the deliveries.
+  // establishes happens-before with every sink call it waited for. It wakes
+  // the delivery threads, so it does not wait out a linger period, and
+  // otherwise only waits: the recorders or the delivery threads do the
+  // deliveries.
   void Flush();
 
   // Registered sinks, and the records they were handed or dropped, summed
@@ -472,6 +489,7 @@ class AuditLog {
   // it saw after dropping mu_ while sinks come and go.
   std::shared_ptr<const CursorList> cursors_ = std::make_shared<const CursorList>();
   bool draining_ = false;
+  int parked_ = 0;                   // delivery threads in the untimed wait
   std::condition_variable work_cv_;  // wakes delivery threads (with mu_)
 
   // Serializes the control operations (sink registration, StartDrain,

@@ -151,7 +151,8 @@ Decision ReferenceMonitor::CheckUncached(const Subject& subject, NodeId node,
 }
 
 void ReferenceMonitor::Audit(const Subject& subject, NodeId node, ShardId domain,
-                             std::string path, AccessModeSet modes, const Decision& decision) {
+                             std::string_view path, AccessModeSet modes,
+                             const Decision& decision) {
   // The stats are the one record of decisions: every decision that reaches
   // here — checks, path resolutions, administrative denials — lands in
   // exactly one reason bucket (kNone for allows) and one domain bucket.
@@ -165,7 +166,7 @@ void ReferenceMonitor::Audit(const Subject& subject, NodeId node, ShardId domain
   record.principal = subject.principal;
   record.thread_id = subject.thread_id;
   record.node = node;
-  record.path = path.empty() ? name_space_->PathOf(node) : std::move(path);
+  record.path = path.empty() ? name_space_->PathOf(node) : std::string(path);
   record.modes = modes;
   record.allowed = decision.allowed;
   record.reason = decision.reason;
@@ -211,7 +212,7 @@ void ReferenceMonitor::ApplyLockdown(Decision* decision, AccessModeSet modes) {
 }
 
 Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
-                                          AccessModeSet modes) {
+                                          AccessModeSet modes, std::string_view path) {
   Decision decision;
   ShardId domain = DomainOf(node);
   if (options_.cache_enabled) {
@@ -240,7 +241,7 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
   // availability and lockdown overrides apply only to this call.
   ApplyAuditAvailability(&decision);
   ApplyLockdown(&decision, modes);
-  Audit(subject, node, domain, "", modes, decision);
+  Audit(subject, node, domain, path, modes, decision);
   return decision;
 }
 
@@ -289,7 +290,7 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
   if (!leaf.ok() && chain.empty()) {
     // Not a canonical absolute path: nothing to traverse.
     Decision decision{false, DenyReason::kNotFound, leaf.status().message()};
-    Audit(subject, NodeId{}, kAggregateShard, std::string(path), modes, decision);
+    Audit(subject, NodeId{}, kAggregateShard, path, modes, decision);
     return decision;
   }
 
@@ -321,26 +322,34 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
   // as one sample, so they must not also tick the sample clock. Traversal is
   // checked on every ancestor before a missing component is reported.
   if (options_.check_traversal) {
+    // chain[i] is the node named by the request's first i components, so
+    // its canonical path is a prefix of `path` ending before `end`.
+    size_t end = 0;
     for (size_t i = 0; i < chain.size(); ++i) {
-      Decision step = CheckUnsampled(subject, chain[i], AccessMode::kList);
+      if (i > 0) {
+        end = path.find('/', end + 1);
+      }
+      const std::string_view step_path = i == 0 ? std::string_view("/") : path.substr(0, end);
+      Decision step = CheckUnsampled(subject, chain[i], AccessMode::kList, step_path);
       if (!step.allowed) {
         Decision decision{false, DenyReason::kTraversal,
                           StrFormat("denied while resolving '%s': %s",
-                                    name_space_->PathOf(chain[i]).c_str(), step.detail.c_str())};
-        Audit(subject, chain[i], DomainOf(chain[i]), std::string(path), modes, decision);
+                                    std::string(step_path).c_str(), step.detail.c_str())};
+        Audit(subject, chain[i], DomainOf(chain[i]), path, modes, decision);
         return decision;
       }
     }
   }
   if (!leaf.ok()) {
     Decision decision{false, DenyReason::kNotFound, leaf.status().message()};
-    Audit(subject, chain.back(), DomainOf(chain.back()), std::string(path), modes, decision);
+    Audit(subject, chain.back(), DomainOf(chain.back()), path, modes, decision);
     return decision;
   }
   if (resolved != nullptr) {
     *resolved = *leaf;
   }
-  Decision decision = CheckUnsampled(subject, *leaf, modes);
+  // The path resolved, so it is the leaf's canonical path.
+  Decision decision = CheckUnsampled(subject, *leaf, modes, path);
   if (path_entry && decision.allowed) {
     cache_.Insert(subject, *leaf, modes, stamps,
                   DecisionCache::CachedDecision{true, DenyReason::kNone}, clear_epoch,

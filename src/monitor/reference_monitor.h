@@ -239,7 +239,10 @@ class ReferenceMonitor {
  private:
   Decision CheckUncached(const Subject& subject, NodeId node, AccessModeSet modes) const;
   // The check bodies, without latency sampling (the public wrappers add it).
-  Decision CheckUnsampled(const Subject& subject, NodeId node, AccessModeSet modes);
+  // `path`, when non-empty, is the node's canonical path (from CheckPath's
+  // validated request), recorded instead of rebuilding it from the node.
+  Decision CheckUnsampled(const Subject& subject, NodeId node, AccessModeSet modes,
+                          std::string_view path = {});
   Decision CheckPathUnsampled(const Subject& subject, std::string_view path,
                               AccessModeSet modes, NodeId* resolved);
   // True when a resolved-path cache entry may answer a CheckPath for `modes`
@@ -248,8 +251,9 @@ class ReferenceMonitor {
   bool PathEntryUsable(AccessModeSet modes, ShardId leaf_domain) const;
   CacheStamps CurrentStamps() const;
   // Counts the decision in the stats (under validity domain `domain`) and
-  // hands it to the audit log if its policy retains it.
-  void Audit(const Subject& subject, NodeId node, ShardId domain, std::string path,
+  // hands it to the audit log if its policy retains it. An empty `path`
+  // records the node's path, built only for a retained record.
+  void Audit(const Subject& subject, NodeId node, ShardId domain, std::string_view path,
              AccessModeSet modes, const Decision& decision);
   // Fail-closed override: flips an allow to a kAuditUnavailable denial (or
   // counts it as unaudited, in fail-open mode) when the required audit sink

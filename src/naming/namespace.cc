@@ -325,15 +325,17 @@ std::string NameSpace::PathOfLocked(NodeId id) const {
   if (id == root()) {
     return "/";
   }
-  std::vector<const Node*> chain;
-  while (n->id != root()) {
-    chain.push_back(n);
-    n = &nodes_[n->parent.value];
+  // Two walks up the parent chain: one sizes the path, one fills it in
+  // from the end, so the path costs one allocation at most.
+  size_t length = 0;
+  for (const Node* cur = n; cur->id != root(); cur = &nodes_[cur->parent.value]) {
+    length += 1 + cur->name.size();
   }
-  std::string out;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    out += '/';
-    out += (*it)->name;
+  std::string out(length, '/');
+  for (const Node* cur = n; cur->id != root(); cur = &nodes_[cur->parent.value]) {
+    length -= cur->name.size();
+    out.replace(length, cur->name.size(), cur->name);
+    --length;  // the '/' before it
   }
   return out;
 }

@@ -18,6 +18,12 @@ constexpr size_t kCopyChunkBytes = 64 * 1024;
 // Directory scans poll once per this many entries.
 constexpr uint64_t kScanPollEntries = 64;
 
+// True iff `path` names a node strictly below `mount` (`mount + "/"` is a
+// prefix), compared in place.
+bool BelowMount(std::string_view path, std::string_view mount) {
+  return path.size() > mount.size() && path[mount.size()] == '/' && StartsWith(path, mount);
+}
+
 }  // namespace
 
 MemFs::MemFs(Kernel* kernel, std::string mount_path, std::string service_path)
@@ -130,7 +136,7 @@ Status MemFs::Install() {
 }
 
 StatusOr<NodeId> MemFs::CreateFileAsSystem(std::string_view path, std::vector<uint8_t> contents) {
-  if (!StartsWith(path, mount_path_ + "/")) {
+  if (!BelowMount(path, mount_path_)) {
     return InvalidArgumentError(
         StrFormat("'%s' is outside the mount '%s'", std::string(path).c_str(),
                   mount_path_.c_str()));
@@ -145,7 +151,7 @@ StatusOr<NodeId> MemFs::CreateFileAsSystem(std::string_view path, std::vector<ui
 
 StatusOr<NodeId> MemFs::ResolveChecked(Subject& subject, std::string_view path,
                                        AccessModeSet modes, NodeKind kind) {
-  if (!StartsWith(path, mount_path_ + "/") && path != mount_path_) {
+  if (!BelowMount(path, mount_path_) && path != mount_path_) {
     return InvalidArgumentError(
         StrFormat("'%s' is outside the mount '%s'", std::string(path).c_str(),
                   mount_path_.c_str()));

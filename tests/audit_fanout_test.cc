@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -268,6 +270,149 @@ TEST(AuditFanOutTest, FlushWaitsOutEveryLane) {
   log.Flush();
   EXPECT_EQ(slow->total(), 100u);  // every record landed before Flush returned
   log.StopDrain();
+}
+
+// -- Lingering delivery threads (MODEL.md §11) ---------------------------------
+//
+// A drained sink's thread polls the log for kLingerRounds rounds of
+// kLingerPeriod after each pass and then parks; Record wakes it only while
+// it is parked or once the backlog reaches half the log. None of these
+// tests calls Flush: Flush wakes the delivery threads itself, so it would
+// hide a wake that Record failed to give.
+
+using Clock = std::chrono::steady_clock;
+
+// A sink that stamps each arrival, and lets the test wait for the n-th one
+// on a condition variable of its own, independent of the log's wakes.
+struct ArrivalSink {
+  std::mutex mu;
+  std::condition_variable arrived;
+  std::vector<Clock::time_point> at;
+
+  AuditLog::Sink AsSink(const std::shared_ptr<ArrivalSink>& self) {
+    return [self](const AuditRecord&) {
+      std::lock_guard<std::mutex> lock(self->mu);
+      self->at.push_back(Clock::now());
+      self->arrived.notify_all();
+    };
+  }
+
+  // The arrival time of the `count`-th record, or nullopt if it has not
+  // arrived within `timeout`.
+  std::optional<Clock::time_point> WaitFor(size_t count, std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!arrived.wait_for(lock, timeout, [this, count] { return at.size() >= count; })) {
+      return std::nullopt;
+    }
+    return at[count - 1];
+  }
+};
+
+// Generous: a delivery lost to a missed wake never arrives at all.
+constexpr std::chrono::seconds kDeliveryBound{10};
+
+// The lost-wakeup race: a record appended just as the delivery thread gives
+// up lingering and parks must still be delivered. Each round waits for the
+// previous delivery, sleeps to a randomized offset around the park
+// transition (kLingerRounds polls after that delivery), then appends one
+// record. Run under TSan by ci/run_checks.sh --quick and --faults.
+TEST(AuditFanOutTest, RecordAtTheParkTransitionIsDelivered) {
+  uint64_t seed = 0x11a6e4;
+  if (const char* env = std::getenv("XSEC_FAULT_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
+  AuditLog log;
+  auto sink = std::make_shared<ArrivalSink>();
+  log.AddSink("arrivals", sink->AsSink(sink));
+  log.StartDrain();
+  Rng rng(seed);
+  const auto linger = AuditLog::kLingerPeriod * AuditLog::kLingerRounds;
+  const int64_t period_us = AuditLog::kLingerPeriod.count();
+  Clock::time_point last = Clock::now();  // the thread starts out lingering
+  constexpr size_t kRounds = 200;
+  for (size_t round = 0; round < kRounds; ++round) {
+    // Timed waits overshoot, so the transition lands at or after `linger`.
+    auto offset = std::chrono::microseconds(rng.NextInRange(-4 * period_us, 8 * period_us));
+    std::this_thread::sleep_until(last + linger + offset);
+    log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
+    std::optional<Clock::time_point> at = sink->WaitFor(round + 1, kDeliveryBound);
+    ASSERT_TRUE(at.has_value()) << "round " << round << " offset " << offset.count() << "us";
+    last = *at;
+  }
+  log.StopDrain();  // orders the counter reads after the last delivery
+  EXPECT_EQ(log.delivered(), kRounds);
+  EXPECT_EQ(log.sink_dropped(), 0u);
+}
+
+// The delivery thread ends a pass and starts lingering just after the sink
+// stamps the pass's last record; a test that appends at once may catch it
+// still running, and see its record delivered by the same pass. Waiting
+// this long first puts the thread in its timed wait.
+constexpr auto kSettle = AuditLog::kLingerPeriod / 5;
+
+// A record appended while the delivery thread lingers is delivered by its
+// next poll, without a wake: it arrives no sooner than a period after the
+// previous pass. Counted over ten records, so one preempted delivery thread
+// (which would find the record before it waits) does not decide the test.
+TEST(AuditFanOutTest, RecordDuringTheLingerWindowIsDeliveredByThePoll) {
+  AuditLog log;
+  auto sink = std::make_shared<ArrivalSink>();
+  log.AddSink("arrivals", sink->AsSink(sink));
+  log.StartDrain();
+  log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
+  std::optional<Clock::time_point> last = sink->WaitFor(1, kDeliveryBound);
+  ASSERT_TRUE(last.has_value());
+  constexpr size_t kRecords = 10;
+  size_t polled = 0;
+  for (size_t n = 2; n <= kRecords + 1; ++n) {
+    std::this_thread::sleep_for(kSettle);
+    log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
+    std::optional<Clock::time_point> next = sink->WaitFor(n, kDeliveryBound);
+    ASSERT_TRUE(next.has_value()) << "record " << n;
+    if (*next - *last >= AuditLog::kLingerPeriod) {
+      ++polled;
+    }
+    last = next;
+  }
+  EXPECT_GT(polled, kRecords / 2) << "records woke the lingering delivery thread";
+  log.StopDrain();
+  EXPECT_EQ(log.sink_dropped(), 0u);
+}
+
+// A burst that fills half the log wakes a lingering delivery thread at once
+// rather than at its next poll, so a burst cannot overrun the log between
+// two polls. Without the wake no burst could arrive within a period of the
+// previous pass; with it, almost every one does, and one in 30 must.
+TEST(AuditFanOutTest, BurstOfHalfTheLogWakesALingeringDrainer) {
+  AuditLog log;
+  auto sink = std::make_shared<ArrivalSink>();
+  log.AddSink("arrivals", sink->AsSink(sink));
+  AuditDrainOptions options;
+  options.queue_capacity = 16;
+  log.StartDrain(options);
+  log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
+  std::optional<Clock::time_point> last = sink->WaitFor(1, kDeliveryBound);
+  ASSERT_TRUE(last.has_value());
+  size_t expected = 1;
+  int early = 0;
+  for (int attempt = 0; attempt < 30; ++attempt) {
+    std::this_thread::sleep_for(kSettle);
+    for (size_t i = 0; i < options.queue_capacity / 2; ++i) {
+      log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
+    }
+    expected += options.queue_capacity / 2;
+    std::optional<Clock::time_point> done = sink->WaitFor(expected, kDeliveryBound);
+    ASSERT_TRUE(done.has_value()) << "attempt " << attempt;
+    if (*done - *last < AuditLog::kLingerPeriod) {
+      ++early;
+    }
+    last = done;
+  }
+  EXPECT_GE(early, 1);
+  log.StopDrain();
+  EXPECT_EQ(log.delivered(), expected);
+  EXPECT_EQ(log.sink_dropped(), 0u);
 }
 
 // Everything one sink was handed, in order. Calls to one sink are

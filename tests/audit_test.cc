@@ -1,5 +1,7 @@
 #include "src/monitor/audit.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -338,7 +340,9 @@ TEST(AuditLogTest, RetainedGaugeCountsWithoutCopying) {
 class NdjsonRotationTest : public ::testing::Test {
  protected:
   NdjsonRotationTest() {
-    base_ = ::testing::TempDir() + "/xsec_rotate_" +
+    // ctest runs each test in its own process, in parallel; without ASLR
+    // (TSan turns it off) `this` repeats across them, so the pid is needed.
+    base_ = ::testing::TempDir() + "/xsec_rotate_" + std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".ndjson";
     CleanUp();
   }

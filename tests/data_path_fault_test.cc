@@ -3,6 +3,8 @@
 // after mediation and leave state intact, and the NDJSON export's simulated
 // full disk, which must keep the file whole and trip the resilient sink.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -135,7 +137,9 @@ TEST_F(FailpointDataPathTest, VfsForwardInjectionPreemptsDispatch) {
 class NdjsonDiskFullTest : public ::testing::Test {
  protected:
   NdjsonDiskFullTest() {
-    path_ = ::testing::TempDir() + "/xsec_diskfull_" +
+    // ctest runs each test in its own process, in parallel; without ASLR
+    // (TSan turns it off) `this` repeats across them, so the pid is needed.
+    path_ = ::testing::TempDir() + "/xsec_diskfull_" + std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".ndjson";
     std::remove(path_.c_str());
   }

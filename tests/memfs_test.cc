@@ -106,6 +106,24 @@ TEST_F(MemFsTest, OperationsOutsideMountRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(MemFsTest, SiblingPrefixOfMountIsOutside) {
+  // "/fsx" shares the mount's characters but not its directory.
+  (void)*sys_.name_space().BindPath("/fsx/a", NodeKind::kFile, alice_);
+  EXPECT_EQ(sys_.fs().Read(alice_subject_, "/fsx/a").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sys_.fs().ListDir(alice_subject_, "/fsx").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sys_.fs().Create(alice_subject_, "/fsx/b").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sys_.fs().CreateFileAsSystem("/fsx/c", {}).status().code(),
+            StatusCode::kInvalidArgument);
+  // The mount itself is a directory to resolve, not a file to create.
+  EXPECT_EQ(sys_.fs().CreateFileAsSystem("/fs", {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_NE(sys_.fs().ListDir(alice_subject_, "/fs").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(MemFsTest, KindMismatchIsReported) {
   ASSERT_TRUE(sys_.fs().MkDir(alice_subject_, "/fs/home/dir").ok());
   EXPECT_EQ(sys_.fs().Read(alice_subject_, "/fs/home/dir").status().code(),

@@ -317,6 +317,64 @@ TEST_F(ReferenceMonitorTest, AuditRecordsDenialsWithReason) {
   EXPECT_EQ(r.principal, bob_);
 }
 
+TEST_F(ReferenceMonitorTest, CheckPathLeafDenialRecordsTheRequestedPath) {
+  // Uncached, so the by-node check below renders the same detail text.
+  Boot(MonitorOptions{.cache_enabled = false});
+  GrantOn(ns_.root(), bob_, AccessModeSet(AccessMode::kList));
+  GrantOn(dir_, bob_, AccessModeSet(AccessMode::kList));
+  GrantOn(sub_, bob_, AccessModeSet(AccessMode::kList));
+  GrantOn(obj_, bob_, AccessModeSet(AccessMode::kRead));
+  // The leaf record of a CheckPath must be byte-identical to a Check of the
+  // resolved node: same path text, same everything but the sequence.
+  auto expect_leaf_record = [&](const Subject& who, AccessModeSet modes, DenyReason reason) {
+    AuditLog& audit = monitor_->audit();
+    audit.Clear();
+    Decision by_path = monitor_->CheckPath(who, "/d/sub/obj", modes);
+    ASSERT_FALSE(by_path.allowed);
+    EXPECT_EQ(by_path.reason, reason);
+    Decision by_node = monitor_->Check(who, obj_, modes);
+    ASSERT_FALSE(by_node.allowed);
+    std::vector<AuditRecord> records = audit.records();
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].path, "/d/sub/obj");
+    EXPECT_EQ(records[0].node, obj_);
+    EXPECT_EQ(records[0].reason, reason);
+    records[1].sequence = records[0].sequence;
+    EXPECT_EQ(records[0].ToJson(), records[1].ToJson());
+  };
+  // DAC: read is granted, write is not.
+  expect_leaf_record(Bottom(bob_), AccessModeSet(AccessMode::kWrite), DenyReason::kDacNoGrant);
+  // MAC: the grant covers read, the label forbids it.
+  (void)ns_.SetLabelRef(obj_, labels_.StoreLabel(Cls(1, {0})));
+  expect_leaf_record(Bottom(bob_), AccessModeSet(AccessMode::kRead), DenyReason::kMacFlow);
+}
+
+TEST_F(ReferenceMonitorTest, CheckPathTraversalDenialRecordsTheAncestorPath) {
+  Boot(MonitorOptions{.cache_enabled = false});
+  GrantOn(ns_.root(), bob_, AccessModeSet(AccessMode::kList));
+  GrantOn(dir_, bob_, AccessModeSet(AccessMode::kList));
+  GrantOn(sub_, alice_, AccessModeSet(AccessMode::kList));
+  GrantOn(obj_, bob_, AccessModeSet(AccessMode::kRead));
+  // /d/sub's own ACL leaves bob out: the walk stops there, with the step's
+  // own denial and the traversal denial.
+  AuditLog& audit = monitor_->audit();
+  audit.Clear();
+  Decision d = monitor_->CheckPath(Bottom(bob_), "/d/sub/obj", AccessMode::kRead);
+  ASSERT_FALSE(d.allowed);
+  EXPECT_EQ(d.reason, DenyReason::kTraversal);
+  EXPECT_EQ(d.detail.rfind("denied while resolving '/d/sub': ", 0), 0u) << d.detail;
+  (void)monitor_->Check(Bottom(bob_), sub_, AccessMode::kList);
+  std::vector<AuditRecord> records = audit.records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].path, "/d/sub");
+  EXPECT_EQ(records[0].node, sub_);
+  EXPECT_EQ(records[1].path, "/d/sub/obj");
+  EXPECT_EQ(records[1].reason, DenyReason::kTraversal);
+  // The step's record is byte-identical to a Check of the ancestor itself.
+  records[2].sequence = records[0].sequence;
+  EXPECT_EQ(records[0].ToJson(), records[2].ToJson());
+}
+
 TEST_F(ReferenceMonitorTest, AuditPolicyAllRecordsAllows) {
   monitor_->set_audit_policy(AuditPolicy::kAll);
   monitor_->audit().Clear();
