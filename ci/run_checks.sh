@@ -78,7 +78,7 @@ run_ctest() {
   local dir="$1"
   if [[ "$QUICK" == 1 ]]; then
     (cd "$dir" && ctest --output-on-failure -j "$JOBS" \
-        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|Shard|${FAULT_RE}")
+        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|Shard|Breaker|${FAULT_RE}")
   else
     (cd "$dir" && ctest --output-on-failure -j "$JOBS")
   fi

@@ -274,7 +274,8 @@ void ExtensionSupervisor::RecordOutcome(Entry* entry, const Status& status, bool
           entry->state = ExtHealth::kQuarantined;
           entry->quarantined_at_ns = MonotonicNowNs();
           entry->consecutive_failures = 0;
-          entry->probe_inflight = false;
+          // probe_inflight is left alone: a probe admitted before a
+          // Release is still out, and only its own report may clear it.
           entry->trips.fetch_add(1, std::memory_order_relaxed);
           quarantined_count_.fetch_add(1, std::memory_order_relaxed);
           tripped = true;

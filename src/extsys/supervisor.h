@@ -161,6 +161,9 @@ class ExtensionSupervisor {
     bool active() const { return entry_ != nullptr; }
     // The effective deadline: the caller's capped by the budget (0 = none).
     uint64_t deadline_ns() const { return deadline_ns_; }
+    // True when this admission is the one half-open probe deciding the
+    // circuit.
+    bool probe() const { return probe_; }
     // The extension's ext.invoke.<name> failpoint (null when inactive).
     Failpoint* fault() const;
     // Records the invocation outcome exactly once and feeds the breaker.
