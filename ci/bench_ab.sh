@@ -3,7 +3,7 @@
 # commit it is based on.
 #
 #   ci/bench_ab.sh [--base REF] [--worktree] [--pairs N] [--seconds S]
-#                  [--workload W]... [--out DIR] [--no-history]
+#                  [--workload W]... [--out DIR] [--no-history] [--change-first]
 #
 # Sides. The parent side is `git merge-base REF HEAD` (REF defaults to HEAD~1,
 # or to HEAD with --worktree). The change side is HEAD, or the uncommitted
@@ -14,7 +14,9 @@
 # Runs. For each workload (default: all three), N pairs (default 10) of
 # S-second untraced runs (default 30). Pair i uses seed i for both sides, and
 # the side that goes first alternates from pair to pair: the host has slow
-# phases lasting minutes, and a fixed order puts them on one side.
+# phases lasting minutes, and a fixed order puts them on one side. Pair 1
+# starts with the parent, or with the change under --change-first, so a
+# repeat with the flag runs every seed in the other order.
 #
 # Report. Per end-to-end metric of BENCHMARK.json: the change/parent ratio of
 # the pair medians, the pairs the change won (in the metric's better
@@ -39,6 +41,7 @@ SECONDS_PER_RUN=30
 WORKLOADS=()
 OUT="${TMPDIR:-/tmp}/xsec-bench-ab"
 HISTORY=1
+FLIP=0
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -49,6 +52,7 @@ while [[ $# -gt 0 ]]; do
     --workload) WORKLOADS+=("$2"); shift 2 ;;
     --out) OUT="$2"; shift 2 ;;
     --no-history) HISTORY=0; shift ;;
+    --change-first) FLIP=1; shift ;;
     -h|--help) sed -n '2,30p' "$0"; exit 0 ;;
     *) echo "bench_ab: unknown argument $1" >&2; exit 2 ;;
   esac
@@ -103,7 +107,7 @@ rm -rf "$RUNS"
 mkdir -p "$RUNS"
 for workload in "${WORKLOADS[@]}"; do
   for ((i = 1; i <= PAIRS; i++)); do
-    if ((i % 2)); then order=(parent change); else order=(change parent); fi
+    if (( (i + FLIP) % 2 )); then order=(parent change); else order=(change parent); fi
     for side in "${order[@]}"; do
       "$OUT/$side/target/e2ebench/xsec_e2e" --workload "$workload" --seed "$i" \
           --seconds "$SECONDS_PER_RUN" --trace 0 > "$RUNS/$workload.$side.$i.txt" 2>&1 || {

@@ -44,8 +44,8 @@
 #                    >= 1.5x one sink, and zero order violations)
 #   BENCH_f16.json   bench_f16_shard results (sharded stamp domains;
 #                    ci/check_bench_f16.py requires zero cross-shard stale
-#                    evictions, a live same-shard control, the 1M-principal
-#                    intern load within budget, and effective ACL interning)
+#                    evictions, a live same-shard control, and effective
+#                    ACL interning)
 #   BENCH_f17.json   bench_f17_supervisor results (supervised degradation;
 #                    ci/check_bench_f17.py requires invokes beside a
 #                    quarantined peer within 10% of baseline, a real audited
@@ -148,7 +148,7 @@ echo "== F16: sharded stamp domains =="
     --benchmark_out=BENCH_f16.json --benchmark_out_format=json \
     --benchmark_min_time=0.25
 
-echo "== F16 gate (cross-shard isolation; 1M-principal intern budget) =="
+echo "== F16 gate (cross-shard isolation; ACL interning) =="
 python3 ci/check_bench_f16.py BENCH_f16.json
 
 echo "== F17: supervised degradation (quarantined peer containment) =="

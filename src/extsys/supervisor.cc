@@ -169,39 +169,36 @@ StatusOr<ExtensionSupervisor::Permit> ExtensionSupervisor::Admit(std::string_vie
   if (entry == nullptr) {
     return Permit{};  // unsupervised: pass through unobserved
   }
-  uint64_t now = MonotonicNowNs();
   bool probe = false;
   uint64_t deadline = caller_deadline_ns;
   {
     std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->state == ExtHealth::kQuarantined) {
-      if (!entry->probe_inflight && entry->budget.probe_after_ns != 0 &&
-          now - entry->quarantined_at_ns >= entry->budget.probe_after_ns) {
-        // Half-open: this admission IS the probe deciding the circuit.
-        entry->state = ExtHealth::kProbing;
-        entry->probe_inflight = true;
-        probe = true;
-      } else {
-        entry->rejected.fetch_add(1, std::memory_order_relaxed);
-        return UnavailableError(
-            StrFormat("extension '%s' is quarantined", entry->name.c_str()));
-      }
-    } else if (entry->state == ExtHealth::kProbing) {
-      // One probe at a time; everyone else keeps failing fast until it
-      // reports back.
+    const ExtensionBudget& budget = entry->budget;
+    // The clock is read only when something needs it: an open breaker's
+    // dwell, or the budget deadline.
+    const uint64_t now = entry->breaker.closed() && budget.invoke_budget_ns == 0
+                             ? 0
+                             : MonotonicNowNs();
+    const CircuitBreaker::Admission admission = entry->breaker.Admit(budget, now);
+    if (admission == CircuitBreaker::Admission::kRejected) {
       entry->rejected.fetch_add(1, std::memory_order_relaxed);
-      return UnavailableError(StrFormat("extension '%s' is quarantined (probe in flight)",
-                                        entry->name.c_str()));
+      // Half-open: one probe at a time; everyone else keeps failing fast
+      // until it reports back.
+      return UnavailableError(
+          entry->breaker.state() == CircuitBreaker::State::kHalfOpen
+              ? StrFormat("extension '%s' is quarantined (probe in flight)", entry->name.c_str())
+              : StrFormat("extension '%s' is quarantined", entry->name.c_str()));
     }
-    if (!probe && entry->budget.max_inflight != 0 &&
-        entry->inflight >= entry->budget.max_inflight) {
+    // A probe admission IS the probe deciding the circuit.
+    probe = admission == CircuitBreaker::Admission::kProbe;
+    if (!probe && budget.max_inflight != 0 && entry->inflight >= budget.max_inflight) {
       return ResourceExhaustedError(StrFormat("extension '%s' is at its in-flight budget (%u)",
-                                              entry->name.c_str(), entry->budget.max_inflight));
+                                              entry->name.c_str(), budget.max_inflight));
     }
     ++entry->inflight;
     entry->invokes.fetch_add(1, std::memory_order_relaxed);
-    if (entry->budget.invoke_budget_ns != 0) {
-      uint64_t budget_deadline = now + entry->budget.invoke_budget_ns;
+    if (budget.invoke_budget_ns != 0) {
+      uint64_t budget_deadline = now + budget.invoke_budget_ns;
       if (deadline == 0 || budget_deadline < deadline) {
         deadline = budget_deadline;
       }
@@ -221,75 +218,51 @@ bool ExtensionSupervisor::Selectable(std::string_view name) const {
     return true;
   }
   std::lock_guard<std::mutex> lock(entry->mu);
-  switch (entry->state) {
-    case ExtHealth::kHealthy:
-      return true;
-    case ExtHealth::kProbing:
-      return false;  // the in-flight probe decides; others go elsewhere
-    case ExtHealth::kQuarantined:
-      return !entry->probe_inflight && entry->budget.probe_after_ns != 0 &&
-             MonotonicNowNs() - entry->quarantined_at_ns >= entry->budget.probe_after_ns;
-  }
-  return true;
+  // Quarantined: selectable only when the admission would be the probe (a
+  // probe in flight decides alone; others go elsewhere). The clock is read
+  // only then.
+  return entry->breaker.closed() || entry->breaker.Admits(entry->budget, MonotonicNowNs());
 }
 
 // -- Breaker -----------------------------------------------------------------
 
 void ExtensionSupervisor::RecordOutcome(Entry* entry, const Status& status, bool probe) {
-  bool tripped = false;
-  bool released = false;
+  CircuitBreaker::Transition transition;
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     if (entry->inflight > 0) {
       --entry->inflight;
     }
-    if (probe) {
-      entry->probe_inflight = false;
-    }
     if (status.ok() || !IsBreakerFailure(status.code())) {
-      entry->consecutive_failures = 0;
       if (!status.ok()) {
         entry->failures.fetch_add(1, std::memory_order_relaxed);
       }
-      if (probe && entry->state == ExtHealth::kProbing) {
-        entry->state = ExtHealth::kHealthy;
+      transition = entry->breaker.RecordSuccess(probe);
+      if (transition == CircuitBreaker::Transition::kRecovered) {
         entry->releases.fetch_add(1, std::memory_order_relaxed);
         quarantined_count_.fetch_sub(1, std::memory_order_relaxed);
-        released = true;
       }
     } else {
       entry->failures.fetch_add(1, std::memory_order_relaxed);
       if (status.code() == StatusCode::kDeadlineExceeded) {
         entry->timeouts.fetch_add(1, std::memory_order_relaxed);
       }
-      if (probe && entry->state == ExtHealth::kProbing) {
-        // Probe failed: back to quarantine, dwell restarts. Still the same
-        // quarantine episode — no new trip is counted or audited.
-        entry->state = ExtHealth::kQuarantined;
-        entry->quarantined_at_ns = MonotonicNowNs();
-      } else if (entry->state == ExtHealth::kHealthy) {
-        ++entry->consecutive_failures;
-        if (entry->budget.trip_after != 0 &&
-            entry->consecutive_failures >= entry->budget.trip_after) {
-          entry->state = ExtHealth::kQuarantined;
-          entry->quarantined_at_ns = MonotonicNowNs();
-          entry->consecutive_failures = 0;
-          // probe_inflight is left alone: a probe admitted before a
-          // Release is still out, and only its own report may clear it.
-          entry->trips.fetch_add(1, std::memory_order_relaxed);
-          quarantined_count_.fetch_add(1, std::memory_order_relaxed);
-          tripped = true;
-        }
+      // A failed probe reopens the breaker and restarts the dwell. Still
+      // the same quarantine episode: no new trip is counted or audited.
+      transition = entry->breaker.RecordFailure(entry->budget, probe, MonotonicNowNs());
+      if (transition == CircuitBreaker::Transition::kTripped) {
+        entry->trips.fetch_add(1, std::memory_order_relaxed);
+        quarantined_count_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
-  if (tripped) {
+  if (transition == CircuitBreaker::Transition::kTripped) {
     AuditTransition(entry, /*quarantined=*/true,
                     StrFormat("breaker tripped after consecutive failures (last: %s)",
                               status.ToString().c_str()));
     RecomputeSystemHealth("breaker trip");
   }
-  if (released) {
+  if (transition == CircuitBreaker::Transition::kRecovered) {
     AuditTransition(entry, /*quarantined=*/false, "half-open probe succeeded");
     RecomputeSystemHealth("probe recovery");
   }
@@ -304,16 +277,14 @@ Status ExtensionSupervisor::Quarantine(std::string_view name, std::string_view w
   }
   {
     std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->state == ExtHealth::kQuarantined) {
+    CircuitBreaker::State found = entry->breaker.ForceOpen(MonotonicNowNs());
+    if (found == CircuitBreaker::State::kOpen) {
       return OkStatus();  // idempotent
     }
-    if (entry->state == ExtHealth::kHealthy) {
-      // kProbing is already counted (quarantine never released).
+    if (found == CircuitBreaker::State::kClosed) {
+      // Half-open is already counted (quarantine never released).
       quarantined_count_.fetch_add(1, std::memory_order_relaxed);
     }
-    entry->state = ExtHealth::kQuarantined;
-    entry->quarantined_at_ns = MonotonicNowNs();
-    entry->consecutive_failures = 0;
     entry->trips.fetch_add(1, std::memory_order_relaxed);
   }
   AuditTransition(entry, /*quarantined=*/true, std::string(why));
@@ -328,12 +299,10 @@ Status ExtensionSupervisor::Release(std::string_view name, std::string_view why)
   }
   {
     std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->state == ExtHealth::kHealthy) {
+    if (entry->breaker.Reset() == CircuitBreaker::State::kClosed) {
       return FailedPreconditionError(
           StrFormat("extension '%s' is not quarantined", entry->name.c_str()));
     }
-    entry->state = ExtHealth::kHealthy;
-    entry->consecutive_failures = 0;
     entry->releases.fetch_add(1, std::memory_order_relaxed);
     quarantined_count_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -419,7 +388,7 @@ ExtensionSupervisor::ExtSnapshot ExtensionSupervisor::SnapshotEntry(const Entry&
   snap.rejected = entry.rejected.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(entry.mu);
   snap.node = entry.node;
-  snap.state = entry.state;
+  snap.state = static_cast<ExtHealth>(entry.breaker.state());
   snap.inflight = entry.inflight;
   return snap;
 }

@@ -12,14 +12,11 @@
 //               into the CallContext deadline the handler already honors)
 //               and a max-in-flight bound (excess admissions fail fast with
 //               kResourceExhausted);
-//   breaker   — consecutive failures/timeouts trip a per-extension circuit
-//               (the ResilientSink state-machine shape: closed → open →
-//               half-open probe). A tripped extension is *quarantined*:
-//               every admission answers kUnavailable without running the
-//               handler, until a probe interval elapses and ONE probe
-//               invocation is let through — success releases the
-//               quarantine, failure re-arms it. Both transitions are
-//               recorded through the audit pipeline.
+//   breaker   — consecutive failures/timeouts trip the extension's
+//               CircuitBreaker (src/base/circuit_breaker.h, shared with the
+//               ResilientSink) and *quarantine* it: admissions answer
+//               kUnavailable without running the handler until the breaker
+//               lets ONE probe through. Trips and releases are audited.
 //
 // Above the per-extension view sits the monitor health state machine:
 //
@@ -65,6 +62,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/circuit_breaker.h"
 #include "src/base/status.h"
 #include "src/monitor/reference_monitor.h"
 #include "src/naming/namespace.h"
@@ -73,12 +71,13 @@ namespace xsec {
 
 class Failpoint;
 
-// Per-extension circuit state. kProbing is the half-open phase: exactly one
+// Per-extension circuit state: the breaker's closed / open / half-open,
+// under the supervisor's names. kProbing is the half-open phase: exactly one
 // invocation is in flight deciding the circuit's fate.
 enum class ExtHealth : uint8_t {
-  kHealthy = 0,
-  kQuarantined,
-  kProbing,
+  kHealthy = static_cast<uint8_t>(CircuitBreaker::State::kClosed),
+  kQuarantined = static_cast<uint8_t>(CircuitBreaker::State::kOpen),
+  kProbing = static_cast<uint8_t>(CircuitBreaker::State::kHalfOpen),
 };
 
 std::string_view ExtHealthName(ExtHealth state);
@@ -93,18 +92,17 @@ enum class SystemHealth : uint8_t {
 
 std::string_view SystemHealthName(SystemHealth state);
 
-struct ExtensionBudget {
+// The breaker half (BreakerOptions): trip_after consecutive failures
+// (timeouts, internal errors, unavailability) quarantine the extension;
+// after probe_after_ns of quarantine ONE half-open probe is admitted.
+// Defaults 4 and 100 ms; 0 means never trip / never probe.
+struct ExtensionBudget : BreakerOptions {
   // Wall-clock bound per supervised invocation, folded into the handler's
   // CallContext deadline (min with the caller's own). 0 = unbounded.
   uint64_t invoke_budget_ns = 0;
   // Concurrent supervised invocations allowed; excess admissions fail fast
   // with kResourceExhausted. 0 = unbounded.
   uint32_t max_inflight = 0;
-  // Consecutive failures (timeouts, internal errors, unavailability) that
-  // trip the breaker into quarantine. The ResilientSink default shape.
-  uint32_t trip_after = 4;
-  // Quarantine dwell before ONE half-open probe is admitted.
-  uint64_t probe_after_ns = 100'000'000;  // 100 ms
 };
 
 struct SupervisorOptions {
@@ -242,13 +240,11 @@ class ExtensionSupervisor {
     NodeId node;
     Failpoint* fault = nullptr;  // ext.invoke.<name>, resolved at Register
     mutable std::mutex mu;
-    // Guarded by mu:
-    ExtHealth state = ExtHealth::kHealthy;
+    // Guarded by mu (the breaker has no lock of its own; its state() may be
+    // read without mu):
     ExtensionBudget budget;
-    uint32_t consecutive_failures = 0;
+    CircuitBreaker breaker;
     uint32_t inflight = 0;
-    bool probe_inflight = false;
-    uint64_t quarantined_at_ns = 0;
     // Lifetime counters (telemetry reads them lock-free):
     std::atomic<uint64_t> invokes{0};
     std::atomic<uint64_t> failures{0};
@@ -261,10 +257,6 @@ class ExtensionSupervisor {
   Entry* Find(std::string_view name) const;
   // Breaker bookkeeping for one completed invocation.
   void RecordOutcome(Entry* entry, const Status& status, bool probe);
-  // Trip/release transitions; both audit and recompute. `entry->mu` must NOT
-  // be held (they take it).
-  void TripToQuarantine(Entry* entry, std::string_view why);
-  void ReleaseToHealthy(Entry* entry, std::string_view why);
   // Emits one synthetic record through the monitor's audit pipeline.
   void AuditTransition(const Entry* entry, bool quarantined, std::string detail);
   void AuditSystemTransition(SystemHealth from, SystemHealth to, std::string detail);

@@ -174,21 +174,6 @@ ResilientSink::ResilientSink(FallibleSink inner, ResilientSinkOptions options)
   if (options_.max_attempts < 1) {
     options_.max_attempts = 1;
   }
-  if (options_.trip_after < 1) {
-    options_.trip_after = 1;
-  }
-}
-
-std::string_view ResilientSink::StateName(State state) {
-  switch (state) {
-    case State::kClosed:
-      return "closed";
-    case State::kOpen:
-      return "open";
-    case State::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
 }
 
 Status ResilientSink::TryOnce(const AuditRecord& record) {
@@ -197,20 +182,18 @@ Status ResilientSink::TryOnce(const AuditRecord& record) {
 }
 
 void ResilientSink::Write(const AuditRecord& record) {
-  State entered = state();
-  if (entered == State::kOpen) {
-    if (options_.reopen_after_ns == 0 ||
-        MonotonicNowNs() - opened_at_ns_ < options_.reopen_after_ns) {
-      // Circuit open: drop immediately, never touch the dead sink. The ring
-      // still retains the record; only export is lost.
-      gave_up_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    entered = State::kHalfOpen;
-    state_.store(entered, std::memory_order_relaxed);
+  // The clock matters only to an open breaker's dwell.
+  const uint64_t now = breaker_.closed() ? 0 : MonotonicNowNs();
+  const CircuitBreaker::Admission admission = breaker_.Admit(options_, now);
+  if (admission == CircuitBreaker::Admission::kRejected) {
+    // Circuit open: drop immediately, never touch the dead sink. The ring
+    // still retains the record; only export is lost.
+    gave_up_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   // Half-open gets exactly one probe; closed gets the full retry budget.
-  const int attempts = entered == State::kHalfOpen ? 1 : options_.max_attempts;
+  const bool probe = admission == CircuitBreaker::Admission::kProbe;
+  const int attempts = probe ? 1 : options_.max_attempts;
   uint64_t backoff_ns = options_.backoff_initial_ns;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
@@ -224,20 +207,16 @@ void ResilientSink::Write(const AuditRecord& record) {
       backoff_ns = std::min(backoff_ns * 2, options_.backoff_max_ns);
     }
     if (TryOnce(record).ok()) {
-      consecutive_failures_ = 0;
+      breaker_.RecordSuccess(probe);
       written_.fetch_add(1, std::memory_order_relaxed);
-      if (entered == State::kHalfOpen) {
-        state_.store(State::kClosed, std::memory_order_relaxed);
-      }
       return;
     }
-    ++consecutive_failures_;
+    if (breaker_.RecordFailure(options_, probe, MonotonicNowNs()) !=
+        CircuitBreaker::Transition::kNone) {
+      break;  // the circuit opened: stop retrying a dead sink
+    }
   }
   gave_up_.fetch_add(1, std::memory_order_relaxed);
-  if (entered == State::kHalfOpen || consecutive_failures_ >= options_.trip_after) {
-    opened_at_ns_ = MonotonicNowNs();
-    state_.store(State::kOpen, std::memory_order_relaxed);
-  }
 }
 
 AuditMemoryRing::AuditMemoryRing(size_t capacity)
@@ -556,7 +535,7 @@ std::string AuditLog::sink_state() const {
   if (sink == nullptr) {
     return "none";
   }
-  return std::string(ResilientSink::StateName(sink->state()));
+  return std::string(CircuitBreaker::StateName(sink->state()));
 }
 
 uint64_t AuditLog::sink_retries() const {

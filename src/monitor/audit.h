@@ -44,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/circuit_breaker.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
 #include "src/dac/access_mode.h"
@@ -200,25 +201,27 @@ std::function<void(const AuditRecord&)> MakeMemoryRingSink(
 
 // Tuning for ResilientSink (MODEL.md §12). Defaults: up to 4 attempts per
 // record with 1ms→50ms capped exponential backoff ±50% jitter; 8 consecutive
-// failed attempts trip the circuit open; after 200ms an open circuit lets one
-// half-open probe through.
-struct ResilientSinkOptions {
+// failed attempts trip the circuit open (trip_after); after 200ms an open
+// circuit lets one half-open probe through (probe_after_ns). 0 in either
+// breaker field means never trip / never probe.
+struct ResilientSinkOptions : BreakerOptions {
+  ResilientSinkOptions() : BreakerOptions{8, 200'000'000} {}
+
   int max_attempts = 4;                     // per record, first try included
   uint64_t backoff_initial_ns = 1'000'000;  // 1 ms before the first retry
   uint64_t backoff_max_ns = 50'000'000;     // backoff doubles up to this cap
   uint32_t jitter_pct = 50;                 // backoff is jittered ± this %
-  uint32_t trip_after = 8;                  // consecutive failed attempts → open
-  uint64_t reopen_after_ns = 200'000'000;   // open → half-open probe interval
   uint64_t rng_seed = 0x5eed;               // jitter rng (deterministic)
 };
 
-// A circuit-breaking retry wrapper around a fallible sink. Closed: every
-// record is attempted up to max_attempts times with capped exponential
-// backoff + jitter. Open (tripped after trip_after consecutive failed
-// attempts): records are dropped immediately (counted in gave_up()) so a
-// dead sink cannot stall the audit pipeline; the ring still retains them.
-// Half-open: after reopen_after_ns one probe record is tried once — success
-// recloses the circuit, failure reopens it.
+// A retry wrapper around a fallible sink, behind a CircuitBreaker. Closed:
+// every record is attempted up to max_attempts times with capped
+// exponential backoff + jitter, and each failed attempt is reported to the
+// breaker. Open (trip_after consecutive failed attempts): retrying stops and
+// records are dropped immediately (counted in gave_up()) so a dead sink
+// cannot stall the audit pipeline; the ring still retains them. Half-open:
+// after probe_after_ns one probe record is tried once — success recloses
+// the circuit, failure reopens it.
 //
 // Write() must be externally serialized, which AuditLog::InstallResilientSink
 // guarantees (the log serializes the calls to each sink). The state/counter
@@ -227,7 +230,7 @@ struct ResilientSinkOptions {
 // fail-closed check.
 class ResilientSink {
  public:
-  enum class State : uint8_t { kClosed = 0, kOpen, kHalfOpen };
+  using State = CircuitBreaker::State;
 
   // The wrapped sink reports failure via Status so retries are possible
   // (the plain void AuditLog::Sink cannot).
@@ -239,14 +242,12 @@ class ResilientSink {
   // failpoint is evaluated on every attempt, before the inner sink.
   void Write(const AuditRecord& record);
 
-  State state() const { return state_.load(std::memory_order_relaxed); }
+  State state() const { return breaker_.state(); }
   bool healthy() const { return state() != State::kOpen; }
 
   uint64_t written() const { return written_.load(std::memory_order_relaxed); }
   uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
   uint64_t gave_up() const { return gave_up_.load(std::memory_order_relaxed); }
-
-  static std::string_view StateName(State state);
 
  private:
   Status TryOnce(const AuditRecord& record);
@@ -254,13 +255,10 @@ class ResilientSink {
   FallibleSink inner_;
   ResilientSinkOptions options_;
   Rng rng_;
-  std::atomic<State> state_{State::kClosed};
+  CircuitBreaker breaker_;  // mutated only inside Write (externally serialized)
   std::atomic<uint64_t> written_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> gave_up_{0};
-  // Touched only inside Write (externally serialized).
-  uint32_t consecutive_failures_ = 0;
-  uint64_t opened_at_ns_ = 0;
 };
 
 // Configuration for asynchronous audit delivery (AuditLog::StartDrain).

@@ -62,7 +62,7 @@ CacheStamps ReferenceMonitor::CurrentStampsFor(ShardId shard) const {
 }
 
 ShardId ReferenceMonitor::DomainOf(NodeId node) const {
-  return options_.shard_stamps ? name_space_->ShardOf(node) : kAggregateShard;
+  return name_space_->ShardOf(node);
 }
 
 const Acl* ReferenceMonitor::EffectiveAcl(NodeId node, AclStore::AclRef* ref_out) const {
@@ -271,11 +271,10 @@ bool ReferenceMonitor::PathEntryUsable(AccessModeSet modes, ShardId leaf_domain)
   // audit-availability override, or lockdown refusing this request's
   // extend. Without traversal checks the leaf's own entry is the whole path.
   // A hit counts every non-root step in the leaf's domain, as the walk does
-  // only while that domain is a concrete shard or sharding is off: a leaf
-  // past the published shard-id capacity reports the aggregate domain while
-  // its ancestors keep their shard.
-  return options_.cache_enabled && options_.check_traversal &&
-         (IsConcreteShard(leaf_domain) || !options_.shard_stamps) &&
+  // only while that domain is a concrete shard: a leaf past the published
+  // shard-id capacity reports the aggregate domain while its ancestors keep
+  // their shard.
+  return options_.cache_enabled && options_.check_traversal && IsConcreteShard(leaf_domain) &&
          !audit_.WouldRetain(true) && !audit_.SinkTripped() &&
          !(lockdown_.load(std::memory_order_relaxed) && modes.Contains(AccessMode::kExtend));
 }

@@ -80,14 +80,6 @@ struct MonitorOptions {
   // kAuditUnavailable denials instead of proceeding unaudited. Off by
   // default (fail-open: unaudited allows proceed and are counted).
   bool audit_required = false;
-  // Read the *target node's shard-local* stamp set (docs/MODEL.md §15)
-  // instead of the legacy aggregate stamps when validating cached
-  // decisions, so a mutation confined to one subtree invalidates
-  // only that shard. Disabling reverts to the aggregate domain everywhere —
-  // semantics are identical either way (the differential fuzzer runs the
-  // two configurations as an equivalence check), only invalidation breadth
-  // changes.
-  bool shard_stamps = true;
   size_t cache_slots = 8192;
   size_t audit_capacity = 4096;
 };
@@ -178,9 +170,10 @@ class ReferenceMonitor {
   void NotePolicyReload() { policy_epoch_.fetch_add(1, std::memory_order_release); }
   uint64_t policy_epoch() const { return policy_epoch_.load(std::memory_order_acquire); }
 
-  // The validity domain used to stamp decisions about `node`: its monitor
-  // shard, or kAggregateShard with shard_stamps off / for non-concrete
-  // shards (unknown node ids, the root). Lock-free.
+  // The validity domain used to stamp decisions about `node` (docs/MODEL.md
+  // §15): its monitor shard, so a mutation confined to one subtree
+  // invalidates only that shard's cached decisions, or kAggregateShard for
+  // non-concrete shards (unknown node ids, the root). Lock-free.
   ShardId DomainOf(NodeId node) const;
 
   // The stamp vector of one validity domain: the shard's own generations

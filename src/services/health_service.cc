@@ -127,6 +127,12 @@ StatusOr<NodeId> HealthService::EnsureLeaf(std::string_view name) {
     return InvalidArgumentError(
         StrFormat("'%s' is not a valid extension name", std::string(name).c_str()));
   }
+  // Only supervised names get a leaf. Binding any other name before the
+  // monitor's check would let every caller, denied or not, grow the name
+  // space by one node per fresh name.
+  if (!supervisor_->IsRegistered(name)) {
+    return NotFoundError(StrFormat("'%s' is not supervised", std::string(name).c_str()));
+  }
   std::string full = JoinPath(JoinPath(JoinPath(options_.mount_path, "ext"), name), "state");
   auto existing = kernel_->name_space().Lookup(full);
   if (existing.ok()) {

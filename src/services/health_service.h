@@ -94,7 +94,8 @@ class HealthService {
 
  private:
   // Resolves /sys/monitor/health/ext/<name>/state, binding it on first use
-  // (the stats plane usually beat us to it).
+  // (the stats plane usually beat us to it). kNotFound, binding nothing,
+  // when the supervisor has not registered `name`.
   StatusOr<NodeId> EnsureLeaf(std::string_view name);
 
   Kernel* kernel_;

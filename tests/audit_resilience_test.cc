@@ -25,7 +25,7 @@ ResilientSinkOptions FastOptions() {
   options.backoff_initial_ns = 1'000;
   options.backoff_max_ns = 4'000;
   options.trip_after = 4;
-  options.reopen_after_ns = 2'000'000;  // 2 ms
+  options.probe_after_ns = 2'000'000;  // 2 ms
   return options;
 }
 
@@ -69,7 +69,7 @@ TEST_F(AuditResilienceTest, SuccessResetsTheConsecutiveFailureBudget) {
 TEST_F(AuditResilienceTest, CircuitOpensAfterConsecutiveFailuresAndDropsFast) {
   int calls = 0;
   ResilientSinkOptions options = FastOptions();
-  options.reopen_after_ns = 60'000'000'000;  // never half-opens in this test
+  options.probe_after_ns = 60'000'000'000;  // never half-opens in this test
   ResilientSink sink([&calls](const AuditRecord&) -> Status {
     ++calls;
     return InternalError("sink is down");
@@ -210,7 +210,7 @@ TEST_F(AuditResilienceTest, SinkHealthIsMountedInTheStatsTree) {
   EXPECT_EQ(*state, "none");
 
   ResilientSinkOptions options = FastOptions();
-  options.reopen_after_ns = 60'000'000'000;
+  options.probe_after_ns = 60'000'000'000;
   auto sink = std::make_shared<ResilientSink>(
       [](const AuditRecord&) -> Status { return InternalError("down"); }, options);
   sys.monitor().audit().InstallResilientSink(sink);

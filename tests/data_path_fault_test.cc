@@ -206,7 +206,7 @@ TEST_F(NdjsonDiskFullTest, FullDiskTripsTheResilientSinkFailClosed) {
   options.max_attempts = 1;
   options.backoff_initial_ns = 1'000;
   options.trip_after = 2;
-  options.reopen_after_ns = 60'000'000'000;  // stays open for this test
+  options.probe_after_ns = 60'000'000'000;  // stays open for this test
   auto sink = std::make_shared<ResilientSink>(MakeRotatingNdjsonFallibleSink(rotator),
                                               options);
   log.InstallResilientSink(sink);
@@ -244,7 +244,7 @@ TEST_F(NdjsonDiskFullTest, FailedReopenAfterRotationTripsTheResilientSinkFailClo
   options.max_attempts = 1;
   options.backoff_initial_ns = 1'000;
   options.trip_after = 2;
-  options.reopen_after_ns = 60'000'000'000;  // stays open for this test
+  options.probe_after_ns = 60'000'000'000;  // stays open for this test
   auto sink = std::make_shared<ResilientSink>(MakeRotatingNdjsonFallibleSink(rotator),
                                               options);
   audit.InstallResilientSink(sink);

@@ -100,26 +100,19 @@ struct Counters {
 };
 
 TEST_F(ReferenceMonitorPathEntryTest, ServedEntryCountsExactlyLikeTheWalk) {
-  for (bool shard_stamps : {true, false}) {
-    SCOPED_TRACE(shard_stamps ? "shard stamps" : "aggregate stamps");
-    MonitorOptions options;
-    options.shard_stamps = shard_stamps;
-    auto cached = Monitor(options);
-    MonitorOptions off = CacheOff();
-    off.shard_stamps = shard_stamps;
-    auto walk = Monitor(off);
-    for (int call = 0; call < 6; ++call) {
-      for (AccessModeSet modes : {AccessModeSet(AccessMode::kExecute), CallerModes()}) {
-        uint64_t hits = cached->cache().hits();
-        NodeId resolved;
-        Decision d = cached->CheckPath(User(0), kLeafPath, modes, &resolved);
-        ASSERT_TRUE(d.allowed);
-        EXPECT_EQ(resolved, leaf_);
-        ASSERT_TRUE(walk->CheckPath(User(0), kLeafPath, modes).allowed);
-        Counters(*cached).ExpectEqual(Counters(*walk));
-        if (call >= 1) {
-          EXPECT_EQ(cached->cache().hits(), hits + 1) << "a served entry is one probe";
-        }
+  auto cached = Monitor(MonitorOptions{});
+  auto walk = Monitor(CacheOff());
+  for (int call = 0; call < 6; ++call) {
+    for (AccessModeSet modes : {AccessModeSet(AccessMode::kExecute), CallerModes()}) {
+      uint64_t hits = cached->cache().hits();
+      NodeId resolved;
+      Decision d = cached->CheckPath(User(0), kLeafPath, modes, &resolved);
+      ASSERT_TRUE(d.allowed);
+      EXPECT_EQ(resolved, leaf_);
+      ASSERT_TRUE(walk->CheckPath(User(0), kLeafPath, modes).allowed);
+      Counters(*cached).ExpectEqual(Counters(*walk));
+      if (call >= 1) {
+        EXPECT_EQ(cached->cache().hits(), hits + 1) << "a served entry is one probe";
       }
     }
   }
@@ -208,7 +201,7 @@ TEST_F(ReferenceMonitorPathEntryTest, WalkRunsWhereItsRecordsOrOverridesDiffer) 
   ResilientSinkOptions sink_options;
   sink_options.max_attempts = 1;
   sink_options.trip_after = 1;
-  sink_options.reopen_after_ns = 0;
+  sink_options.probe_after_ns = 0;
   for (ReferenceMonitor* m : {cached.get(), walk.get()}) {
     m->audit().set_required(true);
     m->audit().InstallResilientSink(std::make_shared<ResilientSink>(

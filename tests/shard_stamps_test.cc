@@ -1,6 +1,7 @@
 // Sharded stamp domains (docs/MODEL.md §15): shard assignment and
-// inheritance, per-shard generation bumps, cross-shard cache isolation,
-// the domain field's anti-aliasing role, and shard-local interning.
+// inheritance, per-shard generation bumps, cross-shard cache isolation
+// (down to a kernel loading and unloading code), the domain field's
+// anti-aliasing role, and shard-local ACL interning.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +10,8 @@
 #include <vector>
 
 #include "src/base/shard.h"
+#include "src/core/secure_system.h"
 #include "src/monitor/reference_monitor.h"
-#include "src/principal/intern_pool.h"
 
 namespace xsec {
 namespace {
@@ -119,10 +120,9 @@ TEST(ShardStampsTest, AclStoreTagsNarrowOnceAndEscalateOnSharing) {
 // Monitor layer: cross-shard isolation of cached decisions.
 
 struct ShardedMonitorFixture {
-  explicit ShardedMonitorFixture(bool shard_stamps = true) {
+  ShardedMonitorFixture() {
     MonitorOptions options;
     options.audit_policy = AuditPolicy::kOff;
-    options.shard_stamps = shard_stamps;
     monitor = std::make_unique<ReferenceMonitor>(&ns, &acls, &principals, &labels, options);
     user = *principals.CreateUser("u");
     auto [name_a, name_b] = TwoShardNames();
@@ -166,15 +166,37 @@ TEST(ShardStampsTest, CrossShardMutationKeepsCacheEntriesValid) {
   EXPECT_EQ(f.monitor->cache().stale_hits(), stale + 1);
 }
 
-TEST(ShardStampsTest, ShardStampsOffRevertsToAggregateInvalidation) {
-  ShardedMonitorFixture f(/*shard_stamps=*/false);
-  EXPECT_TRUE(f.monitor->Check(f.subject, f.obj_b, AccessMode::kRead).allowed);
-  uint64_t stale = f.monitor->cache().stale_hits();
-  // In the aggregate domain ANY mutation invalidates everything — the
-  // legacy behavior the option preserves.
-  ASSERT_TRUE(f.ns.SetOwner(f.obj_a, f.user).ok());
-  EXPECT_TRUE(f.monitor->Check(f.subject, f.obj_b, AccessMode::kRead).allowed);
-  EXPECT_EQ(f.monitor->cache().stale_hits(), stale + 1);
+// What the shards buy end to end: linking and unlinking code under /ext
+// leaves the cached decisions about /svc valid. In one aggregate domain
+// every load and every unload would stale them, which is what halved
+// e2ebench's extension_churn with the domains off (EXPERIMENTS.md F16).
+TEST(ShardStampsTest, ExtensionLoadAndUnloadKeepSvcDecisionsCached) {
+  SecureSystem sys;
+  PrincipalId dev = *sys.CreateUser("dev");
+  Subject dev_s = sys.Login(dev, sys.labels().Bottom());
+  ASSERT_TRUE(sys.kernel()
+                  .RegisterProcedure("/svc/app/op", sys.system_principal(),
+                                     [](CallContext&) -> StatusOr<Value> { return Value{true}; })
+                  .ok());
+  ReferenceMonitor& monitor = sys.monitor();
+  NodeId op;
+  ASSERT_TRUE(monitor.CheckPath(dev_s, "/svc/app/op", AccessMode::kExecute, &op).allowed);
+  ASSERT_TRUE(monitor.CheckPath(dev_s, "/svc/app/op", AccessMode::kExecute).allowed);  // warm
+  const uint64_t stale = monitor.cache().stale_hits();
+
+  ExtensionManifest manifest;
+  manifest.name = "churner";
+  manifest.imports = {"/svc/app/op"};
+  auto id = sys.LoadExtension(manifest, dev_s);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  NodeId ext = *sys.name_space().Lookup("/ext/churner");
+  ASSERT_NE(sys.name_space().ShardOf(ext), sys.name_space().ShardOf(op));
+  ASSERT_TRUE(sys.UnloadExtension(dev_s, *id).ok());
+
+  const uint64_t hits = monitor.cache().hits();
+  EXPECT_TRUE(monitor.CheckPath(dev_s, "/svc/app/op", AccessMode::kExecute).allowed);
+  EXPECT_EQ(monitor.cache().hits(), hits + 1) << "the warm path entry was served";
+  EXPECT_EQ(monitor.cache().stale_hits(), stale) << "load/unload staled a /svc decision";
 }
 
 TEST(ShardStampsTest, PerShardCheckCountersFeedTelemetry) {
@@ -227,36 +249,6 @@ TEST(ShardStampsTest, BindPathIntermediatesInheritEnclosingOwner) {
 
 // ---------------------------------------------------------------------------
 // Shard-local interning.
-
-TEST(ShardInternTest, PrincipalInternPoolDedupsIntoDenseIds) {
-  PrincipalInternPool pool;
-  uint32_t a = pool.Intern("alice");
-  uint32_t b = pool.Intern("bob");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.Intern("alice"), a);
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.NameOf(a), "alice");
-  EXPECT_EQ(pool.NameOf(b), "bob");
-  EXPECT_EQ(pool.Find("bob"), b);
-  EXPECT_EQ(pool.Find("carol"), UINT32_MAX);
-  EXPECT_EQ(pool.NameOf(99), std::string_view());
-}
-
-TEST(ShardInternTest, NameArenaViewsStayStableAcrossChunkGrowth) {
-  PrincipalInternPool pool;
-  std::vector<uint32_t> ids;
-  // Enough bytes to cross several 64KB chunks; every earlier view must
-  // survive later growth (that is the arena's whole contract).
-  for (int i = 0; i < 5000; ++i) {
-    ids.push_back(pool.Intern("principal-" + std::to_string(i) + std::string(32, 'x')));
-  }
-  // An oversized name gets a dedicated chunk without corrupting packing.
-  uint32_t big = pool.Intern(std::string(200 * 1024, 'y'));
-  EXPECT_EQ(pool.NameOf(ids[0]), "principal-0" + std::string(32, 'x'));
-  EXPECT_EQ(pool.NameOf(ids[4999]), "principal-4999" + std::string(32, 'x'));
-  EXPECT_EQ(pool.NameOf(big).size(), 200u * 1024);
-  EXPECT_EQ(pool.size(), 5001u);
-}
 
 TEST(ShardInternTest, AclStoreSharesIdenticalEntryListsWithinShard) {
   AclStore acls;

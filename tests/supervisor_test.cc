@@ -284,6 +284,26 @@ TEST_F(QuarantineTest, MediatedReleaseRestoresServiceAndIsAccessChecked) {
   EXPECT_EQ(supervisor_->Snapshot("victim")->releases, 1u);
 }
 
+TEST_F(QuarantineTest, UnsupervisedNamesBindNoHealthLeaf) {
+  // A caller the health mount denies, naming extensions nobody supervises:
+  // every call is kNotFound and the name space does not grow.
+  const size_t nodes_before = sys_->name_space().node_count();
+  const char* procedures[] = {"/svc/health/read", "/svc/health/release",
+                              "/svc/health/quarantine"};
+  for (int i = 0; i < 1000; ++i) {
+    auto result = sys_->Invoke(dev_s_, procedures[i % 3],
+                               {Value{"ghost-" + std::to_string(i)}});
+    ASSERT_EQ(result.status().code(), StatusCode::kNotFound) << result.status().ToString();
+  }
+  EXPECT_EQ(sys_->name_space().node_count(), nodes_before);
+
+  // A supervised name still resolves its leaf, and the denied caller is
+  // refused by the monitor.
+  Load("known", [](CallContext&) -> StatusOr<Value> { return Value{true}; });
+  auto denied = sys_->Invoke(dev_s_, "/svc/health/read", {Value{std::string("known")}});
+  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
+}
+
 TEST_F(QuarantineTest, HealthTelemetryIsMountedAndMediated) {
   Load("seen", [](CallContext&) -> StatusOr<Value> { return Value{true}; });
   ASSERT_TRUE(supervisor_->Quarantine("seen", "test").ok());
