@@ -77,11 +77,10 @@ CircuitBreaker::State CircuitBreaker::ForceOpen(uint64_t now_ns) {
 }
 
 CircuitBreaker::State CircuitBreaker::Reset() {
+  // No failure count to clear: failures are counted only while closed, and
+  // Open() zeroed it.
   State found = state();
-  if (found != State::kClosed) {
-    consecutive_failures_ = 0;
-    state_.store(State::kClosed, std::memory_order_relaxed);
-  }
+  state_.store(State::kClosed, std::memory_order_relaxed);
   return found;
 }
 

@@ -174,20 +174,17 @@ StatusOr<ExtensionSupervisor::Permit> ExtensionSupervisor::Admit(std::string_vie
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     const ExtensionBudget& budget = entry->budget;
-    // The clock is read only when something needs it: an open breaker's
-    // dwell, or the budget deadline.
-    const uint64_t now = entry->breaker.closed() && budget.invoke_budget_ns == 0
-                             ? 0
-                             : MonotonicNowNs();
+    // The clock is read only for an open breaker's dwell or a budget deadline.
+    const uint64_t now =
+        entry->breaker.closed() && budget.invoke_budget_ns == 0 ? 0 : MonotonicNowNs();
     const CircuitBreaker::Admission admission = entry->breaker.Admit(budget, now);
     if (admission == CircuitBreaker::Admission::kRejected) {
       entry->rejected.fetch_add(1, std::memory_order_relaxed);
       // Half-open: one probe at a time; everyone else keeps failing fast
       // until it reports back.
-      return UnavailableError(
-          entry->breaker.state() == CircuitBreaker::State::kHalfOpen
-              ? StrFormat("extension '%s' is quarantined (probe in flight)", entry->name.c_str())
-              : StrFormat("extension '%s' is quarantined", entry->name.c_str()));
+      const bool probing = entry->breaker.state() == CircuitBreaker::State::kHalfOpen;
+      return UnavailableError(StrFormat("extension '%s' is quarantined%s", entry->name.c_str(),
+                                        probing ? " (probe in flight)" : ""));
     }
     // A probe admission IS the probe deciding the circuit.
     probe = admission == CircuitBreaker::Admission::kProbe;

@@ -92,10 +92,8 @@ enum class SystemHealth : uint8_t {
 
 std::string_view SystemHealthName(SystemHealth state);
 
-// The breaker half (BreakerOptions): trip_after consecutive failures
-// (timeouts, internal errors, unavailability) quarantine the extension;
-// after probe_after_ns of quarantine ONE half-open probe is admitted.
-// Defaults 4 and 100 ms; 0 means never trip / never probe.
+// The BreakerOptions base (trip after 4 failures, probe after 100 ms; 0 =
+// never) counts timeouts, internal errors and unavailability as failures.
 struct ExtensionBudget : BreakerOptions {
   // Wall-clock bound per supervised invocation, folded into the handler's
   // CallContext deadline (min with the caller's own). 0 = unbounded.
@@ -240,8 +238,7 @@ class ExtensionSupervisor {
     NodeId node;
     Failpoint* fault = nullptr;  // ext.invoke.<name>, resolved at Register
     mutable std::mutex mu;
-    // Guarded by mu (the breaker has no lock of its own; its state() may be
-    // read without mu):
+    // Guarded by mu (the breaker has no lock of its own):
     ExtensionBudget budget;
     CircuitBreaker breaker;
     uint32_t inflight = 0;

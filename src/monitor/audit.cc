@@ -176,11 +176,6 @@ ResilientSink::ResilientSink(FallibleSink inner, ResilientSinkOptions options)
   }
 }
 
-Status ResilientSink::TryOnce(const AuditRecord& record) {
-  XSEC_FAILPOINT("audit.sink.write");
-  return inner_(record);
-}
-
 void ResilientSink::Write(const AuditRecord& record) {
   // The clock matters only to an open breaker's dwell.
   const uint64_t now = breaker_.closed() ? 0 : MonotonicNowNs();
@@ -206,7 +201,7 @@ void ResilientSink::Write(const AuditRecord& record) {
       }
       backoff_ns = std::min(backoff_ns * 2, options_.backoff_max_ns);
     }
-    if (TryOnce(record).ok()) {
+    if (!XSEC_FAILPOINT_FIRED("audit.sink.write") && inner_(record).ok()) {
       breaker_.RecordSuccess(probe);
       written_.fetch_add(1, std::memory_order_relaxed);
       return;

@@ -250,8 +250,6 @@ class ResilientSink {
   uint64_t gave_up() const { return gave_up_.load(std::memory_order_relaxed); }
 
  private:
-  Status TryOnce(const AuditRecord& record);
-
   FallibleSink inner_;
   ResilientSinkOptions options_;
   Rng rng_;

@@ -199,8 +199,9 @@ int main(int argc, char** argv) {
   if (sink) {
     if (resilient) {
       // The stream sink itself does not fail; failures come from the
-      // audit.sink.write failpoint inside ResilientSink::TryOnce, which is
-      // the point of the flag: drive retry/circuit behavior from the CLI.
+      // audit.sink.write failpoint ResilientSink::Write evaluates before
+      // each attempt, which is the point of the flag: drive retry/circuit
+      // behavior from the CLI.
       auto wrapped = std::make_shared<xsec::ResilientSink>(
           [sink](const xsec::AuditRecord& record) -> xsec::Status {
             sink(record);
