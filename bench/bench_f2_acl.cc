@@ -103,7 +103,7 @@ void BM_GroupClosureCold(benchmark::State& state) {
       prev = group;
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(registry.MembershipClosure(user));
+    benchmark::DoNotOptimize(registry.Closure(user));
   }
 }
 BENCHMARK(BM_GroupClosureCold)->RangeMultiplier(4)->Range(1, 256);
@@ -117,9 +117,9 @@ void BM_GroupClosureCached(benchmark::State& state) {
     (void)registry.AddMember(group, prev);
     prev = group;
   }
-  (void)registry.MembershipClosure(user);  // warm
+  (void)registry.Closure(user);  // warm
   for (auto _ : state) {
-    benchmark::DoNotOptimize(registry.MembershipClosure(user));
+    benchmark::DoNotOptimize(registry.Closure(user));
   }
 }
 BENCHMARK(BM_GroupClosureCached)->RangeMultiplier(4)->Range(1, 256);

@@ -20,7 +20,11 @@
 #
 # Report. Per end-to-end metric of BENCHMARK.json: the change/parent ratio of
 # the pair medians, the pairs the change won (in the metric's better
-# direction) and the parent's IQR/median; then the audit_lag_p50/p99_us
+# direction), the parent's IQR/median and a verdict against the metric's
+# `bound`: `worse` when the change's median is worse than the parent's by
+# more than the bound, `unresolved` when the parent's IQR/median exceeds the
+# bound and not every change run beats every parent run, else `ok`; then the
+# audit_lag_p50/p99_us
 # medians of both sides, failed ops, and the median spread of each side's
 # 100-ms slices ((p75-p25)/p50 of the `slices` line: a slow phase shows as
 # all of a run's slices low, not as a wide spread). One JSON line per
@@ -53,7 +57,7 @@ while [[ $# -gt 0 ]]; do
     --out) OUT="$2"; shift 2 ;;
     --no-history) HISTORY=0; shift ;;
     --change-first) FLIP=1; shift ;;
-    -h|--help) sed -n '2,30p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,35p' "$0"; exit 0 ;;
     *) echo "bench_ab: unknown argument $1" >&2; exit 2 ;;
   esac
 done
@@ -168,8 +172,8 @@ for workload in workloads:
         sides[side] = [parse(os.path.join(runs, "%s.%s.%d.txt" % (workload, side, i)))
                        for i in range(1, pairs + 1)]
     print("\n== %s: %d pairs x %ss (change/parent) ==" % (workload, pairs, seconds))
-    print("%-14s %12s %12s %8s %6s %14s" % ("metric", "parent p50", "change p50", "ratio",
-                                             "won", "parent IQR/p50"))
+    print("%-14s %12s %12s %8s %6s %14s  %s" % ("metric", "parent p50", "change p50", "ratio",
+                                                 "won", "parent IQR/p50", "verdict"))
     record = {
         "date": datetime.date.today().isoformat(), "workload": workload,
         "parent": parent_id, "change": change_id, "pairs": pairs, "seconds": float(seconds),
@@ -186,11 +190,26 @@ for workload in workloads:
         q1, med, q3 = quartiles(p)
         iqr = (q3 - q1) / med if med else 0.0
         ratio = statistics.median(ratios) if ratios else float("nan")
-        print("%-14s %12.6g %12.6g %7.3fx %3d/%-2d %14.3f" % (
-            name, med, statistics.median(c), ratio, won, pairs, iqr))
+        change_med = statistics.median(c)
+        bound = metric["bound"]
+        if higher:
+            worse = change_med < med * (1 - bound)
+            beats_all = min(c) > max(p)
+        else:
+            worse = change_med > med * (1 + bound)
+            beats_all = max(c) < min(p)
+        if worse:
+            verdict = "worse"
+        elif iqr > bound and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        print("%-14s %12.6g %12.6g %7.3fx %3d/%-2d %14.3f  %s (bound %g)" % (
+            name, med, change_med, ratio, won, pairs, iqr, verdict, bound))
         record["metrics"][name] = {
-            "parent_median": med, "change_median": statistics.median(c),
+            "parent_median": med, "change_median": change_med,
             "ratio_median": round(ratio, 4), "won": won, "parent_iqr_over_median": round(iqr, 4),
+            "bound": bound, "verdict": verdict,
         }
     for name in LAGS:
         values = {}

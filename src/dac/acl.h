@@ -88,7 +88,7 @@ class Acl {
   const std::shared_ptr<const EntryList>& shared_entries() const { return entries_; }
 
   // Core evaluation. `closure` is the subject's membership closure (bitset
-  // over principal ids; see PrincipalRegistry::MembershipClosure).
+  // over principal ids; see PrincipalRegistry::Closure).
   AclVerdict Evaluate(const DynamicBitset& closure, AccessModeSet requested) const;
 
   // The full set of modes the subject holds under this ACL.

@@ -139,7 +139,7 @@ void NdjsonFileRotator::Write(const AuditRecord& record) {
     // Short write: truncate the torn suffix back off so the file ends on
     // the last complete line (bytes_ is the pre-write size, which is by
     // construction a whole-line boundary), then drop this record from
-    // export. The in-memory ring still retains it.
+    // export. The log's ring still retains it.
     ++write_failures_;
     std::fflush(out_);
     (void)ftruncate(fileno(out_), static_cast<off_t>(bytes_));
@@ -214,43 +214,11 @@ void ResilientSink::Write(const AuditRecord& record) {
   gave_up_.fetch_add(1, std::memory_order_relaxed);
 }
 
-AuditMemoryRing::AuditMemoryRing(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void AuditMemoryRing::Write(const AuditRecord& record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() >= capacity_) {
-    ring_.pop_front();
-  }
-  ring_.push_back(record);
-  ++total_;
-}
-
-std::vector<AuditRecord> AuditMemoryRing::records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<AuditRecord>(ring_.begin(), ring_.end());
-}
-
-uint64_t AuditMemoryRing::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-size_t AuditMemoryRing::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-std::function<void(const AuditRecord&)> MakeMemoryRingSink(
-    std::shared_ptr<AuditMemoryRing> ring) {
-  return [ring](const AuditRecord& record) { ring->Write(record); };
-}
-
-// A registered sink and its cursor into the delivery log. `mu` serializes
-// delivery to this sink and guards `batch` and `spent`; `next` advances only
-// under it, and is atomic so other cursors' deliveries and the delivery
-// thread's wake predicate can read it under AuditLog::mu_. `end` is written
-// under both `mu` and AuditLog::mu_, so either lock reads it; `stop` is
+// A registered sink and its cursor into the ring. `mu` serializes delivery
+// to this sink and guards `batch`; `next` advances only under it, and is
+// atomic so other cursors' deliveries and the delivery thread's wake
+// predicate can read it under AuditLog::mu_. `end` is written under
+// AuditLog::mu_ and atomic so Flush can read it under `mu`; `stop` is
 // guarded by AuditLog::mu_ and `thread` by AuditLog::ctl_mu_.
 struct AuditLog::Cursor {
   uint64_t id = 0;
@@ -261,56 +229,43 @@ struct AuditLog::Cursor {
   std::condition_variable advanced;  // wakes Flush waiters
   std::atomic<uint64_t> next{0};     // the next sequence this sink is owed
   std::vector<RecordPtr> batch;      // records gathered for the sink
-  std::vector<RecordPtr> spent;      // log slots released, freed off mu_
 
-  uint64_t end = UINT64_MAX;  // one past the last sequence owed, once removed
-  bool stop = false;          // the delivery thread's final pass is due
+  // One past the last sequence owed, once removed.
+  std::atomic<uint64_t> end{UINT64_MAX};
+  bool stop = false;  // the delivery thread's final pass is due
   std::thread thread;
 
   std::atomic<uint64_t> delivered{0};
   std::atomic<uint64_t> dropped{0};
 };
 
-void AuditLog::RingInsertLocked(AuditRecord record) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
-  } else if (capacity_ > 0) {
-    // Full: overwrite the oldest record (at head_) and advance.
-    ring_[head_] = std::move(record);
-    head_ = (head_ + 1) % capacity_;
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void AuditLog::Record(AuditRecord record) {
   if (!WouldRetain(record.allowed)) {
     return;
   }
+  // The one allocation the record lives in, made before taking mu_.
+  auto stored = std::make_shared<AuditRecord>(std::move(record));
   RecordPtr evicted;  // destroyed after mu_ is released
   std::shared_ptr<const CursorList> deliver;
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    record.sequence = next_sequence_++;
-    if (!record.allowed) {
+    stored->sequence = next_sequence_++;
+    if (!stored->allowed) {
       total_denials_.fetch_add(1, std::memory_order_relaxed);
     }
+    evicted = std::exchange(ring_[stored->sequence % ring_.size()], std::move(stored));
     if (!cursors_->empty()) {
-      evicted = std::exchange(log_[record.sequence % log_.size()],
-                              std::make_shared<const AuditRecord>(record));
       if (draining_) {
         // A lingering delivery thread finds this record on its next poll
         // unprompted; only a parked one needs the wake. So does a backlog
-        // of half the log (released_ never passes the slowest cursor), so
-        // that a burst cannot overrun the log between two polls.
-        wake = parked_ > 0 || next_sequence_ - released_ >= log_.size() / 2;
+        // of half the ring behind the slowest cursor, so that a burst
+        // cannot overrun the ring between two polls.
+        wake = parked_ > 0 || next_sequence_ - slowest_ >= ring_.size() / 2;
       } else {
         deliver = cursors_;
       }
     }
-    RingInsertLocked(std::move(record));
   }
   if (wake) {
     work_cv_.notify_all();
@@ -323,41 +278,28 @@ void AuditLog::Record(AuditRecord record) {
 
 uint64_t AuditLog::GatherLocked(Cursor* cursor) {
   uint64_t next = cursor->next.load(std::memory_order_relaxed);
-  uint64_t head = std::min(next_sequence_, cursor->end);
-  // Records older than the log's window were overwritten before this sink
-  // reached them; inside it, a slot holding another sequence was too.
-  uint64_t oldest = next_sequence_ - std::min<uint64_t>(next_sequence_, log_.size());
-  uint64_t lost = 0;
+  uint64_t head = std::min(next_sequence_, cursor->end.load(std::memory_order_relaxed));
+  // Records older than the ring's window were overwritten before this sink
+  // reached them.
+  uint64_t oldest = std::min(OldestLocked(), head);
   if (next < oldest) {
-    lost = std::min(oldest, head) - next;
-    next = std::min(oldest, head);
+    cursor->dropped.fetch_add(oldest - next, std::memory_order_relaxed);
+    next = oldest;
   }
   for (uint64_t seq = next; seq < head; ++seq) {
-    const RecordPtr& slot = log_[seq % log_.size()];
-    if (slot != nullptr && slot->sequence == seq) {
-      cursor->batch.push_back(slot);
-    } else {
-      ++lost;
-    }
+    cursor->batch.push_back(ring_[seq % ring_.size()]);
   }
-  cursor->dropped.fetch_add(lost, std::memory_order_relaxed);
-  // Release the slots every registered sink has now passed, so the log holds
-  // only records some sink is still owed.
-  uint64_t passed = head;
+  uint64_t slowest = head;
   for (const std::shared_ptr<Cursor>& other : *cursors_) {
     if (other.get() != cursor) {
-      passed = std::min(passed, other->next.load(std::memory_order_relaxed));
+      slowest = std::min(slowest, other->next.load(std::memory_order_relaxed));
     }
   }
-  for (uint64_t seq = std::max(released_, oldest); seq < passed; ++seq) {
-    cursor->spent.push_back(std::move(log_[seq % log_.size()]));
-  }
-  released_ = std::max(released_, passed);
+  slowest_ = std::max(slowest_, slowest);
   return head;
 }
 
 void AuditLog::HandOver(Cursor* cursor, uint64_t head) {
-  cursor->spent.clear();
   for (const RecordPtr& record : cursor->batch) {
     // An injected failure skips this record for this sink only: a gap in its
     // stream, never a reordering.
@@ -385,14 +327,14 @@ void AuditLog::Deliver(Cursor* cursor) {
 
 void AuditLog::SinkLoop(Cursor* cursor) {
   const auto ready = [this, cursor] {
-    return cursor->stop ||
-           cursor->next.load(std::memory_order_relaxed) < std::min(next_sequence_, cursor->end);
+    uint64_t head = std::min(next_sequence_, cursor->end.load(std::memory_order_relaxed));
+    return cursor->stop || cursor->next.load(std::memory_order_relaxed) < head;
   };
   for (;;) {
     bool stop;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      // Linger: poll the log every kLingerPeriod, so that recorders append
+      // Linger: poll the ring every kLingerPeriod, so that recorders store
       // without waking this thread while records keep coming. Park (and be
       // woken by Record) only after kLingerRounds empty polls, so an idle
       // log costs no timer wakeups.
@@ -406,7 +348,7 @@ void AuditLog::SinkLoop(Cursor* cursor) {
       }
       stop = cursor->stop;
     }
-    Deliver(cursor);  // on stop, the final pass hands over everything appended
+    Deliver(cursor);  // on stop, the final pass hands over everything stored
     if (stop) {
       return;
     }
@@ -419,51 +361,20 @@ void AuditLog::StartThreadLocked(const std::shared_ptr<Cursor>& cursor) {
   cursor->thread = std::thread([this, raw = cursor.get()] { SinkLoop(raw); });
 }
 
-void AuditLog::ResizeLogLocked(size_t capacity) {
-  if (log_.size() == capacity) {
-    return;
-  }
-  std::vector<RecordPtr> log(capacity);
-  for (RecordPtr& record : log_) {
-    if (record != nullptr && next_sequence_ - record->sequence <= capacity) {
-      log[record->sequence % capacity] = std::move(record);
-    }
-  }
-  log_.swap(log);
-}
-
 uint64_t AuditLog::SwapSink(uint64_t remove_id, std::string name, Sink sink, bool* removed) {
   std::shared_ptr<Cursor> gone;
-  if (remove_id != 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
-      if (cursor->id == remove_id) {
-        gone = cursor;
-      }
-    }
-  }
-  // Registration changes only under ctl_mu_, so `gone` stays registered
-  // until the swap below. Holding its mutex across the swap lets the swap
-  // gather everything it is owed before another sink's delivery can
-  // release those log slots.
-  std::unique_lock<std::mutex> serialize;
-  if (gone != nullptr) {
-    serialize = std::unique_lock<std::mutex>(gone->mu);
-  }
   uint64_t id = 0;
-  uint64_t head = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto cursors = std::make_shared<CursorList>();
     for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
-      if (cursor != gone) {
+      if (cursor->id == remove_id) {
+        gone = cursor;
+        gone->end.store(next_sequence_, std::memory_order_relaxed);
+        gone->stop = true;
+      } else {
         cursors->push_back(cursor);
       }
-    }
-    if (gone != nullptr) {
-      gone->end = next_sequence_;
-      gone->stop = true;
-      head = GatherLocked(gone.get());
     }
     if (sink) {
       auto cursor = std::make_shared<Cursor>();
@@ -471,9 +382,6 @@ uint64_t AuditLog::SwapSink(uint64_t remove_id, std::string name, Sink sink, boo
       cursor->name = std::move(name);
       cursor->sink = std::move(sink);
       cursor->next.store(next_sequence_, std::memory_order_relaxed);
-      if (log_.empty()) {
-        ResizeLogLocked(log_capacity_);
-      }
       if (draining_) {
         StartThreadLocked(cursor);
       }
@@ -485,8 +393,7 @@ uint64_t AuditLog::SwapSink(uint64_t remove_id, std::string name, Sink sink, boo
     *removed = gone != nullptr;
   }
   if (gone != nullptr) {
-    HandOver(gone.get(), head);  // everything it is owed
-    serialize.unlock();
+    Deliver(gone.get());  // everything it is owed
     work_cv_.notify_all();
     if (gone->thread.joinable()) {
       gone->thread.join();  // its final pass finds nothing left
@@ -543,15 +450,11 @@ uint64_t AuditLog::sink_gave_up() const {
   return sink == nullptr ? 0 : sink->gave_up();
 }
 
-void AuditLog::StartDrain(AuditDrainOptions options) {
+void AuditLog::StartDrain() {
   std::lock_guard<std::mutex> control(ctl_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_) {
     return;
-  }
-  log_capacity_ = std::max<size_t>(options.queue_capacity, 1);
-  if (!log_.empty()) {
-    ResizeLogLocked(log_capacity_);
   }
   draining_ = true;
   for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
@@ -605,7 +508,8 @@ void AuditLog::Flush() {
   for (const std::shared_ptr<Cursor>& cursor : *cursors) {
     std::unique_lock<std::mutex> lock(cursor->mu);
     cursor->advanced.wait(lock, [&cursor, head] {
-      return cursor->next.load(std::memory_order_relaxed) >= std::min(head, cursor->end);
+      return cursor->next.load(std::memory_order_relaxed) >=
+             std::min(head, cursor->end.load(std::memory_order_relaxed));
     });
   }
 }
@@ -643,49 +547,41 @@ std::vector<AuditSinkStats> AuditLog::SinkStats() const {
   return out;
 }
 
-template <typename Visit>
-void AuditLog::ForEachLocked(Visit visit) const {
-  for (size_t i = head_; i < ring_.size(); ++i) {
-    visit(ring_[i]);
-  }
-  for (size_t i = 0; i < head_; ++i) {
-    visit(ring_[i]);
-  }
-}
-
 size_t AuditLog::retained() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
+  return next_sequence_ - FirstRetainedLocked();
+}
+
+uint64_t AuditLog::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FirstRetainedLocked() - cleared_;
 }
 
 std::vector<AuditRecord> AuditLog::records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AuditRecord> out;
-  out.reserve(ring_.size());
-  ForEachLocked([&out](const AuditRecord& r) { out.push_back(r); });
-  return out;
+  return Query([](const AuditRecord&) { return true; });
 }
 
 std::vector<AuditRecord> AuditLog::Query(
     const std::function<bool(const AuditRecord&)>& pred) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<AuditRecord> out;
-  ForEachLocked([&out, &pred](const AuditRecord& r) {
-    if (pred(r)) {
-      out.push_back(r);
+  for (uint64_t seq = FirstRetainedLocked(); seq < next_sequence_; ++seq) {
+    const AuditRecord& record = *ring_[seq % ring_.size()];
+    if (pred(record)) {
+      out.push_back(record);
     }
-  });
+  }
   return out;
 }
 
 void AuditLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  head_ = 0;
-  // next_sequence_ deliberately survives: resetting it would reissue ids
-  // already written to rotated NDJSON files, breaking dedup by `seq`.
+  // A watermark, not a wipe: the records stay in the ring for the sinks
+  // still owed them. next_sequence_ deliberately survives: resetting it
+  // would reissue ids already written to rotated NDJSON files, breaking
+  // dedup by `seq`.
+  cleared_ = next_sequence_;
   total_denials_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
   for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
     cursor->delivered.store(0, std::memory_order_relaxed);
     cursor->dropped.store(0, std::memory_order_relaxed);

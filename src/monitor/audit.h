@@ -6,36 +6,35 @@
 // Thread safety: Record() may be called from any number of checking threads.
 // The log counts no decisions (MonitorStats is the one record of those), so
 // an allow the policy does not retain never reaches it and the hot allow
-// path (under the default denials-only policy) never takes a lock; records
-// that the policy retains go into a bounded ring — many producers serialize
-// briefly on the ring mutex, the (single) consumer drains via
-// records()/Query(), and the oldest record is overwritten once the ring is
-// full.
+// path (under the default denials-only policy) never takes a lock.
 //
-// Delivery to sinks has one path. In the same critical section that stamps
-// its sequence, a retained record is appended to a bounded delivery log
-// (when any sink is registered). Every sink is a cursor over that log, and
-// one routine hands each sink its records in exact sequence order, under
-// that sink's own mutex and never under the ring mutex: on the recording
-// thread by default, or on one thread per sink after StartDrain(), so that
-// file writes and NDJSON rotation renames never run on a mediated check. A
-// drained sink's thread lingers after each pass, polling the log every
+// One store holds every record the policy retains: a ring of `capacity`
+// slots in which record `seq` lives in slot seq % capacity until a later
+// record overwrites it. Record moves the record into one shared allocation
+// before it takes the log mutex, and under it only stamps the sequence and
+// swaps the slot; the evicted record is freed after unlocking.
+// records()/Query() read the ring, and every sink is a cursor over it: one
+// routine hands each sink its records in exact sequence order, under that
+// sink's own mutex and never under the log mutex, on the recording thread
+// by default, or on one thread per sink after StartDrain(), so that file
+// writes and NDJSON rotation renames never run on a mediated check. A
+// drained sink's thread lingers after each pass, polling the ring every
 // kLingerPeriod for kLingerRounds rounds before it parks, so a recorder
-// appends without waking it (a denial costs about what an allow costs);
-// the price is up to one linger period of delivery lag. A sink that lags
-// more than the log's capacity loses its oldest pending records, counted
-// in its dropped counter. See docs/MODEL.md §11 for the
+// stores without waking it (a denial costs about what an allow costs); the
+// price is up to one linger period of delivery lag. A sink that falls more
+// than the capacity behind loses exactly the records the ring overwrote,
+// counted in its dropped counter. See docs/MODEL.md §11 for the
 // ordering/durability semantics.
 
 #ifndef XSEC_SRC_MONITOR_AUDIT_H_
 #define XSEC_SRC_MONITOR_AUDIT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -114,7 +113,7 @@ struct NdjsonRotationPolicy {
 
 // A size/age-rotating NDJSON audit file writer (tools/xsec_stats wires one
 // behind --ndjson). Not internally synchronized: the AuditLog serializes the
-// calls to each sink (never under the ring mutex). Under the drain both the
+// calls to each sink (never under the log mutex). Under the drain both the
 // fwrite and the rotation renames run on the sink's delivery thread, off the
 // mediated check path entirely.
 class NdjsonFileRotator {
@@ -140,7 +139,7 @@ class NdjsonFileRotator {
   // or the `audit.ndjson.write` failpoint), or no open file to write to (the
   // `audit.rotate.open` failpoint lands here). A partial line is truncated
   // back off the file so the NDJSON whole-line invariant holds; the record
-  // is dropped from export (the in-memory ring still retains it).
+  // is dropped from export (the log's ring still retains it).
   uint64_t write_failures() const { return write_failures_; }
   const std::string& path() const { return path_; }
 
@@ -168,34 +167,6 @@ std::function<void(const AuditRecord&)> MakeRotatingNdjsonSink(
 // trips, which is what lets `audit_required` fail closed on a full disk.
 std::function<Status(const AuditRecord&)> MakeRotatingNdjsonFallibleSink(
     std::shared_ptr<NdjsonFileRotator> rotator);
-
-// A bounded in-memory audit sink: retains the most recent `capacity` records
-// handed to it (a recent-window retention ring of its own, independent of
-// the log's). Register one with AuditLog::AddSink (MakeMemoryRingSink) to
-// keep a cheap queryable tail per export plane. Accessors are thread-safe.
-class AuditMemoryRing {
- public:
-  explicit AuditMemoryRing(size_t capacity = 1024);
-
-  void Write(const AuditRecord& record);
-
-  // Retained records, oldest first.
-  std::vector<AuditRecord> records() const;
-  // Records ever written (retained or since evicted).
-  uint64_t total() const;
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::deque<AuditRecord> ring_;
-  uint64_t total_ = 0;
-};
-
-// Adapts a memory ring into an audit sink; the shared_ptr keeps it alive for
-// as long as the log holds the sink.
-std::function<void(const AuditRecord&)> MakeMemoryRingSink(
-    std::shared_ptr<AuditMemoryRing> ring);
 
 // -- Self-healing sink --------------------------------------------------------
 
@@ -259,15 +230,6 @@ class ResilientSink {
   std::atomic<uint64_t> gave_up_{0};
 };
 
-// Configuration for asynchronous audit delivery (AuditLog::StartDrain).
-// queue_capacity bounds the delivery log: a sink that falls more than that
-// many records behind loses its oldest pending records (counted in its
-// dropped counter) rather than blocking recorders. The retention ring still
-// holds them, so nothing is lost from records()/Query().
-struct AuditDrainOptions {
-  size_t queue_capacity = 4096;
-};
-
 // Per-sink telemetry snapshot (AuditLog::SinkStats).
 struct AuditSinkStats {
   uint64_t id = 0;
@@ -280,15 +242,16 @@ class AuditLog {
  public:
   using Sink = std::function<void(const AuditRecord&)>;
 
-  // A drained sink's delivery thread, after each pass, re-polls the log
+  // A drained sink's delivery thread, after each pass, re-polls the ring
   // every kLingerPeriod for up to kLingerRounds rounds, then parks until
   // Record wakes it (MODEL.md §11). While it lingers, Record wakes it only
-  // once the backlog reaches half the log; so a record waits for delivery
+  // once the backlog reaches half the ring; so a record waits for delivery
   // about one period at most, and an idle log's threads park after 10 ms.
   static constexpr std::chrono::microseconds kLingerPeriod{500};
   static constexpr int kLingerRounds = 20;
 
-  explicit AuditLog(size_t capacity = 4096) : capacity_(capacity) {}
+  // Retains up to `capacity` records (at least one).
+  explicit AuditLog(size_t capacity = 4096) : ring_(std::max<size_t>(capacity, 1)) {}
   ~AuditLog() { StopDrain(); }
 
   void set_policy(AuditPolicy policy) { policy_.store(policy, std::memory_order_relaxed); }
@@ -307,16 +270,15 @@ class AuditLog {
 
   // -- Delivery (MODEL.md §11) ------------------------------------------------
   //
-  // Every retained record stamped while at least one sink is registered goes
-  // into one bounded, sequence-ordered delivery log. Every sink is a cursor
-  // over that log: the next sequence it is owed plus its own delivered and
-  // dropped counters. One routine hands a sink the records from its cursor up
-  // to the head, in sequence order, under that sink's own mutex (so sinks
-  // need no locking of their own and never run under the ring mutex). It runs
-  // on the recording thread when no drain is running, and on one thread per
-  // sink while StartDrain is. A sink that falls more than the log's capacity
-  // behind loses its oldest pending records: gaps, never reorderings. A sink
-  // must not register or remove sinks, or record, from inside its own call.
+  // Every sink is a cursor over the ring: the next sequence it is owed plus
+  // its own delivered and dropped counters. One routine hands a sink the
+  // records from its cursor up to the head, in sequence order, under that
+  // sink's own mutex (so sinks need no locking of their own and never run
+  // under the log mutex). It runs on the recording thread when no drain is
+  // running, and on one thread per sink while StartDrain is. A sink that
+  // falls more than the capacity behind loses the records the ring
+  // overwrote: gaps, never reorderings. A sink must not register or remove
+  // sinks, or record, from inside its own call.
 
   // Replaces THE sink (the one set_sink or InstallResilientSink last
   // registered; null removes it) in one step: every record reaches exactly
@@ -329,9 +291,9 @@ class AuditLog {
   // reflect this sink from here on.
   void InstallResilientSink(std::shared_ptr<ResilientSink> sink);
 
-  // Registers another named sink (an NDJSON file, an in-memory ring, a
-  // network exporter); returns its id. It is owed every record stamped from
-  // here on, none before.
+  // Registers another named sink (an NDJSON file, a network exporter);
+  // returns its id. It is owed every record stamped from here on, none
+  // before.
   uint64_t AddSink(std::string name, Sink sink);
 
   // Unregisters a sink after handing it every record it is owed. False if
@@ -367,14 +329,13 @@ class AuditLog {
   uint64_t sink_gave_up() const;
 
   // Starts one delivery thread per sink (and one for each sink added while
-  // running), sizing the delivery log to options.queue_capacity. From here
-  // on Record() only appends, so sink I/O never runs on a mediated check;
-  // it wakes the threads only when one is parked or the backlog reaches
-  // half the log, and a lingering thread picks the record up within
-  // kLingerPeriod. Idempotent while running.
-  void StartDrain(AuditDrainOptions options = {});
+  // running). From here on Record() only stores, so sink I/O never runs on
+  // a mediated check; it wakes the threads only when one is parked or the
+  // backlog reaches half the ring, and a lingering thread picks the record
+  // up within kLingerPeriod. Idempotent while running.
+  void StartDrain();
 
-  // Each delivery thread hands its sink everything appended so far, then
+  // Each delivery thread hands its sink everything stored so far, then
   // exits; later records are delivered on the recording thread again. No-op
   // if the drain is not running.
   void StopDrain();
@@ -409,27 +370,30 @@ class AuditLog {
   // touches it. Under the denials-only policy with no Clear it equals the
   // next record's sequence number.
   uint64_t total_denials() const { return total_denials_.load(std::memory_order_relaxed); }
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  // Records stamped since the last Clear that the ring has overwritten.
+  uint64_t dropped() const;
 
-  // Discards the retained ring and zeroes the counters (the per-sink ones
-  // too). Records still owed to sinks are delivered. Sequence numbers are NOT
-  // reset: records emitted after a Clear continue the sequence, so ids
-  // already exported (e.g. to rotated NDJSON files) are never reused and
-  // cross-rotation dedup/ordering by `seq` stays sound.
+  // Sets a watermark at the next sequence: the records before it leave
+  // records(), retained() and dropped(), but every sink owed them is still
+  // handed them. Zeroes total_denials() and the per-sink counters. Sequence
+  // numbers are NOT reset: records emitted after a Clear continue the
+  // sequence, so ids already exported (e.g. to rotated NDJSON files) are
+  // never reused and cross-rotation dedup/ordering by `seq` stays sound.
   void Clear();
 
  private:
   using RecordPtr = std::shared_ptr<const AuditRecord>;
 
-  // One registered sink and its cursor into the delivery log. Defined in
-  // audit.cc.
+  // One registered sink and its cursor into the ring. Defined in audit.cc.
   struct Cursor;
   using CursorList = std::vector<std::shared_ptr<Cursor>>;
 
-  // Appends `visit(record)` for each retained record, oldest first, with
-  // mu_ held.
-  template <typename Visit>
-  void ForEachLocked(Visit visit) const;
+  // The oldest sequence the ring still holds, and the oldest retained one
+  // (not before the Clear watermark). Caller holds mu_.
+  uint64_t OldestLocked() const {
+    return next_sequence_ - std::min<uint64_t>(next_sequence_, ring_.size());
+  }
+  uint64_t FirstRetainedLocked() const { return std::max(cleared_, OldestLocked()); }
 
   // Unregisters sink `remove_id` (0: none) and registers `sink` (null: none)
   // in one critical section, then hands the removed sink everything it is
@@ -438,18 +402,15 @@ class AuditLog {
   // ctl_mu_.
   uint64_t SwapSink(uint64_t remove_id, std::string name, Sink sink, bool* removed = nullptr);
 
-  // Inserts into the bounded retention ring. Caller holds mu_.
-  void RingInsertLocked(AuditRecord record);
-
   // Hands the cursor's sink every record it is owed, in sequence order.
   void Deliver(Cursor* cursor);
 
   // Deliver's two halves. GatherLocked collects the records the cursor is
-  // owed up to the head (clipped at its end), counts the ones the log
-  // overwrote first, releases the log slots every registered sink has
-  // passed, and returns the head; caller holds cursor->mu and mu_.
-  // HandOver hands the gathered records to the sink and advances the
-  // cursor to `head`; caller holds cursor->mu only.
+  // owed up to the head (clipped at its end), counts the ones the ring
+  // overwrote first, moves the slowest-cursor watermark, and returns the
+  // head; caller holds cursor->mu and mu_. HandOver hands the gathered
+  // records to the sink and advances the cursor to `head`; caller holds
+  // cursor->mu only.
   uint64_t GatherLocked(Cursor* cursor);
   void HandOver(Cursor* cursor, uint64_t head);
 
@@ -459,28 +420,20 @@ class AuditLog {
   // Spawns the cursor's delivery thread. Caller holds ctl_mu_ and mu_.
   void StartThreadLocked(const std::shared_ptr<Cursor>& cursor);
 
-  // Re-homes the delivery log at `capacity` slots. Caller holds mu_.
-  void ResizeLogLocked(size_t capacity);
-
-  size_t capacity_;
   std::atomic<AuditPolicy> policy_{AuditPolicy::kDenialsOnly};
   std::atomic<uint64_t> total_denials_{0};
-  std::atomic<uint64_t> dropped_{0};
 
-  // mu_ orders sequence stamping, retention and the delivery-log append, and
-  // guards the fields from here to ctl_mu_.
+  // mu_ orders sequence stamping and the ring, and guards the fields from
+  // here to ctl_mu_.
   mutable std::mutex mu_;
   uint64_t next_sequence_ = 0;
-  // Ring of retained records: grows to capacity_, then head_ marks the
-  // oldest record and new ones overwrite it.
-  std::vector<AuditRecord> ring_;
-  size_t head_ = 0;
-  // The delivery log: record `seq` lives in slot seq % size() until every
-  // sink has passed it (slots below released_ are empty) or it is
-  // overwritten. Allocated when the first sink registers.
-  std::vector<RecordPtr> log_;
-  size_t log_capacity_ = AuditDrainOptions{}.queue_capacity;
-  uint64_t released_ = 0;
+  uint64_t cleared_ = 0;  // Clear's watermark
+  // The record store: record `seq` lives in slot seq % size() until it is
+  // overwritten.
+  std::vector<RecordPtr> ring_;
+  // No registered cursor was behind this sequence at its last gather; the
+  // backlog a drained Record measures against half the ring.
+  uint64_t slowest_ = 0;
   // Registered sinks. Copied on write, so a recorder can deliver to the list
   // it saw after dropping mu_ while sinks come and go.
   std::shared_ptr<const CursorList> cursors_ = std::make_shared<const CursorList>();

@@ -178,12 +178,6 @@ std::shared_ptr<const DynamicBitset> PrincipalRegistry::Closure(PrincipalId user
   return sp;
 }
 
-const DynamicBitset& PrincipalRegistry::MembershipClosure(PrincipalId user) const {
-  // The closure object is co-owned by the cache entry, which lives until the
-  // next membership mutation — exactly the documented lifetime.
-  return *Closure(user);
-}
-
 StatusOr<std::vector<PrincipalId>> PrincipalRegistry::MembersOf(PrincipalId group) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (group.value >= principals_.size()) {

@@ -9,10 +9,7 @@
 // mutations take the registry lock exclusively and bump membership_epoch_
 // before releasing it. The check path obtains closures through Closure(),
 // which hands out shared ownership so a concurrently invalidated closure
-// stays alive for in-flight evaluations. MembershipClosure() (the legacy
-// reference-returning form) is only safe when no membership mutation runs
-// concurrently: the referenced bitset lives until the closure cache is
-// invalidated by the next AddMember/RemoveMember.
+// stays alive for in-flight evaluations.
 
 #ifndef XSEC_SRC_PRINCIPAL_REGISTRY_H_
 #define XSEC_SRC_PRINCIPAL_REGISTRY_H_
@@ -58,10 +55,6 @@ class PrincipalRegistry {
   // keeps the closure valid even if a concurrent membership mutation
   // invalidates the cache mid-evaluation.
   std::shared_ptr<const DynamicBitset> Closure(PrincipalId user) const;
-
-  // Legacy reference-returning form; the reference is valid until the next
-  // membership mutation. Prefer Closure() anywhere concurrency is possible.
-  const DynamicBitset& MembershipClosure(PrincipalId user) const;
 
   // Direct members of a group.
   StatusOr<std::vector<PrincipalId>> MembersOf(PrincipalId group) const;

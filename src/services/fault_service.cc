@@ -69,31 +69,45 @@ Status FaultService::Install() {
   return OkStatus();
 }
 
-StatusOr<NodeId> FaultService::EnsureLeaf(std::string_view name) {
+StatusOr<NodeId> FaultService::CheckLeaf(Subject& subject, std::string_view name,
+                                         AccessModeSet modes) {
   if (!IsValidComponent(name)) {
     return InvalidArgumentError(
         StrFormat("'%s' is not a valid failpoint name", std::string(name).c_str()));
   }
   std::string full = JoinPath(options_.mount_path, name);
-  auto existing = kernel_->name_space().Lookup(full);
-  if (existing.ok()) {
-    return existing;
+  auto leaf = kernel_->name_space().Lookup(full);
+  if (!leaf.ok()) {
+    // An unbound leaf would inherit the mount's ACL and label, so the mount
+    // decides whether it may be bound at all; a denied caller binds nothing.
+    auto mount = kernel_->name_space().Lookup(options_.mount_path);
+    if (!mount.ok()) {
+      return mount.status();
+    }
+    Decision decision = kernel_->monitor().Check(subject, *mount, modes);
+    if (!decision.allowed) {
+      return decision.ToStatus();
+    }
+    leaf = kernel_->name_space().BindPath(full, NodeKind::kFile, kernel_->system_principal());
+    if (!leaf.ok()) {
+      return leaf.status();
+    }
   }
-  return kernel_->name_space().BindPath(full, NodeKind::kFile, kernel_->system_principal());
+  // The real monitor path: the decision — allow or deny — is counted in the
+  // stats and written to the audit trail under the leaf's own name, so every
+  // arming of a fault is on the record.
+  Decision decision = kernel_->monitor().Check(subject, *leaf, modes);
+  if (!decision.allowed) {
+    return decision.ToStatus();
+  }
+  return leaf;
 }
 
 StatusOr<std::string> FaultService::Arm(Subject& subject, std::string_view name,
                                         std::string_view spec) {
-  auto node = EnsureLeaf(name);
+  auto node = CheckLeaf(subject, name, AccessMode::kAdministrate);
   if (!node.ok()) {
     return node.status();
-  }
-  // The real monitor path: the administrate decision — allow or deny — is
-  // counted in the stats and written to the audit trail, so every arming of
-  // a fault is on the record.
-  Decision decision = kernel_->monitor().Check(subject, *node, AccessMode::kAdministrate);
-  if (!decision.allowed) {
-    return decision.ToStatus();
   }
   XSEC_RETURN_IF_ERROR(FailpointRegistry::Instance().Arm(name, spec));
   Failpoint* point = FailpointRegistry::Instance().Find(name);
@@ -101,13 +115,9 @@ StatusOr<std::string> FaultService::Arm(Subject& subject, std::string_view name,
 }
 
 StatusOr<std::string> FaultService::ReadFault(Subject& subject, std::string_view name) {
-  auto node = EnsureLeaf(name);
+  auto node = CheckLeaf(subject, name, AccessMode::kRead);
   if (!node.ok()) {
     return node.status();
-  }
-  Decision decision = kernel_->monitor().Check(subject, *node, AccessMode::kRead);
-  if (!decision.allowed) {
-    return decision.ToStatus();
   }
   Failpoint* point = FailpointRegistry::Instance().Find(name);
   return point == nullptr ? std::string("off") : point->Describe();

@@ -18,10 +18,10 @@
 // Layout and procedures:
 //
 //   /sys/faults/<name>      one file node per failpoint, bound lazily on
-//                           first arm/read of that name (failpoints are
-//                           created on first use, so the tree reflects the
-//                           sites the control plane has actually touched,
-//                           plus every site in the code once listed)
+//                           the first allowed arm/read of that name
+//                           (failpoints are created on first use, so the
+//                           tree reflects the sites the control plane has
+//                           actually touched); a denied caller binds nothing
 //   /svc/faults/arm         args = [name, spec]; spec grammar is
 //                           FailpointSpec::Parse ("error=internal,nth=3",
 //                           "sleep=5ms", "off", ...); returns the
@@ -65,7 +65,7 @@ class FaultService {
   // Arms (or, for spec "off", disarms) the named failpoint after an
   // `administrate` check on /sys/faults/<name> — the check is the real
   // monitor path, so the decision is counted and audited. The node is bound
-  // lazily on first use. Returns the failpoint's state string.
+  // lazily on the first allowed use. Returns the failpoint's state string.
   StatusOr<std::string> Arm(Subject& subject, std::string_view name,
                             std::string_view spec);
 
@@ -78,8 +78,10 @@ class FaultService {
   StatusOr<std::string> List(Subject& subject);
 
  private:
-  // Resolves /sys/faults/<name>, binding the file node on first use.
-  StatusOr<NodeId> EnsureLeaf(std::string_view name);
+  // Checks `modes` on /sys/faults/<name> and returns its node. An unbound
+  // name is first checked on the mount, whose ACL and label it would
+  // inherit, and bound only if that check allows it.
+  StatusOr<NodeId> CheckLeaf(Subject& subject, std::string_view name, AccessModeSet modes);
 
   Kernel* kernel_;
   FaultServiceOptions options_;

@@ -1,9 +1,8 @@
 // Audit delivery to many sinks (AuditLog::AddSink, StartDrain): every sink is
-// a cursor over one sequence-ordered log, sinks drain in parallel, each is
-// handed records in exact global sequence order, lag and injected delivery
-// faults drop per sink leaving gaps but never reorderings, and the
-// memory-ring sink stays bounded. Rides in the --faults sweep
-// (ci/run_checks.sh targets AuditFanOut).
+// a cursor over one sequence-ordered ring, sinks drain in parallel, each is
+// handed records in exact global sequence order, and lag and injected
+// delivery faults drop per sink leaving gaps but never reorderings. Rides in
+// the --faults sweep (ci/run_checks.sh targets AuditFanOut).
 
 #include <gtest/gtest.h>
 
@@ -39,28 +38,32 @@ AuditRecord MakeRecord(bool allowed, DenyReason reason = DenyReason::kNone) {
   return r;
 }
 
-// Requires strictly increasing sequences (the ordering proof at the
-// observer's end) and returns them for gap analysis.
-std::vector<uint64_t> SequencesInOrder(const std::vector<AuditRecord>& records) {
+// Everything one sink was handed, in order. Calls to one sink are
+// serialized by the log, and the test reads it only after Flush, StopDrain
+// or RemoveSink, each of which orders it after the calls.
+struct SeenSink {
   std::vector<uint64_t> seqs;
-  seqs.reserve(records.size());
-  for (const AuditRecord& record : records) {
-    if (!seqs.empty()) {
-      EXPECT_GT(record.sequence, seqs.back())
-          << "sink observed sequences out of order";
-    }
-    seqs.push_back(record.sequence);
+
+  AuditLog::Sink AsSink(const std::shared_ptr<SeenSink>& self) {
+    return [self](const AuditRecord& record) { self->seqs.push_back(record.sequence); };
   }
-  return seqs;
+};
+
+// Requires strictly increasing sequences (the ordering proof at the
+// observer's end).
+void ExpectInOrder(const std::vector<uint64_t>& seqs) {
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    EXPECT_GT(seqs[i], seqs[i - 1]) << "sink observed sequences out of order";
+  }
 }
 
 TEST(AuditFanOutTest, EverySinkSeesEveryRecordInExactSequenceOrder) {
   AuditLog log;
   log.set_policy(AuditPolicy::kAll);
-  auto ring_a = std::make_shared<AuditMemoryRing>(4096);
-  auto ring_b = std::make_shared<AuditMemoryRing>(4096);
-  log.AddSink("a", MakeMemoryRingSink(ring_a));
-  log.AddSink("b", MakeMemoryRingSink(ring_b));
+  auto sink_a = std::make_shared<SeenSink>();
+  auto sink_b = std::make_shared<SeenSink>();
+  log.AddSink("a", sink_a->AsSink(sink_a));
+  log.AddSink("b", sink_b->AsSink(sink_b));
   log.StartDrain();
   EXPECT_EQ(log.sinks(), 2u);
 
@@ -71,8 +74,9 @@ TEST(AuditFanOutTest, EverySinkSeesEveryRecordInExactSequenceOrder) {
   }
   log.StopDrain();  // final pass + join every delivery thread
 
-  for (const auto& ring : {ring_a, ring_b}) {
-    std::vector<uint64_t> seqs = SequencesInOrder(ring->records());
+  for (const auto& sink : {sink_a, sink_b}) {
+    const std::vector<uint64_t>& seqs = sink->seqs;
+    ExpectInOrder(seqs);
     ASSERT_EQ(seqs.size(), static_cast<size_t>(kRecords));
     // No drops configured and capacity ample: the stream is gapless 0..N-1.
     EXPECT_EQ(seqs.front(), 0u);
@@ -85,10 +89,10 @@ TEST(AuditFanOutTest, EverySinkSeesEveryRecordInExactSequenceOrder) {
 TEST(AuditFanOutTest, ConcurrentRecordersKeepEveryLaneInOrder) {
   AuditLog log(/*capacity=*/8192);
   log.set_policy(AuditPolicy::kAll);
-  auto ring_a = std::make_shared<AuditMemoryRing>(8192);
-  auto ring_b = std::make_shared<AuditMemoryRing>(8192);
-  log.AddSink("a", MakeMemoryRingSink(ring_a));
-  log.AddSink("b", MakeMemoryRingSink(ring_b));
+  auto sink_a = std::make_shared<SeenSink>();
+  auto sink_b = std::make_shared<SeenSink>();
+  log.AddSink("a", sink_a->AsSink(sink_a));
+  log.AddSink("b", sink_b->AsSink(sink_b));
   log.StartDrain();
 
   std::vector<std::thread> recorders;
@@ -103,34 +107,32 @@ TEST(AuditFanOutTest, ConcurrentRecordersKeepEveryLaneInOrder) {
     recorder.join();
   }
   log.StopDrain();
-  for (const auto& ring : {ring_a, ring_b}) {
-    std::vector<uint64_t> seqs = SequencesInOrder(ring->records());
-    ASSERT_EQ(seqs.size(), 1200u);
+  for (const auto& sink : {sink_a, sink_b}) {
+    ExpectInOrder(sink->seqs);
+    ASSERT_EQ(sink->seqs.size(), 1200u);
   }
 }
 
 TEST(AuditFanOutTest, ASlowLaneDropsOnlyItselfAndStaysOrdered) {
   // Declared before the log so it outlives every sink call.
   std::atomic<bool> stream_recorded{false};
-  AuditLog log(/*capacity=*/8192);
-  log.set_policy(AuditPolicy::kAll);
-  auto fast = std::make_shared<AuditMemoryRing>(8192);
-  auto slow = std::make_shared<AuditMemoryRing>(8192);
-  log.AddSink("fast", MakeMemoryRingSink(fast));
-  log.AddSink("slow", [slow, &stream_recorded](const AuditRecord& record) {
-    // Wedged until the whole stream is recorded, so it falls more than the
-    // log's capacity behind however the threads are scheduled.
-    while (!stream_recorded.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    slow->Write(record);
-  });
-  AuditDrainOptions options;
   // Headroom the fast sink never exhausts at the throttled record cadence,
   // small enough that the wedged slow sink falls behind it well before the
   // stream ends.
-  options.queue_capacity = 128;
-  log.StartDrain(options);
+  AuditLog log(/*capacity=*/128);
+  log.set_policy(AuditPolicy::kAll);
+  auto fast = std::make_shared<SeenSink>();
+  auto slow = std::make_shared<SeenSink>();
+  log.AddSink("fast", fast->AsSink(fast));
+  log.AddSink("slow", [slow, &stream_recorded](const AuditRecord& record) {
+    // Wedged until the whole stream is recorded, so it falls more than the
+    // ring's capacity behind however the threads are scheduled.
+    while (!stream_recorded.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    slow->seqs.push_back(record.sequence);
+  });
+  log.StartDrain();
 
   constexpr int kRecords = 400;
   for (int i = 0; i < kRecords; ++i) {
@@ -151,15 +153,15 @@ TEST(AuditFanOutTest, ASlowLaneDropsOnlyItselfAndStaysOrdered) {
   EXPECT_GT(slow_lane.dropped, 0u);
   EXPECT_EQ(slow_lane.delivered + slow_lane.dropped, static_cast<uint64_t>(kRecords));
   // Drops punch gaps in the slow sink's stream, never reorderings.
-  std::vector<uint64_t> seqs = SequencesInOrder(slow->records());
-  EXPECT_EQ(seqs.size(), slow_lane.delivered);
+  ExpectInOrder(slow->seqs);
+  EXPECT_EQ(slow->seqs.size(), slow_lane.delivered);
 }
 
 TEST(AuditFanOutTest, EnqueueFailpointDropsLeaveGapsWithOrderIntact) {
   AuditLog log;
   log.set_policy(AuditPolicy::kAll);
-  auto ring = std::make_shared<AuditMemoryRing>(4096);
-  log.AddSink("faulty", MakeMemoryRingSink(ring));
+  auto sink = std::make_shared<SeenSink>();
+  log.AddSink("faulty", sink->AsSink(sink));
   log.StartDrain();
   // Hits 50..69 skip the sink: a 20-record hole mid-stream.
   ASSERT_TRUE(FailpointRegistry::Instance()
@@ -173,9 +175,9 @@ TEST(AuditFanOutTest, EnqueueFailpointDropsLeaveGapsWithOrderIntact) {
   FailpointRegistry::Instance().DisarmAll();
   log.StopDrain();
 
-  std::vector<uint64_t> seqs = SequencesInOrder(ring->records());
+  ExpectInOrder(sink->seqs);
   EXPECT_EQ(log.sink_dropped(), 20u);
-  EXPECT_EQ(seqs.size() + log.sink_dropped(), static_cast<size_t>(kRecords));
+  EXPECT_EQ(sink->seqs.size() + log.sink_dropped(), static_cast<size_t>(kRecords));
   // Injected delivery failures never corrupt the retained ring itself.
   EXPECT_EQ(log.records().size(), static_cast<size_t>(kRecords));
 }
@@ -183,39 +185,39 @@ TEST(AuditFanOutTest, EnqueueFailpointDropsLeaveGapsWithOrderIntact) {
 TEST(AuditFanOutTest, SinksCanBeAddedAndRemovedWhileRunning) {
   AuditLog log;
   log.set_policy(AuditPolicy::kAll);
-  auto early = std::make_shared<AuditMemoryRing>(4096);
-  uint64_t early_id = log.AddSink("early", MakeMemoryRingSink(early));
+  auto early = std::make_shared<SeenSink>();
+  uint64_t early_id = log.AddSink("early", early->AsSink(early));
   log.StartDrain();
   for (int i = 0; i < 50; ++i) {
     log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
   }
   // A sink added while running is owed records from here on, not
   // retroactively.
-  auto late = std::make_shared<AuditMemoryRing>(4096);
-  log.AddSink("late", MakeMemoryRingSink(late));
+  auto late = std::make_shared<SeenSink>();
+  log.AddSink("late", late->AsSink(late));
   for (int i = 0; i < 50; ++i) {
     log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
   }
   // RemoveSink hands the sink everything it is owed before returning.
   ASSERT_TRUE(log.RemoveSink(early_id));
-  EXPECT_EQ(early->total(), 100u);
+  EXPECT_EQ(early->seqs.size(), 100u);
   EXPECT_EQ(log.sinks(), 1u);
   for (int i = 0; i < 25; ++i) {
     log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
   }
   log.StopDrain();
-  EXPECT_EQ(early->total(), 100u) << "a removed sink must see nothing further";
-  EXPECT_EQ(late->total(), 75u);
-  SequencesInOrder(late->records());
+  EXPECT_EQ(early->seqs.size(), 100u) << "a removed sink must see nothing further";
+  EXPECT_EQ(late->seqs.size(), 75u);
+  ExpectInOrder(late->seqs);
   EXPECT_FALSE(log.RemoveSink(early_id)) << "double remove";
 }
 
 TEST(AuditFanOutTest, NdjsonAndMemoryLanesObserveTheSameStream) {
   AuditLog log;
   log.set_policy(AuditPolicy::kAll);
-  auto ring = std::make_shared<AuditMemoryRing>(4096);
+  auto memory = std::make_shared<SeenSink>();
   auto lines = std::make_shared<std::ostringstream>();
-  log.AddSink("memory", MakeMemoryRingSink(ring));
+  log.AddSink("memory", memory->AsSink(memory));
   // The NDJSON sink shares the idiom of set_sink's MakeNdjsonSink: one JSON
   // object per line, written only from this sink's delivery thread.
   log.AddSink("ndjson", [lines](const AuditRecord& record) {
@@ -233,50 +235,32 @@ TEST(AuditFanOutTest, NdjsonAndMemoryLanesObserveTheSameStream) {
     line_count += c == '\n' ? 1 : 0;
   }
   EXPECT_EQ(line_count, 64u);
-  EXPECT_EQ(ring->total(), 64u);
+  EXPECT_EQ(memory->seqs.size(), 64u);
   EXPECT_NE(text.find("\"seq\":"), std::string::npos);
 }
 
-TEST(AuditFanOutTest, MemoryRingStaysBoundedOldestFirst) {
-  AuditMemoryRing ring(8);
-  for (int i = 0; i < 100; ++i) {
-    AuditRecord record = MakeRecord(false, DenyReason::kDacNoGrant);
-    record.sequence = static_cast<uint64_t>(i);
-    ring.Write(record);
-  }
-  EXPECT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.total(), 100u);
-  std::vector<AuditRecord> kept = ring.records();
-  ASSERT_EQ(kept.size(), 8u);
-  for (size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i].sequence, 92u + i);  // the newest 8, oldest first
-  }
-}
-
 TEST(AuditFanOutTest, FlushWaitsOutEveryLane) {
-  AuditLog log;
+  AuditLog log;  // holds every record: nothing drops; Flush must wait
   log.set_policy(AuditPolicy::kAll);
-  auto slow = std::make_shared<AuditMemoryRing>(4096);
+  auto slow = std::make_shared<SeenSink>();
   log.AddSink("slow", [slow](const AuditRecord& record) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
-    slow->Write(record);
+    slow->seqs.push_back(record.sequence);
   });
-  AuditDrainOptions options;
-  options.queue_capacity = 4096;  // nothing drops; Flush must wait
-  log.StartDrain(options);
+  log.StartDrain();
   for (int i = 0; i < 100; ++i) {
     log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
   }
   log.Flush();
-  EXPECT_EQ(slow->total(), 100u);  // every record landed before Flush returned
+  EXPECT_EQ(slow->seqs.size(), 100u);  // every record landed before Flush returned
   log.StopDrain();
 }
 
 // -- Lingering delivery threads (MODEL.md §11) ---------------------------------
 //
-// A drained sink's thread polls the log for kLingerRounds rounds of
+// A drained sink's thread polls the ring for kLingerRounds rounds of
 // kLingerPeriod after each pass and then parks; Record wakes it only while
-// it is parked or once the backlog reaches half the log. None of these
+// it is parked or once the backlog reaches half the ring. None of these
 // tests calls Flush: Flush wakes the delivery threads itself, so it would
 // hide a wake that Record failed to give.
 
@@ -380,17 +364,16 @@ TEST(AuditFanOutTest, RecordDuringTheLingerWindowIsDeliveredByThePoll) {
   EXPECT_EQ(log.sink_dropped(), 0u);
 }
 
-// A burst that fills half the log wakes a lingering delivery thread at once
-// rather than at its next poll, so a burst cannot overrun the log between
+// A burst that fills half the ring wakes a lingering delivery thread at once
+// rather than at its next poll, so a burst cannot overrun the ring between
 // two polls. Without the wake no burst could arrive within a period of the
 // previous pass; with it, almost every one does, and one in 30 must.
 TEST(AuditFanOutTest, BurstOfHalfTheLogWakesALingeringDrainer) {
-  AuditLog log;
+  constexpr size_t kCapacity = 16;
+  AuditLog log(kCapacity);
   auto sink = std::make_shared<ArrivalSink>();
   log.AddSink("arrivals", sink->AsSink(sink));
-  AuditDrainOptions options;
-  options.queue_capacity = 16;
-  log.StartDrain(options);
+  log.StartDrain();
   log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
   std::optional<Clock::time_point> last = sink->WaitFor(1, kDeliveryBound);
   ASSERT_TRUE(last.has_value());
@@ -398,10 +381,10 @@ TEST(AuditFanOutTest, BurstOfHalfTheLogWakesALingeringDrainer) {
   int early = 0;
   for (int attempt = 0; attempt < 30; ++attempt) {
     std::this_thread::sleep_for(kSettle);
-    for (size_t i = 0; i < options.queue_capacity / 2; ++i) {
+    for (size_t i = 0; i < kCapacity / 2; ++i) {
       log.Record(MakeRecord(false, DenyReason::kDacNoGrant));
     }
-    expected += options.queue_capacity / 2;
+    expected += kCapacity / 2;
     std::optional<Clock::time_point> done = sink->WaitFor(expected, kDeliveryBound);
     ASSERT_TRUE(done.has_value()) << "attempt " << attempt;
     if (*done - *last < AuditLog::kLingerPeriod) {
@@ -415,17 +398,6 @@ TEST(AuditFanOutTest, BurstOfHalfTheLogWakesALingeringDrainer) {
   EXPECT_EQ(log.sink_dropped(), 0u);
 }
 
-// Everything one sink was handed, in order. Calls to one sink are
-// serialized by the log, and the test reads it only after Flush, StopDrain
-// or RemoveSink, each of which orders it after the calls.
-struct SeenSink {
-  std::vector<uint64_t> seqs;
-
-  AuditLog::Sink AsSink(const std::shared_ptr<SeenSink>& self) {
-    return [self](const AuditRecord& record) { self->seqs.push_back(record.sequence); };
-  }
-};
-
 // Requires `seqs` to be consecutive (strictly increasing with no gaps).
 void ExpectConsecutive(const std::vector<uint64_t>& seqs, const std::string& who) {
   for (size_t i = 1; i < seqs.size(); ++i) {
@@ -434,8 +406,8 @@ void ExpectConsecutive(const std::vector<uint64_t>& seqs, const std::string& who
 }
 
 // Sink churn under load: 4 recorders against AddSink/RemoveSink and
-// set_sink swaps, StartDrain/StopDrain toggles and Flush. The delivery log
-// holds every record of the run, so no sink can lose one: each sink must see
+// set_sink swaps, StartDrain/StopDrain toggles and Flush. The ring holds
+// every record of the run, so no sink can lose one: each sink must see
 // a gapless, strictly increasing run, the chain of set_sink sinks must
 // split the whole stream between them with nothing lost or repeated, and
 // the counters must match what the sinks saw. Run under TSan by
@@ -445,11 +417,9 @@ TEST(AuditFanOutTest, SinkChurnKeepsEverySinkOrderedAndAccounted) {
   constexpr int kMaxPerRecorder = 12000;
   // Recorders stop once the churn has run this many rounds (or at the cap).
   constexpr int kRounds = 40;
-  AuditLog log;
+  AuditLog log(/*capacity=*/1 << 16);  // larger than the run: nothing drops
   log.set_policy(AuditPolicy::kAll);
-  AuditDrainOptions options;
-  options.queue_capacity = 1 << 16;  // larger than the run: nothing drops
-  log.StartDrain(options);
+  log.StartDrain();
 
   auto witness = std::make_shared<SeenSink>();
   uint64_t witness_id = log.AddSink("witness", witness->AsSink(witness));
@@ -496,7 +466,7 @@ TEST(AuditFanOutTest, SinkChurnKeepsEverySinkOrderedAndAccounted) {
     while (recording.load() > 0) {
       log.StopDrain();
       std::this_thread::sleep_for(std::chrono::microseconds(300));
-      log.StartDrain(options);
+      log.StartDrain();
       toggled.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }

@@ -197,8 +197,8 @@ TEST(AuditLogTest, FlushWaitsForTheQueueToDrain) {
   log.StopDrain();
 }
 
-TEST(AuditLogTest, FullDrainQueueDropsFromTheSinkNotTheRing) {
-  AuditLog log;
+TEST(AuditLogTest, WedgedSinkLosesWhatTheRingOverwrote) {
+  AuditLog log(4);
   log.set_policy(AuditPolicy::kAll);
   std::atomic<bool> release{false};
   std::atomic<int> delivered{0};
@@ -208,21 +208,53 @@ TEST(AuditLogTest, FullDrainQueueDropsFromTheSinkNotTheRing) {
     }
     delivered.fetch_add(1);
   });
-  AuditDrainOptions options;
-  options.queue_capacity = 4;
-  log.StartDrain(options);
+  log.StartDrain();
   log.Record(MakeRecord(true));
   // Whether the drainer is already stuck in the sink or has not woken yet,
-  // at most queue_capacity of these can be queued; the rest must shed.
+  // the ring holds only the newest 4 of these; the sink loses the rest.
   for (int i = 0; i < 32; ++i) {
     log.Record(MakeRecord(true));
   }
   release.store(true);
   log.StopDrain();
-  // Every record is still in the ring; only sink delivery was shed.
-  EXPECT_EQ(log.retained(), 33u);
+  // One store: the ring retains its capacity, and every record was either
+  // handed to the sink or counted as dropped by it.
+  EXPECT_EQ(log.retained(), 4u);
+  EXPECT_EQ(log.dropped(), 29u);
   EXPECT_GT(log.sink_dropped(), 0u);
   EXPECT_EQ(static_cast<uint64_t>(delivered.load()) + log.sink_dropped(), 33u);
+}
+
+TEST(AuditLogTest, ClearKeepsOwedRecordsForADrainedSink) {
+  AuditLog log;
+  log.set_policy(AuditPolicy::kAll);
+  std::atomic<bool> release{false};
+  std::vector<uint64_t> seen;  // read after StopDrain, which orders the calls
+  log.set_sink([&](const AuditRecord& r) {
+    while (!release.load()) {
+      std::this_thread::yield();  // hold delivery until after the Clear
+    }
+    seen.push_back(r.sequence);
+  });
+  log.StartDrain();
+  for (int i = 0; i < 10; ++i) {
+    log.Record(MakeRecord(true));
+  }
+  log.Clear();
+  // Clear is a watermark: the records leave the retained view at once...
+  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.retained(), 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+  log.Record(MakeRecord(true));
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(log.records().front().sequence, 10u);
+  release.store(true);
+  log.StopDrain();
+  // ...while the sink owed them is still handed every one, in order.
+  ASSERT_EQ(seen.size(), 11u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], i);
+  }
 }
 
 TEST(AuditLogTest, ConcurrentRecordersUnderTheDrainKeepEveryCounter) {

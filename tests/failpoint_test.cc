@@ -321,6 +321,35 @@ TEST_F(FaultServiceTest, ArmingIsFailClosedForOrdinaryUsers) {
             StatusCode::kPermissionDenied);
 }
 
+TEST_F(FaultServiceTest, DeniedCallsBindNoLeaf) {
+  // An ordinary user, denied by the fail-closed mount, naming a fresh
+  // failpoint on every call: each call is refused and the name space does
+  // not grow.
+  SecureSystem sys;
+  auto mallory = sys.CreateUser("mallory");
+  ASSERT_TRUE(mallory.ok());
+  Subject mallory_s = sys.Login(*mallory, sys.labels().Bottom());
+  const size_t nodes_before = sys.name_space().node_count();
+  for (int i = 0; i < 1000; ++i) {
+    std::string name = "test.svc.fresh" + std::to_string(i);
+    auto result = i % 2 == 0 ? sys.Invoke(mallory_s, "/svc/faults/arm",
+                                          {Value{name}, Value{std::string("error")}})
+                             : sys.Invoke(mallory_s, "/svc/faults/read", {Value{name}});
+    ASSERT_EQ(result.status().code(), StatusCode::kPermissionDenied)
+        << result.status().ToString();
+  }
+  EXPECT_EQ(sys.name_space().node_count(), nodes_before);
+
+  // An allowed read binds the leaf, and the denied caller is then refused
+  // by the leaf's own check.
+  Subject system = sys.SystemSubject();
+  ASSERT_TRUE(sys.faults().ReadFault(system, "test.svc.fresh0").ok());
+  EXPECT_EQ(sys.name_space().node_count(), nodes_before + 1);
+  ASSERT_TRUE(sys.name_space().Lookup("/sys/faults/test.svc.fresh0").ok());
+  EXPECT_EQ(sys.faults().ReadFault(mallory_s, "test.svc.fresh0").status().code(),
+            StatusCode::kPermissionDenied);
+}
+
 TEST_F(FaultServiceTest, ArmingIsAudited) {
   SecureSystem sys;
   sys.monitor().audit().set_policy(AuditPolicy::kAll);

@@ -52,9 +52,9 @@ TEST(PrincipalRegistryTest, DirectMembership) {
   PrincipalId staff = *reg.CreateGroup("staff");
   ASSERT_TRUE(reg.AddMember(staff, alice).ok());
 
-  const DynamicBitset& closure = reg.MembershipClosure(alice);
-  EXPECT_TRUE(closure.Test(alice.value));
-  EXPECT_TRUE(closure.Test(staff.value));
+  auto closure = reg.Closure(alice);
+  EXPECT_TRUE(closure->Test(alice.value));
+  EXPECT_TRUE(closure->Test(staff.value));
 
   auto members = reg.MembersOf(staff);
   ASSERT_TRUE(members.ok());
@@ -71,18 +71,18 @@ TEST(PrincipalRegistryTest, TransitiveClosureThroughNestedGroups) {
   ASSERT_TRUE(reg.AddMember(middle, inner).ok());
   ASSERT_TRUE(reg.AddMember(outer, middle).ok());
 
-  const DynamicBitset& closure = reg.MembershipClosure(u);
-  EXPECT_TRUE(closure.Test(inner.value));
-  EXPECT_TRUE(closure.Test(middle.value));
-  EXPECT_TRUE(closure.Test(outer.value));
-  EXPECT_EQ(closure.Count(), 4u);  // self + three groups
+  auto closure = reg.Closure(u);
+  EXPECT_TRUE(closure->Test(inner.value));
+  EXPECT_TRUE(closure->Test(middle.value));
+  EXPECT_TRUE(closure->Test(outer.value));
+  EXPECT_EQ(closure->Count(), 4u);  // self + three groups
 }
 
 TEST(PrincipalRegistryTest, ClosureOfNonMemberIsSelfOnly) {
   PrincipalRegistry reg;
   PrincipalId u = *reg.CreateUser("u");
   (void)*reg.CreateGroup("g");
-  EXPECT_EQ(reg.MembershipClosure(u).Count(), 1u);
+  EXPECT_EQ(reg.Closure(u)->Count(), 1u);
 }
 
 TEST(PrincipalRegistryTest, CycleRejected) {
@@ -117,9 +117,9 @@ TEST(PrincipalRegistryTest, RemoveMemberShrinksClosure) {
   PrincipalId u = *reg.CreateUser("u");
   PrincipalId g = *reg.CreateGroup("g");
   ASSERT_TRUE(reg.AddMember(g, u).ok());
-  EXPECT_TRUE(reg.MembershipClosure(u).Test(g.value));
+  EXPECT_TRUE(reg.Closure(u)->Test(g.value));
   ASSERT_TRUE(reg.RemoveMember(g, u).ok());
-  EXPECT_FALSE(reg.MembershipClosure(u).Test(g.value));
+  EXPECT_FALSE(reg.Closure(u)->Test(g.value));
   EXPECT_EQ(reg.RemoveMember(g, u).code(), StatusCode::kNotFound);
 }
 
@@ -170,9 +170,9 @@ TEST(PrincipalRegistryTest, DiamondMembershipCountedOnce) {
   ASSERT_TRUE(reg.AddMember(right, u).ok());
   ASSERT_TRUE(reg.AddMember(top, left).ok());
   ASSERT_TRUE(reg.AddMember(top, right).ok());
-  const DynamicBitset& closure = reg.MembershipClosure(u);
-  EXPECT_EQ(closure.Count(), 4u);
-  EXPECT_TRUE(closure.Test(top.value));
+  auto closure = reg.Closure(u);
+  EXPECT_EQ(closure->Count(), 4u);
+  EXPECT_TRUE(closure->Test(top.value));
 }
 
 }  // namespace

@@ -23,8 +23,8 @@ TEST(SecureSystemTest, UsersJoinEveryoneAutomatically) {
   SecureSystem sys;
   auto alice = sys.CreateUser("alice");
   ASSERT_TRUE(alice.ok());
-  const DynamicBitset& closure = sys.principals().MembershipClosure(*alice);
-  EXPECT_TRUE(closure.Test(sys.everyone().value));
+  auto closure = sys.principals().Closure(*alice);
+  EXPECT_TRUE(closure->Test(sys.everyone().value));
 }
 
 TEST(SecureSystemTest, DefaultAclsMakeServicesCallable) {

@@ -26,11 +26,12 @@
 // --fail audit.sink.write=error they drive the whole self-healing pipeline
 // from the command line.
 //
-// --fanout <sinks> registers that many more in-memory ring sinks beside the
-// NDJSON one (AuditLog::AddSink). After the run the tool prints one
-// `sink <name> delivered=D dropped=R` line per registered sink; every sink
-// is a cursor over the same sequence-ordered log, so with no drops all of
-// them agree on `delivered`. Combine with
+// --fanout <sinks> registers that many more counting sinks (which discard
+// what they are handed) beside the NDJSON one (AuditLog::AddSink). After the
+// run the tool prints one `sink <name> delivered=D dropped=R` line per
+// registered sink from AuditLog::SinkStats; every sink is a cursor over the
+// same sequence-ordered ring, so with no drops all of them agree on
+// `delivered`. Combine with
 // --fail audit.sink.deliver=error,nth=... to watch per-sink drops.
 //
 // --health enables the extension supervisor (MODEL.md §16) and loads a tiny
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> fail_specs;
   xsec::NdjsonRotationPolicy rotation;
   bool snapshot = false;
-  uint64_t fanout_sinks = 0;  // extra in-memory ring sinks
+  uint64_t fanout_sinks = 0;  // extra counting sinks
   bool audit_drain = false;
   bool resilient = false;
   bool audit_required = false;
@@ -221,9 +222,7 @@ int main(int argc, char** argv) {
     sys.monitor().audit().StartDrain();
   }
   for (uint64_t i = 0; i < fanout_sinks; ++i) {
-    sys.monitor().audit().AddSink(
-        "ring" + std::to_string(i),
-        xsec::MakeMemoryRingSink(std::make_shared<xsec::AuditMemoryRing>()));
+    sys.monitor().audit().AddSink("count" + std::to_string(i), [](const xsec::AuditRecord&) {});
   }
 
   // A small world with deliberately mixed permissions: "reader" may read the
