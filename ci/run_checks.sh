@@ -51,6 +51,10 @@
 #                    quarantined peer within 10% of baseline, a real audited
 #                    + health-visible trip, and the mediated release round
 #                    trip to restore service)
+#
+# Builds stop the sweep at once. Every test run, benchmark and gate after
+# them runs regardless of the ones before: a failure is recorded, and the
+# script exits non-zero at the end, naming every check that failed.
 
 set -euo pipefail
 
@@ -74,13 +78,40 @@ FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|Diff
 export XSEC_FAULT_SEED
 echo "== Randomized seed: XSEC_FAULT_SEED=$XSEC_FAULT_SEED =="
 
+FAILED=()
+# Runs one named check; a failure is recorded and the sweep goes on.
+check() {
+  local name="$1"
+  shift
+  if ! "$@"; then
+    echo "!! check failed: $name"
+    FAILED+=("$name")
+  fi
+}
+
+# Exits non-zero naming every failed check; else prints $1.
+finish() {
+  if (( ${#FAILED[@]} > 0 )); then
+    echo "FAILED checks: ${FAILED[*]} (XSEC_FAULT_SEED=$XSEC_FAULT_SEED)"
+    exit 1
+  fi
+  echo "$1"
+}
+
+# ctest in directory $1, with any further arguments.
+ctest_in() {
+  local dir="$1"
+  shift
+  (cd "$dir" && ctest --output-on-failure -j "$JOBS" "$@")
+}
+
 run_ctest() {
   local dir="$1"
   if [[ "$QUICK" == 1 ]]; then
-    (cd "$dir" && ctest --output-on-failure -j "$JOBS" \
-        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|Shard|Breaker|${FAULT_RE}")
+    ctest_in "$dir" \
+        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|Shard|Breaker|${FAULT_RE}"
   else
-    (cd "$dir" && ctest --output-on-failure -j "$JOBS")
+    ctest_in "$dir"
   fi
 }
 
@@ -90,31 +121,31 @@ if [[ "$FAULTS" == 1 ]]; then
   echo "== AddressSanitizer + UBSan build =="
   cmake -B build-asan -S . -DXSEC_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$JOBS"
-  (cd build-asan && ctest --output-on-failure -j "$JOBS" -R "$FAULT_RE")
+  check "asan fault suites" ctest_in build-asan -R "$FAULT_RE"
 
   echo "== ThreadSanitizer build =="
   cmake -B build-tsan -S . -DXSEC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$JOBS"
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R "$FAULT_RE")
+  check "tsan fault suites" ctest_in build-tsan -R "$FAULT_RE"
 
-  echo "Fault sweep passed (seed $XSEC_FAULT_SEED)."
+  finish "Fault sweep passed (seed $XSEC_FAULT_SEED)."
   exit 0
 fi
 
 echo "== Release build =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
-(cd build-release && ctest --output-on-failure -j "$JOBS")
+check "release ctest" ctest_in build-release
 
 echo "== ThreadSanitizer build =="
 cmake -B build-tsan -S . -DXSEC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS"
-run_ctest build-tsan
+check "tsan ctest" run_ctest build-tsan
 
 echo "== AddressSanitizer + UBSan build =="
 cmake -B build-asan -S . -DXSEC_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS"
-run_ctest build-asan
+check "asan ctest" run_ctest build-asan
 
 echo "== F1: per-call mediation overhead =="
 F1_RUN=(./build-release/bench/bench_f1_mediation
@@ -126,50 +157,53 @@ F1_RUN=(./build-release/bench/bench_f1_mediation
 # to CPU-frequency noise). Builds without the support either ignore the flag
 # with a notice or reject it outright — retry plainly in that case; the gate
 # then falls back to median cpu_time.
-if ! "${F1_RUN[@]}" --benchmark_perf_counters=INSTRUCTIONS; then
-  echo "perf counters unavailable; rerunning F1 without them"
-  "${F1_RUN[@]}"
-fi
+run_f1() {
+  if ! "${F1_RUN[@]}" --benchmark_perf_counters=INSTRUCTIONS; then
+    echo "perf counters unavailable; rerunning F1 without them"
+    "${F1_RUN[@]}"
+  fi
+}
+check "F1 bench" run_f1
 
 echo "== F1 regression gate (stats overhead ratio vs committed baseline) =="
-python3 ci/check_bench_f1.py BENCH_f1.json ci/bench_f1_baseline.json
+check "F1 gate" python3 ci/check_bench_f1.py BENCH_f1.json ci/bench_f1_baseline.json
 
 echo "== F9: hierarchy traversal protection at depth 8 =="
-./build-release/bench/bench_f9_traversal \
+check "F9 bench" ./build-release/bench/bench_f9_traversal \
     --benchmark_filter='BM_Path(NoTraversal|TraversalCached)/8$' \
     --benchmark_out=BENCH_f9.json --benchmark_out_format=json \
     --benchmark_min_time=0.25 --benchmark_repetitions=5
 
 echo "== F9 gate (cached traversal <= 1.2x no traversal at depth 8) =="
-python3 ci/check_bench_f9.py BENCH_f9.json
+check "F9 gate" python3 ci/check_bench_f9.py BENCH_f9.json
 
 echo "== F16: sharded stamp domains =="
-./build-release/bench/bench_f16_shard \
+check "F16 bench" ./build-release/bench/bench_f16_shard \
     --benchmark_out=BENCH_f16.json --benchmark_out_format=json \
     --benchmark_min_time=0.25
 
 echo "== F16 gate (cross-shard isolation; ACL interning) =="
-python3 ci/check_bench_f16.py BENCH_f16.json
+check "F16 gate" python3 ci/check_bench_f16.py BENCH_f16.json
 
 echo "== F17: supervised degradation (quarantined peer containment) =="
-./build-release/bench/bench_f17_supervisor \
+check "F17 bench" ./build-release/bench/bench_f17_supervisor \
     --benchmark_out=BENCH_f17.json --benchmark_out_format=json \
     --benchmark_min_time=0.25 --benchmark_repetitions=3
 
 echo "== F17 gate (peer quarantine taxes neighbors <= 10%; trip audited + visible; release restores) =="
-python3 ci/check_bench_f17.py BENCH_f17.json
+check "F17 gate" python3 ci/check_bench_f17.py BENCH_f17.json
 
 echo "== F11: parallel mediation throughput =="
-./build-release/bench/bench_f11_parallel \
+check "F11 bench" ./build-release/bench/bench_f11_parallel \
     --benchmark_out=BENCH_f11.json --benchmark_out_format=json \
     --benchmark_min_time=0.1
 
 echo "== F12: subscription fan-out on the publish path =="
-./build-release/bench/bench_f12_subscription \
+check "F12 bench" ./build-release/bench/bench_f12_subscription \
     --benchmark_out=BENCH_f12.json --benchmark_out_format=json \
     --benchmark_min_time=0.1 --benchmark_repetitions=3
 
 echo "== F12 gate (publisher ~flat 1->64 subs; 2-sink drain >= 1.5x; order_violations == 0) =="
-python3 ci/check_bench_f12.py BENCH_f12.json
+check "F12 gate" python3 ci/check_bench_f12.py BENCH_f12.json
 
-echo "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f9.json, BENCH_f11.json, BENCH_f12.json, BENCH_f16.json, BENCH_f17.json."
+finish "All checks passed (XSEC_FAULT_SEED=$XSEC_FAULT_SEED). Figure data in BENCH_f1.json, BENCH_f9.json, BENCH_f11.json, BENCH_f12.json, BENCH_f16.json, BENCH_f17.json."

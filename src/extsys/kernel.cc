@@ -157,6 +157,18 @@ StatusOr<Value> Kernel::RunHandler(Subject& subject, const std::string* supervis
   return result;
 }
 
+StatusOr<std::vector<const EventDispatcher::HandlerRecord*>> Kernel::SelectHandlers(
+    NodeId node, const SecurityClass& security_class, DispatchMode mode) const {
+  EventDispatcher::EligibleFn available;
+  if (supervisor_ != nullptr) {
+    available = [this](const EventDispatcher::HandlerRecord& record) {
+      const LinkedExtension* ext = GetExtension(record.extension);
+      return ext == nullptr || supervisor_->Selectable(ext->name);
+    };
+  }
+  return dispatcher_.Select(node, security_class, mode, available);
+}
+
 StatusOr<Value> Kernel::InvokeNode(Subject& subject, NodeId node, Args args,
                                    const CallOptions& caller_options) {
   // Dispatch-layer injection point: fires after mediation (the caller has
@@ -174,18 +186,8 @@ StatusOr<Value> Kernel::InvokeNode(Subject& subject, NodeId node, Args args,
     return NotFoundError("node vanished");
   }
   if (n->kind == NodeKind::kInterface) {
-    // An extended service: select the right extension for this caller,
-    // skipping quarantined ones so selection falls through to the next-best
-    // healthy handler.
-    EventDispatcher::EligibleFn available;
-    if (supervisor_ != nullptr) {
-      available = [this](const EventDispatcher::HandlerRecord& record) {
-        const LinkedExtension* ext = GetExtension(record.extension);
-        return ext == nullptr || supervisor_->Selectable(ext->name);
-      };
-    }
-    auto selected = dispatcher_.Select(node, subject.security_class,
-                                       DispatchMode::kClassSelected, available);
+    // An extended service: select the right extension for this caller.
+    auto selected = SelectHandlers(node, subject.security_class, DispatchMode::kClassSelected);
     if (!selected.ok()) {
       return selected.status();
     }
@@ -237,14 +239,7 @@ StatusOr<Value> Kernel::RaiseEvent(Subject& subject, std::string_view interface_
   if (!decision.allowed) {
     return decision.ToStatus();
   }
-  EventDispatcher::EligibleFn available;
-  if (supervisor_ != nullptr) {
-    available = [this](const EventDispatcher::HandlerRecord& record) {
-      const LinkedExtension* ext = GetExtension(record.extension);
-      return ext == nullptr || supervisor_->Selectable(ext->name);
-    };
-  }
-  auto selected = dispatcher_.Select(node, subject.security_class, mode, available);
+  auto selected = SelectHandlers(node, subject.security_class, mode);
   if (!selected.ok()) {
     return selected.status();
   }
@@ -352,9 +347,12 @@ Status Kernel::UnloadExtension(const Subject& subject, ExtensionId id) {
     return NotFoundError("no such extension");
   }
   LinkedExtension& ext = *extensions_[id.value];
-  if (subject.principal != ext.principal && !monitor_->HasAdministrate(subject, ext.node)) {
-    return PermissionDeniedError(
-        StrFormat("not authorized to unload extension '%s'", ext.name.c_str()));
+  if (subject.principal != ext.principal) {
+    NameSpace::SecuritySnapshot snap;
+    if (!monitor_->AuthorizeAdministrate(subject, ext.node, "unload", &snap).ok()) {
+      return PermissionDeniedError(
+          StrFormat("not authorized to unload extension '%s'", ext.name.c_str()));
+    }
   }
   dispatcher_.UnregisterExtension(id);
   (void)name_space_.Unbind(ext.node);

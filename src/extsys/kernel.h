@@ -129,6 +129,11 @@ class Kernel {
  private:
   StatusOr<Value> InvokeNode(Subject& subject, NodeId node, Args args,
                              const CallOptions& options);
+  // The handlers `mode` selects on interface `node` for `security_class`,
+  // skipping extensions the supervisor will not admit, so selection falls
+  // through to the next-best healthy handler.
+  StatusOr<std::vector<const EventDispatcher::HandlerRecord*>> SelectHandlers(
+      NodeId node, const SecurityClass& security_class, DispatchMode mode) const;
   // Runs one handler under a CallContext scoped to this thread, admitting
   // through the supervisor first when `supervised_name` is non-null.
   StatusOr<Value> RunHandler(Subject& subject, const std::string* supervised_name,

@@ -4,6 +4,7 @@
 
 #include "src/base/failpoint.h"
 #include "src/base/strings.h"
+#include "src/extsys/system_paths.h"
 #include "src/monitor/monitor_stats.h"
 
 namespace xsec {
@@ -27,7 +28,8 @@ bool IsBreakerFailure(StatusCode code) {
 }
 
 std::string HealthLeafPath(std::string_view name) {
-  return StrFormat("/sys/monitor/health/ext/%s/state", std::string(name).c_str());
+  return StrFormat("%s/ext/%s/state", std::string(kHealthMountPath).c_str(),
+                   std::string(name).c_str());
 }
 
 }  // namespace
@@ -342,7 +344,7 @@ void ExtensionSupervisor::AuditSystemTransition(SystemHealth from, SystemHealth 
   }
   AuditRecord record;
   record.principal = options_.audit_principal;
-  record.path = "/sys/monitor/health/state";
+  record.path = std::string(kHealthMountPath) + "/state";
   record.modes = AccessModeSet(AccessMode::kExtend);
   record.allowed = allowed;
   record.reason = allowed ? DenyReason::kNone : DenyReason::kQuarantined;

@@ -65,36 +65,97 @@ ShardId ReferenceMonitor::DomainOf(NodeId node) const {
   return name_space_->ShardOf(node);
 }
 
-const Acl* ReferenceMonitor::EffectiveAcl(NodeId node, AclStore::AclRef* ref_out) const {
-  const Node* n = name_space_->Get(node);
-  while (n != nullptr) {
-    if (n->acl_ref != kNoRef) {
-      if (ref_out != nullptr) {
-        *ref_out = n->acl_ref;
-      }
-      return acls_->Get(n->acl_ref);
-    }
-    if (n->id == name_space_->root()) {
-      break;
-    }
-    n = name_space_->Get(n->parent);
-  }
-  if (ref_out != nullptr) {
-    *ref_out = kNoRef;
-  }
-  return nullptr;
+namespace {
+
+// The owner rule: a node's owner holds administrate on it whatever its ACL
+// says, so a fresh node (which inherits its ACL) can be given one by its
+// creator. Returns the modes the rule grants.
+AccessModeSet OwnerGrants(const Subject& subject, const NameSpace::SecuritySnapshot& snap) {
+  return subject.principal == snap.owner ? AccessModeSet(AccessMode::kAdministrate)
+                                         : AccessModeSet();
 }
 
-SecurityClass ReferenceMonitor::EffectiveLabel(NodeId node) const {
-  NameSpace::SecuritySnapshot snap;
-  if (name_space_->SnapshotSecurity(node, &snap) && snap.effective_label_ref != kNoRef) {
+std::string VerdictLine(const Decision& decision) {
+  if (decision.allowed) {
+    return "verdict : allowed\n";
+  }
+  return StrFormat("verdict : denied (%s)\n",
+                   std::string(DenyReasonName(decision.reason)).c_str());
+}
+
+}  // namespace
+
+std::shared_ptr<const SecurityClass> ReferenceMonitor::LabelOf(
+    const NameSpace::SecuritySnapshot& snap) const {
+  if (snap.effective_label_ref != kNoRef) {
     if (auto label = labels_->LabelHandle(snap.effective_label_ref)) {
-      return *label;
+      return label;
     }
   }
   // Unreachable for live nodes: the constructor labels the root. A default
   // class is ⊥-shaped (level 0, no categories).
-  return SecurityClass();
+  static const auto* const kBottom =
+      new std::shared_ptr<const SecurityClass>(std::make_shared<const SecurityClass>());
+  return *kBottom;
+}
+
+SecurityClass ReferenceMonitor::EffectiveLabel(NodeId node) const {
+  NameSpace::SecuritySnapshot snap;
+  if (!name_space_->SnapshotSecurity(node, &snap)) {
+    return SecurityClass();
+  }
+  return *LabelOf(snap);
+}
+
+Decision ReferenceMonitor::DacStage(const Subject& subject,
+                                    const NameSpace::SecuritySnapshot& snap,
+                                    AccessModeSet modes) const {
+  const AccessModeSet dac_modes = modes - OwnerGrants(subject, snap);
+  if (dac_modes.empty()) {
+    return Decision{true, DenyReason::kNone, ""};
+  }
+  if (snap.effective_acl_ref == kNoRef) {
+    return Decision{false, DenyReason::kDacNoGrant, "no ACL grants this access"};
+  }
+  std::shared_ptr<const DynamicBitset> closure = principals_->Closure(subject.principal);
+  AclVerdict verdict = acls_->Evaluate(snap.effective_acl_ref, *closure, dac_modes);
+  if (verdict == AclVerdict::kDeniedByEntry) {
+    return Decision{false, DenyReason::kDacExplicitDeny, "matched a negative ACL entry"};
+  }
+  if (verdict == AclVerdict::kNoMatchingGrant) {
+    return Decision{false, DenyReason::kDacNoGrant, "no ACL entry grants this access"};
+  }
+  return Decision{true, DenyReason::kNone, ""};
+}
+
+Decision ReferenceMonitor::MacStage(const Subject& subject, const SecurityClass& label,
+                                    AccessModeSet modes, AccessMode* violating) const {
+  FlowVerdict verdict = flow_.Check(subject.security_class, label, modes);
+  if (verdict.allowed) {
+    return Decision{true, DenyReason::kNone, ""};
+  }
+  if (violating != nullptr) {
+    *violating = *verdict.violating_mode;
+  }
+  return Decision{false, DenyReason::kMacFlow,
+                  StrFormat("%s of %s by subject at %s violates information flow",
+                            std::string(AccessModeName(*verdict.violating_mode)).c_str(),
+                            labels_->ClassToString(label).c_str(),
+                            labels_->ClassToString(subject.security_class).c_str())};
+}
+
+Decision ReferenceMonitor::Decide(const Subject& subject, const NameSpace::SecuritySnapshot& snap,
+                                  AccessModeSet modes) const {
+  if (options_.dac_enabled) {
+    Decision dac = DacStage(subject, snap, modes);
+    if (!dac.allowed) {
+      return dac;
+    }
+  }
+  if (options_.mac_enabled) {
+    return MacStage(subject, *LabelOf(snap), modes);
+  }
+  return Decision{true, DenyReason::kNone, ""};
 }
 
 Decision ReferenceMonitor::CheckUncached(const Subject& subject, NodeId node,
@@ -106,48 +167,7 @@ Decision ReferenceMonitor::CheckUncached(const Subject& subject, NodeId node,
   if (!name_space_->SnapshotSecurity(node, &snap)) {
     return Decision{false, DenyReason::kNotFound, "node does not exist"};
   }
-
-  if (options_.dac_enabled) {
-    AccessModeSet dac_modes = modes;
-    // Bootstrap rule: the owner always holds administrate, so a fresh node
-    // (which inherits its ACL) can be given one by its creator.
-    if (subject.principal == snap.owner) {
-      dac_modes = dac_modes - AccessModeSet(AccessMode::kAdministrate);
-    }
-    if (!dac_modes.empty()) {
-      if (snap.effective_acl_ref == kNoRef) {
-        return Decision{false, DenyReason::kDacNoGrant, "no ACL grants this access"};
-      }
-      std::shared_ptr<const DynamicBitset> closure = principals_->Closure(subject.principal);
-      AclVerdict verdict = acls_->Evaluate(snap.effective_acl_ref, *closure, dac_modes);
-      if (verdict == AclVerdict::kDeniedByEntry) {
-        return Decision{false, DenyReason::kDacExplicitDeny, "matched a negative ACL entry"};
-      }
-      if (verdict == AclVerdict::kNoMatchingGrant) {
-        return Decision{false, DenyReason::kDacNoGrant, "no ACL entry grants this access"};
-      }
-    }
-  }
-
-  if (options_.mac_enabled) {
-    std::shared_ptr<const SecurityClass> handle =
-        snap.effective_label_ref != kNoRef ? labels_->LabelHandle(snap.effective_label_ref)
-                                           : nullptr;
-    // A live node always resolves to a label (the root carries ⊥); ⊥ is the
-    // defensive fallback for a torn-down tree.
-    SecurityClass fallback;
-    const SecurityClass& label = handle ? *handle : fallback;
-    FlowVerdict verdict = flow_.Check(subject.security_class, label, modes);
-    if (!verdict.allowed) {
-      return Decision{false, DenyReason::kMacFlow,
-                      StrFormat("%s of %s by subject at %s violates information flow",
-                                std::string(AccessModeName(*verdict.violating_mode)).c_str(),
-                                labels_->ClassToString(label).c_str(),
-                                labels_->ClassToString(subject.security_class).c_str())};
-    }
-  }
-
-  return Decision{true, DenyReason::kNone, ""};
+  return Decide(subject, snap, modes);
 }
 
 void ReferenceMonitor::Audit(const Subject& subject, NodeId node, ShardId domain,
@@ -359,101 +379,92 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
 
 std::string ReferenceMonitor::Explain(const Subject& subject, NodeId node,
                                       AccessModeSet modes) const {
-  const Node* n = name_space_->Get(node);
-  if (n == nullptr) {
-    return "node does not exist\n";
+  // Every fact comes from one snapshot and the stores' value copies and
+  // handles, so this is safe beside mutators; the verdict is Decide's.
+  NameSpace::SecuritySnapshot snap;
+  if (!name_space_->SnapshotSecurity(node, &snap)) {
+    return "node does not exist\n" +
+           VerdictLine(Decision{false, DenyReason::kNotFound, "node does not exist"});
   }
+  auto name_of = [this](PrincipalId id) {
+    const Principal* p = principals_->Get(id);
+    return p != nullptr ? p->name : std::string("?");
+  };
   std::string out;
-  const Principal* who = principals_->Get(subject.principal);
-  out += StrFormat("subject : %s at %s\n", who != nullptr ? who->name.c_str() : "?",
+  out += StrFormat("subject : %s at %s\n", name_of(subject.principal).c_str(),
                    labels_->ClassToString(subject.security_class).c_str());
-  const Principal* owner = principals_->Get(n->owner);
   out += StrFormat("object  : %s (%s, owner %s)\n", name_space_->PathOf(node).c_str(),
-                   std::string(NodeKindName(n->kind)).c_str(),
-                   owner != nullptr ? owner->name.c_str() : "?");
+                   std::string(NodeKindName(snap.kind)).c_str(), name_of(snap.owner).c_str());
   out += StrFormat("request : %s\n", modes.ToString().c_str());
 
   if (!options_.dac_enabled) {
     out += "DAC     : disabled\n";
   } else {
-    if (subject.principal == n->owner) {
+    if (!OwnerGrants(subject, snap).empty()) {
       out += "DAC     : subject owns the object (administrate implicit)\n";
     }
-    // Find the governing ACL and say where it came from.
-    const Node* cursor = n;
-    while (cursor->acl_ref == kNoRef && cursor->id != name_space_->root()) {
-      cursor = name_space_->Get(cursor->parent);
-    }
-    if (cursor->acl_ref == kNoRef) {
-      out += "DAC     : no ACL anywhere up the tree -> everything denied\n";
+    const char* granted = DacStage(subject, snap, modes).allowed ? "granted" : "NOT granted";
+    if (snap.effective_acl_ref == kNoRef) {
+      out += StrFormat("DAC     : no ACL anywhere up the tree -> %s\n", granted);
     } else {
-      const Acl* acl = acls_->Get(cursor->acl_ref);
       out += StrFormat("DAC     : governed by the ACL on %s%s\n",
-                       name_space_->PathOf(cursor->id).c_str(),
-                       cursor->id == node ? "" : " (inherited)");
+                       name_space_->PathOf(snap.effective_acl_node).c_str(),
+                       snap.effective_acl_node == node ? "" : " (inherited)");
+      Acl acl;
+      (void)acls_->CopyAcl(snap.effective_acl_ref, &acl);
       std::shared_ptr<const DynamicBitset> closure = principals_->Closure(subject.principal);
-      AccessModeSet allowed, denied;
-      for (const AclEntry& entry : acl->entries()) {
-        bool matches = closure->Test(entry.who.value);
-        const Principal* p = principals_->Get(entry.who);
+      for (const AclEntry& entry : acl.entries()) {
         out += StrFormat("          %s %s %s%s\n",
                          entry.type == AclEntryType::kAllow ? "allow" : "deny ",
-                         p != nullptr ? p->name.c_str() : "?",
-                         entry.modes.ToString().c_str(),
-                         matches ? "   <- matches this subject" : "");
-        if (matches) {
-          (entry.type == AclEntryType::kAllow ? allowed : denied) |= entry.modes;
-        }
+                         name_of(entry.who).c_str(), entry.modes.ToString().c_str(),
+                         closure->Test(entry.who.value) ? "   <- matches this subject" : "");
       }
-      AccessModeSet effective = allowed - denied;
-      out += StrFormat("          effective modes: %s -> %s\n", effective.ToString().c_str(),
-                       effective.ContainsAll(modes) ? "granted" : "NOT granted");
+      out += StrFormat("          effective modes: %s -> %s\n",
+                       acl.EffectiveModes(*closure).ToString().c_str(), granted);
     }
   }
 
   if (!options_.mac_enabled) {
     out += "MAC     : disabled\n";
   } else {
-    SecurityClass label = EffectiveLabel(node);
-    out += StrFormat("MAC     : object label %s\n", labels_->ClassToString(label).c_str());
-    FlowVerdict verdict = flow_.Check(subject.security_class, label, modes);
-    if (verdict.allowed) {
+    std::shared_ptr<const SecurityClass> label = LabelOf(snap);
+    out += StrFormat("MAC     : object label %s\n", labels_->ClassToString(*label).c_str());
+    AccessMode violating = AccessMode::kRead;
+    if (MacStage(subject, *label, modes, &violating).allowed) {
       out += "          flow rules satisfied\n";
     } else {
       out += StrFormat("          %s violates flow (%s)\n",
-                       std::string(AccessModeName(*verdict.violating_mode)).c_str(),
-                       subject.security_class.Dominates(label)
+                       std::string(AccessModeName(violating)).c_str(),
+                       subject.security_class.Dominates(*label)
                            ? "object must dominate subject for this mode"
                            : "subject does not dominate the object's label");
     }
   }
-  return out;
+  return out + VerdictLine(Decide(subject, snap, modes));
 }
 
-bool ReferenceMonitor::HasAdministrate(const Subject& subject, NodeId node) const {
-  NameSpace::SecuritySnapshot snap;
-  if (!name_space_->SnapshotSecurity(node, &snap)) {
-    return false;
+Status ReferenceMonitor::AuthorizeAdministrate(const Subject& subject, NodeId node,
+                                               std::string_view op,
+                                               NameSpace::SecuritySnapshot* snap) {
+  if (!name_space_->SnapshotSecurity(node, snap)) {
+    return NotFoundError("node does not exist");
   }
-  if (subject.principal == snap.owner) {
-    return true;
+  // The owner rule grants administrate on a mutator outright, MAC included;
+  // Check(administrate) still applies MAC to the owner (docs/MODEL.md §5).
+  if (!OwnerGrants(subject, *snap).empty() ||
+      Decide(subject, *snap, AccessMode::kAdministrate).allowed) {
+    return OkStatus();
   }
-  // Re-check without caching/auditing: administration is rare, so the plain
-  // path is fine.
-  return CheckUncached(subject, node, AccessMode::kAdministrate).allowed;
+  Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
+        Decision{false, DenyReason::kNotAuthorized,
+                 StrFormat("%s without administrate", std::string(op).c_str())});
+  return PermissionDeniedError(
+      StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
 }
 
 Status ReferenceMonitor::SetNodeAcl(const Subject& subject, NodeId node, Acl acl) {
   NameSpace::SecuritySnapshot snap;
-  if (!name_space_->SnapshotSecurity(node, &snap)) {
-    return NotFoundError("node does not exist");
-  }
-  if (!HasAdministrate(subject, node)) {
-    Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
-          Decision{false, DenyReason::kNotAuthorized, "set-acl without administrate"});
-    return PermissionDeniedError(
-        StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
-  }
+  XSEC_RETURN_IF_ERROR(AuthorizeAdministrate(subject, node, "set-acl", &snap));
   if (snap.own_acl_ref == kNoRef) {
     // Tag (and intern) the fresh ACL under the node's shard, so later edits
     // to it bump only that shard's stamp domain.
@@ -465,15 +476,7 @@ Status ReferenceMonitor::SetNodeAcl(const Subject& subject, NodeId node, Acl acl
 
 Status ReferenceMonitor::AddAclEntry(const Subject& subject, NodeId node, const AclEntry& entry) {
   NameSpace::SecuritySnapshot snap;
-  if (!name_space_->SnapshotSecurity(node, &snap)) {
-    return NotFoundError("node does not exist");
-  }
-  if (!HasAdministrate(subject, node)) {
-    Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
-          Decision{false, DenyReason::kNotAuthorized, "add-acl-entry without administrate"});
-    return PermissionDeniedError(
-        StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
-  }
+  XSEC_RETURN_IF_ERROR(AuthorizeAdministrate(subject, node, "add-acl-entry", &snap));
   if (snap.own_acl_ref == kNoRef) {
     // Copy-down: start the node's own ACL from its effective (inherited) one
     // so adding an entry refines rather than replaces the inherited policy.
@@ -491,15 +494,7 @@ Status ReferenceMonitor::AddAclEntry(const Subject& subject, NodeId node, const 
 Status ReferenceMonitor::RemoveAclEntriesFor(const Subject& subject, NodeId node,
                                              PrincipalId who) {
   NameSpace::SecuritySnapshot snap;
-  if (!name_space_->SnapshotSecurity(node, &snap)) {
-    return NotFoundError("node does not exist");
-  }
-  if (!HasAdministrate(subject, node)) {
-    Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
-          Decision{false, DenyReason::kNotAuthorized, "remove-acl-entries without administrate"});
-    return PermissionDeniedError(
-        StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
-  }
+  XSEC_RETURN_IF_ERROR(AuthorizeAdministrate(subject, node, "remove-acl-entries", &snap));
   if (snap.own_acl_ref == kNoRef) {
     return OkStatus();  // only an inherited ACL; nothing of this node's to edit
   }
@@ -509,20 +504,14 @@ Status ReferenceMonitor::RemoveAclEntriesFor(const Subject& subject, NodeId node
 Status ReferenceMonitor::SetNodeLabel(const Subject& subject, NodeId node,
                                       const SecurityClass& label) {
   NameSpace::SecuritySnapshot snap;
-  if (!name_space_->SnapshotSecurity(node, &snap)) {
-    return NotFoundError("node does not exist");
-  }
-  bool officer = security_officer_.valid() && subject.principal == security_officer_;
-  if (!officer) {
-    if (!HasAdministrate(subject, node)) {
-      Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
-            Decision{false, DenyReason::kNotAuthorized, "set-label without administrate"});
-      return PermissionDeniedError(
-          StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
+  if (security_officer_.valid() && subject.principal == security_officer_) {
+    if (!name_space_->SnapshotSecurity(node, &snap)) {
+      return NotFoundError("node does not exist");
     }
+  } else {
+    XSEC_RETURN_IF_ERROR(AuthorizeAdministrate(subject, node, "set-label", &snap));
     if (options_.mac_enabled) {
-      SecurityClass current = EffectiveLabel(node);
-      bool sees_current = subject.security_class.Dominates(current);
+      bool sees_current = subject.security_class.Dominates(*LabelOf(snap));
       bool assigns_own_class = label == subject.security_class;
       if (!sees_current || !assigns_own_class) {
         Audit(subject, node, DomainOf(node), "", AccessMode::kAdministrate,
@@ -541,13 +530,7 @@ Status ReferenceMonitor::SetNodeLabel(const Subject& subject, NodeId node,
 
 Status ReferenceMonitor::SetOwner(const Subject& subject, NodeId node, PrincipalId new_owner) {
   NameSpace::SecuritySnapshot snap;
-  if (!name_space_->SnapshotSecurity(node, &snap)) {
-    return NotFoundError("node does not exist");
-  }
-  if (!HasAdministrate(subject, node)) {
-    return PermissionDeniedError(
-        StrFormat("no administrate access on '%s'", name_space_->PathOf(node).c_str()));
-  }
+  XSEC_RETURN_IF_ERROR(AuthorizeAdministrate(subject, node, "set-owner", &snap));
   if (principals_->Get(new_owner) == nullptr) {
     return NotFoundError("new owner does not exist");
   }

@@ -7,9 +7,11 @@
 //
 //   1. resolve the name (optionally checking `list` on every ancestor, so
 //      visibility of each level of the hierarchy is itself protected, §2.3);
-//   2. DAC: evaluate the node's *effective ACL* (its own, or the nearest
-//      ancestor's — ACL inheritance gives AFS-style directory defaults while
-//      still allowing per-leaf ACLs, which AFS cannot do, §1.2);
+//   2. DAC: the node's owner holds administrate (the bootstrap rule); every
+//      other requested mode must be granted by the node's *effective ACL*
+//      (its own, or the nearest ancestor's — ACL inheritance gives AFS-style
+//      directory defaults while still allowing per-leaf ACLs, which AFS
+//      cannot do, §1.2);
 //   3. MAC: check the flow rules between the subject's security class and the
 //      node's *effective label* (own or nearest ancestor's; the root is
 //      labeled ⊥ at construction so every node has a label). MAC is checked
@@ -23,14 +25,21 @@
 // the walk is warm and fully allowed, answers it with one resolved-path
 // cache entry (docs/MODEL.md §15).
 //
-// Thread safety: Check/CheckPath/CheckFloating and the administrative
-// operations may be called concurrently from any number of threads. The
-// check path reads each store through a snapshot or shared-ownership handle
-// (NameSpace::SnapshotSecurity, PrincipalRegistry::Closure,
-// AclStore::Evaluate, LabelAuthority::LabelHandle) and reads the validity
-// stamps *before* evaluating, so a cached decision can be spuriously stale
-// but never wrongly fresh. Explain() and EffectiveAcl() are introspection
-// helpers for single-threaded use. set_security_officer() is setup-time.
+// One decision procedure (docs/MODEL.md §3, §5): a DAC stage (the owner rule,
+// then ACL evaluation) and a MAC stage (the flow decision) over one
+// NameSpace::SecuritySnapshot. Every verdict goes through them: a cache
+// miss, the administrative authorization step the mutators and
+// Kernel::UnloadExtension share, and Explain, which renders the same
+// snapshot's facts and ends with the procedure's verdict.
+//
+// Thread safety: Check/CheckPath/CheckFloating, the administrative
+// operations and Explain may be called concurrently from any number of
+// threads. Decisions read each store through a snapshot or shared-ownership
+// handle (NameSpace::SnapshotSecurity, PrincipalRegistry::Closure,
+// AclStore::Evaluate/CopyAcl, LabelAuthority::LabelHandle) and read the
+// validity stamps *before* evaluating, so a cached decision can be
+// spuriously stale but never wrongly fresh. set_security_officer() is
+// setup-time.
 
 #ifndef XSEC_SRC_MONITOR_REFERENCE_MONITOR_H_
 #define XSEC_SRC_MONITOR_REFERENCE_MONITOR_H_
@@ -110,9 +119,17 @@ class ReferenceMonitor {
   Decision CheckFloating(Subject* subject, NodeId node, AccessModeSet modes);
 
   // -- Policy administration -------------------------------------------------
-  // All three require the subject to hold `administrate` on the node. The
-  // node's owner implicitly holds administrate (the bootstrap rule: a fresh
-  // node has no ACL of its own and someone must be able to give it one).
+  // Every mutator first runs AuthorizeAdministrate.
+
+  // The administrative authorization step: one snapshot (into *snap), then
+  // the owner rule — the node's owner holds administrate outright (the
+  // bootstrap rule: a fresh node has no ACL of its own and someone must be
+  // able to give it one) — else the decision procedure for `administrate`,
+  // DAC and MAC. NotFound for a dead node. On denial it records one
+  // kNotAuthorized decision "<op> without administrate" and returns
+  // PermissionDenied; an allow records nothing.
+  Status AuthorizeAdministrate(const Subject& subject, NodeId node, std::string_view op,
+                               NameSpace::SecuritySnapshot* snap);
 
   Status SetNodeAcl(const Subject& subject, NodeId node, Acl acl);
   Status AddAclEntry(const Subject& subject, NodeId node, const AclEntry& entry);
@@ -147,18 +164,12 @@ class ReferenceMonitor {
   bool lockdown() const { return lockdown_.load(std::memory_order_relaxed); }
 
   // -- Effective policy resolution (own or inherited) ------------------------
-
-  // The ACL governing a node: its own, else the nearest ancestor's, else null
-  // (no ACL anywhere => DAC denies everything except the owner's administrate).
-  // Returns a borrowed pointer; for single-threaded introspection only.
-  const Acl* EffectiveAcl(NodeId node, AclStore::AclRef* ref_out = nullptr) const;
+  // The ACL governing a node is NameSpace::SnapshotSecurity's
+  // effective_acl_ref (copy it with AclStore::CopyAcl).
 
   // The label governing a node, by value (safe against concurrent relabels).
   // The root always has one (⊥ by default).
   SecurityClass EffectiveLabel(NodeId node) const;
-
-  // True iff the subject holds administrate on the node (ACL grant or owner).
-  bool HasAdministrate(const Subject& subject, NodeId node) const;
 
   // -- Policy epoch and validity domains ------------------------------------
 
@@ -212,8 +223,9 @@ class ReferenceMonitor {
 
   // A human-readable, multi-line diagnosis of why `subject` can or cannot
   // perform `modes` on `node`: ownership, the governing ACL (and where it
-  // was inherited from), which entries matched, and the label comparison.
-  // Purely informational — performs no caching and no auditing.
+  // was inherited from), which entries matched, and the label comparison,
+  // ending with "verdict : allowed" or "verdict : denied (<reason>)", which
+  // is CheckInterpreted's decision. Performs no caching and no auditing.
   std::string Explain(const Subject& subject, NodeId node, AccessModeSet modes) const;
 
   AuditLog& audit() { return audit_; }
@@ -231,6 +243,18 @@ class ReferenceMonitor {
 
  private:
   Decision CheckUncached(const Subject& subject, NodeId node, AccessModeSet modes) const;
+  // The decision procedure over one snapshot: DacStage, then MacStage.
+  Decision Decide(const Subject& subject, const NameSpace::SecuritySnapshot& snap,
+                  AccessModeSet modes) const;
+  // DAC: the owner rule, then the effective ACL must grant what it leaves.
+  Decision DacStage(const Subject& subject, const NameSpace::SecuritySnapshot& snap,
+                    AccessModeSet modes) const;
+  // MAC: the flow decision against `label`; on denial *violating (if
+  // non-null) names the first mode that breaks a flow rule.
+  Decision MacStage(const Subject& subject, const SecurityClass& label, AccessModeSet modes,
+                    AccessMode* violating = nullptr) const;
+  // The snapshot's effective label; ⊥ if it names none (a torn-down tree).
+  std::shared_ptr<const SecurityClass> LabelOf(const NameSpace::SecuritySnapshot& snap) const;
   // The check bodies, without latency sampling (the public wrappers add it).
   // `path`, when non-empty, is the node's canonical path (from CheckPath's
   // validated request), recorded instead of rebuilding it from the node.

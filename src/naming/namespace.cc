@@ -293,17 +293,20 @@ bool NameSpace::SnapshotSecurity(NodeId id, SecuritySnapshot* out) const {
     return false;
   }
   out->owner = n->owner;
+  out->kind = n->kind;
   out->own_acl_ref = n->acl_ref;
   out->own_label_ref = n->label_ref;
   out->shard = n->shard;
   out->effective_acl_ref = kNoRef;
   out->effective_label_ref = kNoRef;
+  out->effective_acl_node = NodeId{};
   // Ancestors of a live node are always alive (only leaves can be unbound),
   // so the walk needs no liveness checks.
   const Node* cur = n;
   while (true) {
     if (out->effective_acl_ref == kNoRef && cur->acl_ref != kNoRef) {
       out->effective_acl_ref = cur->acl_ref;
+      out->effective_acl_node = cur->id;
     }
     if (out->effective_label_ref == kNoRef && cur->label_ref != kNoRef) {
       out->effective_label_ref = cur->label_ref;

@@ -150,10 +150,14 @@ class NameSpace {
   // inheritance); the own refs are the node's own fields.
   struct SecuritySnapshot {
     PrincipalId owner;
+    NodeKind kind = NodeKind::kDirectory;
     uint32_t own_acl_ref = kNoRef;
     uint32_t own_label_ref = kNoRef;
     uint32_t effective_acl_ref = kNoRef;
     uint32_t effective_label_ref = kNoRef;
+    // The node whose own ACL is the effective one; invalid when no node on
+    // the path to the root carries an ACL.
+    NodeId effective_acl_node;
     // Validity domain of any decision derived from this snapshot. Concrete
     // for ordinary nodes; kAllShards for the root.
     ShardId shard = kAggregateShard;

@@ -4,16 +4,16 @@
 
 #include "src/base/failpoint.h"
 #include "src/base/strings.h"
+#include "src/extsys/system_paths.h"
 #include "src/naming/path.h"
 
 namespace xsec {
 
-FaultService::FaultService(Kernel* kernel, FaultServiceOptions options)
-    : kernel_(kernel), options_(std::move(options)) {}
+FaultService::FaultService(Kernel* kernel) : kernel_(kernel) {}
 
 Status FaultService::Install() {
   PrincipalId system = kernel_->system_principal();
-  auto mount = kernel_->name_space().BindPath(options_.mount_path, NodeKind::kDirectory, system);
+  auto mount = kernel_->name_space().BindPath(kFaultMountPath, NodeKind::kDirectory, system);
   if (!mount.ok()) {
     return mount.status();
   }
@@ -29,7 +29,7 @@ Status FaultService::Install() {
 
   auto proc = [this, system](std::string_view name, HandlerFn fn) -> Status {
     auto node =
-        kernel_->RegisterProcedure(JoinPath(options_.service_path, name), system, std::move(fn));
+        kernel_->RegisterProcedure(JoinPath(kFaultServicePath, name), system, std::move(fn));
     return node.ok() ? OkStatus() : node.status();
   };
 
@@ -75,12 +75,12 @@ StatusOr<NodeId> FaultService::CheckLeaf(Subject& subject, std::string_view name
     return InvalidArgumentError(
         StrFormat("'%s' is not a valid failpoint name", std::string(name).c_str()));
   }
-  std::string full = JoinPath(options_.mount_path, name);
+  std::string full = JoinPath(kFaultMountPath, name);
   auto leaf = kernel_->name_space().Lookup(full);
   if (!leaf.ok()) {
     // An unbound leaf would inherit the mount's ACL and label, so the mount
     // decides whether it may be bound at all; a denied caller binds nothing.
-    auto mount = kernel_->name_space().Lookup(options_.mount_path);
+    auto mount = kernel_->name_space().Lookup(kFaultMountPath);
     if (!mount.ok()) {
       return mount.status();
     }
@@ -124,7 +124,7 @@ StatusOr<std::string> FaultService::ReadFault(Subject& subject, std::string_view
 }
 
 StatusOr<std::string> FaultService::List(Subject& subject) {
-  auto mount = kernel_->name_space().Lookup(options_.mount_path);
+  auto mount = kernel_->name_space().Lookup(kFaultMountPath);
   if (!mount.ok()) {
     return mount.status();
   }

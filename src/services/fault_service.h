@@ -43,22 +43,14 @@
 
 namespace xsec {
 
-struct FaultServiceOptions {
-  std::string mount_path = "/sys/faults";
-  std::string service_path = "/svc/faults";
-};
-
 class FaultService {
  public:
   // The kernel must outlive this service.
-  explicit FaultService(Kernel* kernel, FaultServiceOptions options = {});
+  explicit FaultService(Kernel* kernel);
 
   // Binds the /sys/faults mount (fail-closed, system-only ACL) and
   // registers the /svc/faults procedures.
   Status Install();
-
-  const std::string& mount_path() const { return options_.mount_path; }
-  const std::string& service_path() const { return options_.service_path; }
 
   // -- Mediated operations ----------------------------------------------------
 
@@ -84,7 +76,6 @@ class FaultService {
   StatusOr<NodeId> CheckLeaf(Subject& subject, std::string_view name, AccessModeSet modes);
 
   Kernel* kernel_;
-  FaultServiceOptions options_;
 };
 
 }  // namespace xsec

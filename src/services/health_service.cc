@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/base/strings.h"
+#include "src/extsys/system_paths.h"
 #include "src/naming/path.h"
 
 namespace xsec {
@@ -23,17 +24,16 @@ std::string RenderSnapshotLine(const ExtensionSupervisor::ExtSnapshot& snap) {
 
 }  // namespace
 
-HealthService::HealthService(Kernel* kernel, ExtensionSupervisor* supervisor,
-                             HealthServiceOptions options)
-    : kernel_(kernel), supervisor_(supervisor), options_(std::move(options)) {}
+HealthService::HealthService(Kernel* kernel, ExtensionSupervisor* supervisor)
+    : kernel_(kernel), supervisor_(supervisor) {}
 
 Status HealthService::Install() {
   PrincipalId system = kernel_->system_principal();
   // The stats plane may already have created the mount directory as an
   // intermediate of its health leaves; adopt it in that case.
-  auto mount = kernel_->name_space().Lookup(options_.mount_path);
+  auto mount = kernel_->name_space().Lookup(kHealthMountPath);
   if (!mount.ok()) {
-    mount = kernel_->name_space().BindPath(options_.mount_path, NodeKind::kDirectory, system);
+    mount = kernel_->name_space().BindPath(kHealthMountPath, NodeKind::kDirectory, system);
     if (!mount.ok()) {
       return mount.status();
     }
@@ -50,7 +50,7 @@ Status HealthService::Install() {
 
   auto proc = [this, system](std::string_view name, HandlerFn fn) -> Status {
     auto node =
-        kernel_->RegisterProcedure(JoinPath(options_.service_path, name), system, std::move(fn));
+        kernel_->RegisterProcedure(JoinPath(kHealthServicePath, name), system, std::move(fn));
     return node.ok() ? OkStatus() : node.status();
   };
   // An optional trailing "why" argument; absent renders as empty.
@@ -133,7 +133,7 @@ StatusOr<NodeId> HealthService::EnsureLeaf(std::string_view name) {
   if (!supervisor_->IsRegistered(name)) {
     return NotFoundError(StrFormat("'%s' is not supervised", std::string(name).c_str()));
   }
-  std::string full = JoinPath(JoinPath(JoinPath(options_.mount_path, "ext"), name), "state");
+  std::string full = JoinPath(JoinPath(JoinPath(kHealthMountPath, "ext"), name), "state");
   auto existing = kernel_->name_space().Lookup(full);
   if (existing.ok()) {
     return existing;
@@ -142,7 +142,7 @@ StatusOr<NodeId> HealthService::EnsureLeaf(std::string_view name) {
 }
 
 StatusOr<std::string> HealthService::State(Subject& subject) {
-  auto mount = kernel_->name_space().Lookup(options_.mount_path);
+  auto mount = kernel_->name_space().Lookup(kHealthMountPath);
   if (!mount.ok()) {
     return mount.status();
   }
@@ -157,7 +157,7 @@ StatusOr<std::string> HealthService::State(Subject& subject) {
 }
 
 StatusOr<std::string> HealthService::List(Subject& subject) {
-  auto mount = kernel_->name_space().Lookup(options_.mount_path);
+  auto mount = kernel_->name_space().Lookup(kHealthMountPath);
   if (!mount.ok()) {
     return mount.status();
   }
@@ -225,7 +225,7 @@ StatusOr<std::string> HealthService::ForceQuarantine(Subject& subject, std::stri
 
 StatusOr<std::string> HealthService::SetLockdown(Subject& subject, bool on,
                                                  std::string_view why) {
-  auto mount = kernel_->name_space().Lookup(options_.mount_path);
+  auto mount = kernel_->name_space().Lookup(kHealthMountPath);
   if (!mount.ok()) {
     return mount.status();
   }

@@ -46,24 +46,15 @@
 
 namespace xsec {
 
-struct HealthServiceOptions {
-  std::string mount_path = "/sys/monitor/health";
-  std::string service_path = "/svc/health";
-};
-
 class HealthService {
  public:
   // The kernel and supervisor must outlive this service.
-  HealthService(Kernel* kernel, ExtensionSupervisor* supervisor,
-                HealthServiceOptions options = {});
+  HealthService(Kernel* kernel, ExtensionSupervisor* supervisor);
 
   // Binds the health mount (fail-closed, system-only ACL) and registers the
   // /svc/health procedures. The mount directory may already exist (the stats
   // plane creates it as an intermediate); Install adopts it.
   Status Install();
-
-  const std::string& mount_path() const { return options_.mount_path; }
-  const std::string& service_path() const { return options_.service_path; }
 
   // -- Mediated operations ----------------------------------------------------
 
@@ -100,7 +91,6 @@ class HealthService {
 
   Kernel* kernel_;
   ExtensionSupervisor* supervisor_;
-  HealthServiceOptions options_;
 };
 
 }  // namespace xsec

@@ -8,6 +8,7 @@
 #include "src/base/failpoint.h"
 #include "src/base/strings.h"
 #include "src/extsys/supervisor.h"
+#include "src/extsys/system_paths.h"
 #include "src/naming/path.h"
 
 namespace xsec {
@@ -90,7 +91,7 @@ Status StatsService::MountHealth(ExtensionSupervisor* supervisor) {
 
 Status StatsService::MountLeaf(const std::string& relative_path,
                                std::function<std::string()> render, bool in_dump) {
-  std::string full = JoinPath(options_.mount_path, relative_path);
+  std::string full = JoinPath(kStatsMountPath, relative_path);
   auto node = kernel_->name_space().BindPath(full, NodeKind::kFile,
                                              kernel_->system_principal());
   if (!node.ok()) {
@@ -103,7 +104,7 @@ Status StatsService::MountLeaf(const std::string& relative_path,
 
 Status StatsService::Install() {
   PrincipalId system = kernel_->system_principal();
-  auto mount = kernel_->name_space().BindPath(options_.mount_path, NodeKind::kDirectory, system);
+  auto mount = kernel_->name_space().BindPath(kStatsMountPath, NodeKind::kDirectory, system);
   if (!mount.ok()) {
     return mount.status();
   }
@@ -216,14 +217,14 @@ Status StatsService::Install() {
     return FormatFixed(cur == nullptr ? 0.0 : cur->denials_per_sec, 2);
   }));
 
-  snapshot_node_ = values_.at(JoinPath(options_.mount_path, "snapshot")).node;
+  snapshot_node_ = values_.at(JoinPath(kStatsMountPath, "snapshot")).node;
 
-  auto svc = kernel_->RegisterService(options_.service_path, system);
+  auto svc = kernel_->RegisterService(kStatsServicePath, system);
   if (!svc.ok()) {
     return svc.status();
   }
   auto read_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "read"), system,
+      JoinPath(kStatsServicePath, "read"), system,
       [this](CallContext& ctx) -> StatusOr<Value> {
         auto path = ArgString(ctx.args, 0);
         if (!path.ok()) {
@@ -239,7 +240,7 @@ Status StatsService::Install() {
     return read_node.status();
   }
   auto dump_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "dump"), system,
+      JoinPath(kStatsServicePath, "dump"), system,
       [this](CallContext& ctx) -> StatusOr<Value> {
         auto text = DumpTree(*ctx.subject);
         if (!text.ok()) {
@@ -280,7 +281,7 @@ Status StatsService::Install() {
   // watch is a one-shot subscription: the channel it opens counts against
   // the quotas while it waits, and is closed on every exit path.
   auto watch_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "watch"), system,
+      JoinPath(kStatsServicePath, "watch"), system,
       [this, parse_deadline](CallContext& ctx) -> StatusOr<Value> {
         auto since = ArgInt(ctx.args, 0);
         if (!since.ok()) {
@@ -311,7 +312,7 @@ Status StatsService::Install() {
     return watch_node.status();
   }
   auto subscribe_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "subscribe"), system,
+      JoinPath(kStatsServicePath, "subscribe"), system,
       [this](CallContext& ctx) -> StatusOr<Value> {
         if (ctx.args.size() > 1) {
           return InvalidArgumentError("subscribe takes at most one argument (since)");
@@ -334,7 +335,7 @@ Status StatsService::Install() {
     return subscribe_node.status();
   }
   auto poll_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "poll"), system,
+      JoinPath(kStatsServicePath, "poll"), system,
       [this, parse_deadline](CallContext& ctx) -> StatusOr<Value> {
         auto id = ArgInt(ctx.args, 0);
         if (!id.ok()) {
@@ -358,7 +359,7 @@ Status StatsService::Install() {
     return poll_node.status();
   }
   auto unsubscribe_node = kernel_->RegisterProcedure(
-      JoinPath(options_.service_path, "unsubscribe"), system,
+      JoinPath(kStatsServicePath, "unsubscribe"), system,
       [this](CallContext& ctx) -> StatusOr<Value> {
         auto id = ArgInt(ctx.args, 0);
         if (!id.ok()) {
@@ -379,10 +380,10 @@ Status StatsService::Install() {
 }
 
 StatusOr<std::string> StatsService::ReadStat(Subject& subject, std::string_view path) {
-  if (!StartsWith(path, options_.mount_path + "/")) {
+  if (!StartsWith(path, std::string(kStatsMountPath) + "/")) {
     return InvalidArgumentError(
         StrFormat("'%s' is outside the stats mount '%s'", std::string(path).c_str(),
-                  options_.mount_path.c_str()));
+                  std::string(kStatsMountPath).c_str()));
   }
   std::shared_lock<std::shared_mutex> lock(values_mu_);
   auto it = values_.find(std::string(path));
@@ -757,7 +758,7 @@ void StatsService::Publish(PublishedPtr next) {
 }
 
 std::string StatsService::RenderEpoch(const PublishedEpoch& cur) const {
-  const std::string& m = options_.mount_path;
+  const std::string m(kStatsMountPath);
   const MonitorStats::Snapshot& s = cur.snap;
   std::string out;
   out += StrFormat("version %llu\n", static_cast<unsigned long long>(cur.version));

@@ -78,8 +78,6 @@
 namespace xsec {
 
 struct StatsServiceOptions {
-  std::string mount_path = "/sys/monitor";
-  std::string service_path = "/svc/stats";
   // Publication epoch: the snapshot/rate leaves refresh at most this often,
   // and a blocked poller re-examines the counters once per interval (the
   // poll path is self-clocking; no background thread is required).
@@ -102,7 +100,7 @@ class StatsService {
   // The kernel must outlive this service.
   explicit StatsService(Kernel* kernel, StatsServiceOptions options = {});
 
-  // Binds the stats tree under mount_path (fail-closed ACL on the mount
+  // Binds the stats tree under kStatsMountPath (fail-closed ACL on the mount
   // root) and registers the /svc/stats procedures:
   //   read <path>            -> the node's current value (string)
   //   dump                   -> every readable single-line node, "path value"
@@ -136,9 +134,6 @@ class StatsService {
   // mounted as names register via the supervisor's registration hook. Call
   // after Install; the supervisor must outlive this service.
   Status MountHealth(ExtensionSupervisor* supervisor);
-
-  const std::string& mount_path() const { return options_.mount_path; }
-  const std::string& service_path() const { return options_.service_path; }
 
   // -- Mediated operations ----------------------------------------------------
 

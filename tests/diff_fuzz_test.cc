@@ -7,7 +7,7 @@
 // checks. For every check the pipeline must agree with the oracle on
 // allowed and deny reason, and a cache miss must return the oracle's detail
 // string too (a hit carries none: cache entries keep allowed and reason
-// only). Further sweeps hold the pipeline to the oracle right after each
+// only). Explain's closing verdict line must name the oracle's decision. Further sweeps hold the pipeline to the oracle right after each
 // mutation (a stale cached decision is never served), sharded against
 // aggregate stamp domains, and cache-on against cache-off CheckPath.
 //
@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/failpoint.h"
@@ -401,12 +402,31 @@ MonitorOptions RandomOptions(Rng& rng) {
   return options;
 }
 
+// The last line of an Explain text: its verdict.
+std::string VerdictOf(std::string_view explained) {
+  if (!explained.empty() && explained.back() == '\n') {
+    explained.remove_suffix(1);
+  }
+  size_t newline = explained.rfind('\n');
+  return std::string(newline == std::string_view::npos ? explained
+                                                       : explained.substr(newline + 1));
+}
+
+std::string VerdictFor(const Decision& decision) {
+  return decision.allowed
+             ? "verdict : allowed"
+             : "verdict : denied (" + std::string(DenyReasonName(decision.reason)) + ")";
+}
+
 // Runs `checks` random checks on the world, asserting that the full Check
-// pipeline agrees with the interpreted oracle on every one.
+// pipeline agrees with the interpreted oracle on every one, and that
+// Explain's verdict is the oracle's.
 void FuzzChecks(RandomWorld& world, size_t checks) {
   for (size_t i = 0; i < checks; ++i) {
     auto [subject, node, modes] = world.RandomCheck();
     Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
+    const std::string explained = world.monitor().Explain(subject, node, modes);
+    ASSERT_EQ(VerdictOf(explained), VerdictFor(oracle)) << explained;
     uint64_t hits_before = world.monitor().cache().hits();
     Decision full = world.monitor().Check(subject, node, modes);
     ASSERT_EQ(full.allowed, oracle.allowed)

@@ -196,5 +196,60 @@ TEST_F(MonitorConcurrencyTest, AuditRingUnderConcurrentDenials) {
   EXPECT_EQ(monitor_->audit().total_denials(), monitor_->stats().checks_total());
 }
 
+// Explain renders one security snapshot plus value copies and handles, so
+// it may run beside ACL writes and unbinds (under TSan: race-free), and
+// every explanation, of a live node or of one unbound under it, ends with a
+// verdict.
+TEST_F(MonitorConcurrencyTest, ExplainBesideAclWritesAndUnbind) {
+  constexpr int kIterations = 400;
+  // Node ids are sequential: the binder's transient nodes take the ids
+  // after the fixture's.
+  const uint32_t first_transient = nodes_.back().value + 1;
+  std::atomic<int> without_verdict{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Subject me = Low(users_[t]);
+      for (int i = 0; i < kIterations; ++i) {
+        NodeId node = i % 2 == 0 ? nodes_[static_cast<size_t>(i) % kNodes]
+                                 : NodeId{first_transient + static_cast<uint32_t>(i / 2)};
+        std::string text = monitor_->Explain(me, node, AccessMode::kRead | AccessMode::kList);
+        if (text.find("verdict : ") == std::string::npos) {
+          without_verdict.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  // ACL writer on the fixture's nodes.
+  threads.emplace_back([&] {
+    Subject admin = Low(admin_);
+    for (int i = 0; i < kIterations; ++i) {
+      Acl acl;
+      if (i % 2 == 0) {
+        acl.AddEntry({AclEntryType::kAllow, group_, AccessModeSet(AccessMode::kRead)});
+      }
+      ASSERT_TRUE(monitor_->SetNodeAcl(admin, nodes_[static_cast<size_t>(i) % kNodes],
+                                       std::move(acl))
+                      .ok());
+    }
+  });
+  // Binder: a transient node gets its own ACL and is unbound again.
+  threads.emplace_back([&] {
+    Subject admin = Low(admin_);
+    for (int i = 0; i < kIterations / 2; ++i) {
+      auto node = ns_.BindPath("/svc/t" + std::to_string(i), NodeKind::kFile, admin_);
+      ASSERT_TRUE(node.ok());
+      Acl acl;
+      acl.AddEntry({AclEntryType::kDeny, group_, AccessModeSet(AccessMode::kRead)});
+      ASSERT_TRUE(monitor_->SetNodeAcl(admin, *node, std::move(acl)).ok());
+      ASSERT_TRUE(ns_.Unbind(*node).ok());
+    }
+  });
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(without_verdict.load(), 0);
+}
+
 }  // namespace
 }  // namespace xsec

@@ -1,6 +1,10 @@
 #include "src/monitor/reference_monitor.h"
 
+#include <functional>
+
 #include <gtest/gtest.h>
+
+#include "src/extsys/kernel.h"
 
 namespace xsec {
 namespace {
@@ -39,9 +43,8 @@ class ReferenceMonitorTest : public ::testing::Test {
 
   void GrantOn(NodeId node, PrincipalId who, AccessModeSet modes) {
     Acl acl;
-    if (const Acl* existing = monitor_->EffectiveAcl(node); existing != nullptr &&
-        ns_.Get(node)->acl_ref != kNoRef) {
-      acl = *existing;
+    if (AclStore::AclRef own = ns_.Get(node)->acl_ref; own != kNoRef) {
+      acl = *acls_.Get(own);
     }
     acl.AddEntry({AclEntryType::kAllow, who, modes});
     (void)ns_.SetAclRef(node, acls_.Create(std::move(acl)));
@@ -187,8 +190,10 @@ TEST_F(ReferenceMonitorTest, DecisionToStatus) {
 
 TEST_F(ReferenceMonitorTest, OwnerAlwaysHoldsAdministrate) {
   // alice owns obj and has no ACL grant at all.
-  EXPECT_TRUE(monitor_->HasAdministrate(Bottom(alice_), obj_));
-  EXPECT_FALSE(monitor_->HasAdministrate(Bottom(bob_), obj_));
+  NameSpace::SecuritySnapshot snap;
+  EXPECT_TRUE(monitor_->AuthorizeAdministrate(Bottom(alice_), obj_, "probe", &snap).ok());
+  EXPECT_EQ(monitor_->AuthorizeAdministrate(Bottom(bob_), obj_, "probe", &snap).code(),
+            StatusCode::kPermissionDenied);
 }
 
 TEST_F(ReferenceMonitorTest, OwnerAdministrateCarveOut) {
@@ -202,6 +207,12 @@ TEST_F(ReferenceMonitorTest, OwnerAdministrateCarveOut) {
   EXPECT_FALSE(other.allowed);
   EXPECT_EQ(other.reason, DenyReason::kDacNoGrant);
   EXPECT_EQ(other.detail, "no ACL entry grants this access");
+  // MAC still binds the owner's Check(administrate), but not the owner's
+  // administrative mutators (docs/MODEL.md §5).
+  Subject high_owner = SubjectFor(alice_, Cls(1, {0}));
+  EXPECT_EQ(monitor_->CheckInterpreted(high_owner, obj_, AccessMode::kAdministrate).reason,
+            DenyReason::kMacFlow);
+  EXPECT_TRUE(monitor_->SetNodeAcl(high_owner, obj_, Acl()).ok());
 }
 
 TEST_F(ReferenceMonitorTest, UnknownNodeDecidedNotFound) {
@@ -288,18 +299,24 @@ TEST_F(ReferenceMonitorTest, SetOwner) {
             StatusCode::kPermissionDenied);
   ASSERT_TRUE(monitor_->SetOwner(Bottom(alice_), obj_, bob_).ok());
   EXPECT_EQ(ns_.Get(obj_)->owner, bob_);
-  EXPECT_TRUE(monitor_->HasAdministrate(Bottom(bob_), obj_));
+  NameSpace::SecuritySnapshot snap;
+  EXPECT_TRUE(monitor_->AuthorizeAdministrate(Bottom(bob_), obj_, "probe", &snap).ok());
   EXPECT_EQ(monitor_->SetOwner(Bottom(bob_), obj_, PrincipalId{999}).code(),
             StatusCode::kNotFound);
 }
 
 TEST_F(ReferenceMonitorTest, EffectiveAclAndLabelResolution) {
-  EXPECT_EQ(monitor_->EffectiveAcl(obj_), nullptr);
+  NameSpace::SecuritySnapshot snap;
+  ASSERT_TRUE(ns_.SnapshotSecurity(obj_, &snap));
+  EXPECT_EQ(snap.effective_acl_ref, kNoRef);
+  EXPECT_FALSE(snap.effective_acl_node.valid());
   GrantOn(dir_, bob_, AccessModeSet(AccessMode::kRead));
-  AclStore::AclRef ref = kNoRef;
-  const Acl* acl = monitor_->EffectiveAcl(obj_, &ref);
-  ASSERT_NE(acl, nullptr);
-  EXPECT_EQ(ref, ns_.Get(dir_)->acl_ref);
+  ASSERT_TRUE(ns_.SnapshotSecurity(obj_, &snap));
+  EXPECT_EQ(snap.effective_acl_ref, ns_.Get(dir_)->acl_ref);
+  EXPECT_EQ(snap.effective_acl_node, dir_);
+  Acl acl;
+  ASSERT_TRUE(acls_.CopyAcl(snap.effective_acl_ref, &acl));
+  EXPECT_EQ(acl.entries().size(), 1u);
   // Root label is ⊥ by construction.
   EXPECT_TRUE(monitor_->EffectiveLabel(obj_) == labels_.Bottom());
 }
@@ -444,6 +461,76 @@ TEST_F(ReferenceMonitorTest, ExplainNamesTheDecidingFactors) {
   EXPECT_NE(monitor_->Explain(Bottom(alice_), NodeId{9999}, AccessMode::kRead)
                 .find("does not exist"),
             std::string::npos);
+
+  // Each explanation ends with the interpreted verdict.
+  EXPECT_NE(text.find("verdict : denied (mac-flow)\n"), std::string::npos);
+  EXPECT_NE(bob_text.find("verdict : denied (dac-no-grant)\n"), std::string::npos);
+  EXPECT_NE(ok_text.find("verdict : allowed\n"), std::string::npos);
+
+  // The owner asking administrate with no ACL anywhere: the owner rule
+  // grants it, and the explanation says so.
+  NodeId bare = *ns_.BindPath("/bare", NodeKind::kFile, alice_);
+  std::string owner_text = monitor_->Explain(Bottom(alice_), bare, AccessMode::kAdministrate);
+  EXPECT_TRUE(monitor_->Check(Bottom(alice_), bare, AccessMode::kAdministrate).allowed);
+  EXPECT_NE(owner_text.find("subject owns the object"), std::string::npos);
+  EXPECT_NE(owner_text.find("no ACL anywhere up the tree -> granted"), std::string::npos);
+  EXPECT_NE(owner_text.find("verdict : allowed\n"), std::string::npos);
+  std::string other_text = monitor_->Explain(Bottom(bob_), bare, AccessMode::kAdministrate);
+  EXPECT_NE(other_text.find("no ACL anywhere up the tree -> NOT granted"), std::string::npos);
+  EXPECT_NE(other_text.find("verdict : denied (dac-no-grant)\n"), std::string::npos);
+}
+
+// Every administrative op authorizes through one step: a denial adds
+// exactly one not-authorized decision and one retained audit record naming
+// the op; an allow adds no decision.
+TEST(AdministrativeDenialTest, EveryOpCountsAndAuditsOneDenial) {
+  Kernel kernel;
+  ReferenceMonitor& monitor = kernel.monitor();
+  PrincipalId alice = *kernel.principals().CreateUser("alice");
+  PrincipalId bob = *kernel.principals().CreateUser("bob");
+  Subject owner = kernel.CreateSubject(alice, kernel.labels().Bottom());
+  Subject stranger = kernel.CreateSubject(bob, kernel.labels().Bottom());
+  NodeId node = *kernel.name_space().BindPath("/d/obj", NodeKind::kFile, alice);
+  ExtensionManifest manifest;
+  manifest.name = "ext";
+  auto ext = kernel.LoadExtension(manifest, owner);
+  ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+
+  struct Row {
+    const char* op;
+    std::function<Status(const Subject&)> run;
+  };
+  const Row rows[] = {
+      {"set-acl", [&](const Subject& s) { return monitor.SetNodeAcl(s, node, Acl()); }},
+      {"add-acl-entry",
+       [&](const Subject& s) {
+         return monitor.AddAclEntry(s, node,
+                                    {AclEntryType::kAllow, alice, AccessModeSet(AccessMode::kRead)});
+       }},
+      {"remove-acl-entries",
+       [&](const Subject& s) { return monitor.RemoveAclEntriesFor(s, node, bob); }},
+      {"set-label",
+       [&](const Subject& s) { return monitor.SetNodeLabel(s, node, kernel.labels().Bottom()); }},
+      {"set-owner", [&](const Subject& s) { return monitor.SetOwner(s, node, alice); }},
+      {"unload", [&](const Subject& s) { return kernel.UnloadExtension(s, *ext); }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.op);
+    const uint64_t total = monitor.stats().checks_total();
+    const uint64_t not_authorized = monitor.stats().by_reason(DenyReason::kNotAuthorized);
+    const uint64_t records = monitor.audit().total_denials();
+    EXPECT_EQ(row.run(stranger).code(), StatusCode::kPermissionDenied);
+    EXPECT_EQ(monitor.stats().checks_total(), total + 1);
+    EXPECT_EQ(monitor.stats().by_reason(DenyReason::kNotAuthorized), not_authorized + 1);
+    ASSERT_EQ(monitor.audit().total_denials(), records + 1);
+    AuditRecord last = monitor.audit().records().back();
+    EXPECT_EQ(last.reason, DenyReason::kNotAuthorized);
+    EXPECT_EQ(last.principal, bob);
+    EXPECT_EQ(last.detail, std::string(row.op) + " without administrate");
+
+    EXPECT_TRUE(row.run(owner).ok());
+    EXPECT_EQ(monitor.stats().checks_total(), total + 1);
+  }
 }
 
 TEST_F(ReferenceMonitorTest, DeadNodeIsNotFound) {
