@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
 """Regression gate for the F1 mediation figures.
 
-Compares a fresh BENCH_f1.json against the committed baseline
+Compares fresh BENCH_f1 figures against the committed baseline
 (ci/bench_f1_baseline.json) on the *stats overhead ratio*:
 
-    ratio = median metric(BM_CheckNode_DacMacCached)
-          / median metric(BM_CheckNode_DacMacCached_NoStats)
+    ratio = figure(BM_CheckNode_DacMacCached)
+          / figure(BM_CheckNode_DacMacCached_NoStats)
+
+The fresh figures may come from several files, one per benchmark process.
+A benchmark's figure is the minimum, across processes, of each process's
+median over its repetitions: one process that the host slowed down does
+not decide a clause, where a single run's ratio flipped with host noise.
+The baseline is one file, so its figure is its median.
 
 The ratio is the cached-check cost with MonitorStats on, relative to the
 same path with stats compiled out of the decision — i.e. exactly the
@@ -31,17 +37,18 @@ perf_event — fall back to median cpu_time.
 Fails (exit 1) when the fresh ratio exceeds the baseline ratio by more
 than --tolerance (default 10%).
 
-A second gate reads the fresh file alone: Kernel::Invoke by a 3-component
-path against a call through a capability to the same procedure,
+A second gate reads the fresh files alone: Kernel::Invoke by a
+3-component path against a call through a capability to the same
+procedure,
 
-    invoke ratio = median cpu_time(BM_InvokePath)
-                 / median cpu_time(BM_CapabilityCall)   must be <= --max-invoke-ratio
+    invoke ratio = figure(BM_InvokePath, cpu_time)
+                 / figure(BM_CapabilityCall, cpu_time)   must be <= --max-invoke-ratio
 
 The two differ by CheckPath's resolution and traversal checks, which a
 resolved-path cache entry answers with one probe. Same-run figures, so host
 speed cancels.
 
-Usage: check_bench_f1.py <fresh.json> <baseline.json> [--tolerance 0.10]
+Usage: check_bench_f1.py <fresh.json>... <baseline.json> [--tolerance 0.10]
                          [--max-invoke-ratio 3.5]
 """
 
@@ -114,17 +121,23 @@ def metric(data, path, name, key):
     return statistics.median(values)
 
 
-def ratio(data, path, key, numerator=CACHED, denominator=NOSTATS):
-    on = metric(data, path, numerator, key)
-    off = metric(data, path, denominator, key)
+def figure(files, name, key):
+    """The minimum, over (path, data) files, of each file's median."""
+    return min(metric(data, path, name, key) for path, data in files)
+
+
+def ratio(files, key, numerator=CACHED, denominator=NOSTATS):
+    on = figure(files, numerator, key)
+    off = figure(files, denominator, key)
     if off <= 0:
-        raise ValueError(f"{path}: non-positive {key} for {denominator}")
+        raise ValueError(f"{files[0][0]}: non-positive {key} for {denominator}")
     return on / off
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("fresh")
+    parser.add_argument("fresh", nargs="+",
+                        help="fresh figures, one file per benchmark process")
     parser.add_argument("baseline")
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed relative ratio regression (default 0.10)")
@@ -133,22 +146,23 @@ def main():
     args = parser.parse_args()
 
     try:
-        fresh_data = load(args.fresh)
-        base_data = load(args.baseline)
+        fresh_files = [(path, load(path)) for path in args.fresh]
+        base_files = [(args.baseline, load(args.baseline))]
         # Instructions retired only gates when both sides measured it —
         # comparing an instruction ratio against a cpu_time ratio would be
         # meaningless.
         key = ("INSTRUCTIONS"
-               if has_counter(fresh_data) and has_counter(base_data)
+               if all(has_counter(data) for _, data in fresh_files + base_files)
                else "cpu_time")
-        fresh = ratio(fresh_data, args.fresh, key)
-        base = ratio(base_data, args.baseline, key)
-        invoke = ratio(fresh_data, args.fresh, "cpu_time", INVOKE, CAPABILITY)
+        fresh = ratio(fresh_files, key)
+        base = ratio(base_files, key)
+        invoke = ratio(fresh_files, "cpu_time", INVOKE, CAPABILITY)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
         print(f"check_bench_f1: {err}", file=sys.stderr)
         return 1
 
-    print(f"invoke-by-path/capability-call ratio [cpu_time]: {invoke:.3f} "
+    print(f"invoke-by-path/capability-call ratio [cpu_time, min of "
+          f"{len(fresh_files)} process medians]: {invoke:.3f} "
           f"(limit {args.max_invoke_ratio})")
     if invoke > args.max_invoke_ratio:
         print(f"check_bench_f1: FAIL — Invoke by path costs {invoke:.2f}x a "

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Gate for the F12 wait-free publication + multi-sink drain figures.
 
-Reads a fresh BENCH_f12.json and enforces the two claims the tentpole
-makes about the telemetry publish path:
+Reads fresh BENCH_f12 figures — one file, or one per benchmark process —
+and enforces the claims the telemetry publish path makes:
 
 1. Publisher flatness. With the RCU-swapped epoch pointer, Tick's cost is
    a render plus one pointer push per channel, so fanning out to 64 idle
    subscribers (full queues evict their oldest epoch) must cost about the
    same as fanning out to 1:
 
-       ratio = median cpu_time(BM_PublishFanOut/subscribers:64)
-             / median cpu_time(BM_PublishFanOut/subscribers:1)
+       ratio = figure(BM_PublishFanOut/subscribers:64)
+             / figure(BM_PublishFanOut/subscribers:1)
 
    must be <= --max-publish-ratio (default 1.10, i.e. ~flat within 10%).
-   cpu_time is the right metric here: the publisher runs alone and the
-   claim is about work *it* does per epoch.
+   A benchmark's figure is the minimum, across processes, of each
+   process's median cpu_time over its repetitions: one process that the
+   host slowed down does not decide the clause, where a single run's ratio
+   flipped with host noise. cpu_time is the right metric here: the
+   publisher runs alone and the claim is about work *it* does per epoch.
 
 2. Parallel drain. Registering a second audit sink must actually buy
    parallel delivery, not serialize behind the first sink. Each bench sink
@@ -34,14 +37,16 @@ makes about the telemetry publish path:
    saw records out of global sequence order, which no amount of throughput
    excuses. A repetition without the counter fails the gate too.
 
-Both ratios come from the same run on the same machine, so CPU speed and
+Both ratios come from the same runs on the same machine, so CPU speed and
 virtualization noise cancel; there is no committed baseline. Medians over
 --benchmark_repetitions keep a single noisy repetition from flipping the
 gate (aggregate rows emitted by repetitions are ignored; the median is
-taken over the raw iteration rows).
+taken over the raw iteration rows). The drain speedup takes its medians
+over the rows of every file, and every file's rows count toward the order
+violations.
 
-Usage: check_bench_f12.py <fresh.json> [--max-publish-ratio 1.10]
-                                       [--min-drain-speedup 1.5]
+Usage: check_bench_f12.py <fresh.json>... [--max-publish-ratio 1.10]
+                                          [--min-drain-speedup 1.5]
 """
 
 import argparse
@@ -83,9 +88,10 @@ def load(path):
     return data
 
 
-def rows(data, name):
-    """Raw (non-aggregate) repetition rows for benchmark `name`."""
-    out = [b for b in data["benchmarks"]
+def rows(datas, name):
+    """Raw (non-aggregate) repetition rows for benchmark `name` in every
+    file of `datas`."""
+    out = [b for data in datas for b in data["benchmarks"]
            if b.get("name") == name and b.get("run_type") != "aggregate"]
     if not out:
         raise ValueError(f"benchmark {name} missing from figures — did the "
@@ -93,16 +99,22 @@ def rows(data, name):
     return out
 
 
-def median_field(data, name, field):
-    values = [float(b[field]) for b in rows(data, name) if field in b]
+def median_field(datas, name, field):
+    values = [float(b[field]) for b in rows(datas, name) if field in b]
     if not values:
         raise ValueError(f"benchmark {name} carries no {field} field")
     return statistics.median(values)
 
 
+def figure(datas, name, field):
+    """The minimum, across files, of each file's median of `field`."""
+    return min(median_field([data], name, field) for data in datas)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("fresh", help="fresh BENCH_f12.json")
+    parser.add_argument("fresh", nargs="+",
+                        help="fresh figures, one file per benchmark process")
     parser.add_argument("--max-publish-ratio", type=float, default=1.10,
                         help="ceiling for 64-subscriber / 1-subscriber "
                              "publisher cpu_time (default 1.10)")
@@ -112,10 +124,10 @@ def main():
     args = parser.parse_args()
 
     try:
-        data = load(args.fresh)
+        data = [load(path) for path in args.fresh]
 
-        base = median_field(data, PUBLISH_BASE, "cpu_time")
-        wide = median_field(data, PUBLISH_WIDE, "cpu_time")
+        base = figure(data, PUBLISH_BASE, "cpu_time")
+        wide = figure(data, PUBLISH_WIDE, "cpu_time")
         if base <= 0:
             raise ValueError(f"{PUBLISH_BASE}: nonpositive cpu_time {base}")
         publish_ratio = wide / base
@@ -138,8 +150,9 @@ def main():
         print(f"F12 gate: ERROR: {err}", file=sys.stderr)
         return 1
 
-    print(f"F12 gate: publisher cpu_time 64-sub/1-sub ratio = "
-          f"{publish_ratio:.3f} (ceiling {args.max_publish_ratio:.2f})")
+    print(f"F12 gate: publisher cpu_time 64-sub/1-sub ratio (min of "
+          f"{len(data)} process medians) = {publish_ratio:.3f} "
+          f"(ceiling {args.max_publish_ratio:.2f})")
     print(f"F12 gate: 2-sink/1-sink drain throughput = "
           f"{drain_speedup:.2f}x (floor {args.min_drain_speedup:.2f}x)")
     print(f"F12 gate: total order_violations across drain reps = "

@@ -1,4 +1,4 @@
-// Monitor shard identifiers and assignment helpers.
+// Monitor shard identifiers, assignment helpers and the per-domain stamps.
 //
 // The namespace, ACL store, label authority, and decision cache all
 // partition their *validity domain* into a fixed number of monitor shards
@@ -10,19 +10,23 @@
 // the lifetime of the node.
 //
 // Two sentinel domains complete the picture:
-//   kAggregateShard — the legacy global-stamp domain. Stamps read for an
-//     unknown/out-of-range node id, or with sharding disabled, live here.
-//   kAllShards      — "applies to every shard": mutations tagged this way
-//     bump every per-shard generation (root metadata, shared ACL refs,
-//     membership/clearance changes).
+//   kAllShards      — the root's domain, and the tag of mutations whose
+//     effect is not confined to one shard (root metadata, ACL and label
+//     slots that are unattached or shared, lattice definitions,
+//     clearances): they bump every shard's stamp and the root's.
+//   kAggregateShard — ids NameSpace::ShardOf cannot place: ids it has never
+//     published (NotFound targets) and ids past its capacity. The domain
+//     has no stamps; the monitor decides its checks uncached.
 //
-// Cached decisions compare stamp *values and domain*: a decision cached under
-// the aggregate domain never validates against a numerically equal
-// shard-local stamp set, and vice versa (see CacheStamps::operator==).
+// Cached decisions compare stamp *values and domain*: a decision cached in
+// one domain never validates against a numerically equal stamp set read
+// from another (see CacheStamps::operator==).
 
 #ifndef XSEC_SRC_BASE_SHARD_H_
 #define XSEC_SRC_BASE_SHARD_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <string_view>
 
@@ -31,15 +35,14 @@ namespace xsec {
 using ShardId = uint32_t;
 
 // Fixed shard count. A power of two so name/principal hashes fold evenly;
-// 16 keeps the per-shard stamp arrays small enough to sit in two cache lines
-// while still splitting a busy namespace ~16 ways.
+// 16 keeps each store's stamp array (17 counters with the root's) within
+// three cache lines while still splitting a busy namespace ~16 ways.
 inline constexpr ShardId kMonitorShardCount = 16;
 
-// Validity domain of stamps read with sharding disabled, or for node ids the
-// namespace has never seen (NotFound decisions cache under this domain).
+// Domain of node ids the name space cannot place (never cached).
 inline constexpr ShardId kAggregateShard = kMonitorShardCount;
 
-// Tag for mutations whose effect is not confined to one shard.
+// The root's domain; as a mutation tag, "applies to every shard".
 inline constexpr ShardId kAllShards = kMonitorShardCount + 1;
 
 // Tag for store slots that have not (yet) been attached to any node. Until a
@@ -49,6 +52,33 @@ inline constexpr ShardId kUnknownShard = kMonitorShardCount + 2;
 inline constexpr bool IsConcreteShard(ShardId s) {
   return s < kMonitorShardCount;
 }
+
+// One store's validity stamps: a generation per concrete shard plus one for
+// the root's domain.
+class ShardStamps {
+ public:
+  // A mutation tagged with a concrete shard bumps that shard's stamp; any
+  // other tag bumps every stamp, the root's included. Release: the mutation
+  // happens-before any reader that observes the new value.
+  void Bump(ShardId shard) {
+    if (IsConcreteShard(shard)) {
+      stamps_[shard].fetch_add(1, std::memory_order_release);
+      return;
+    }
+    for (auto& stamp : stamps_) {
+      stamp.fetch_add(1, std::memory_order_release);
+    }
+  }
+
+  // The stamp of a concrete shard; any other domain reads the root's.
+  uint64_t Read(ShardId domain) const {
+    return stamps_[IsConcreteShard(domain) ? domain : kRootSlot].load(std::memory_order_acquire);
+  }
+
+ private:
+  static constexpr size_t kRootSlot = kMonitorShardCount;
+  std::array<std::atomic<uint64_t>, kMonitorShardCount + 1> stamps_{};
+};
 
 // FNV-1a, folded into the shard range. Deterministic across runs so bench
 // gates and the diff-fuzz oracle see stable shard assignment.

@@ -149,12 +149,9 @@ AclStore::AclRef AclStore::Create(Acl acl, ShardId shard) {
     }
   }
   AclRef ref = static_cast<AclRef>(acls_.size());
-  acls_.push_back(Slot{std::move(acl), 0, shard});
-  // Mutate, then publish: readers that observe the new generation also see
-  // the new ACL (the lock orders the data; release orders the stamp). A
-  // create bumps no *per-shard* generation: the fresh ref is not yet
-  // reachable from any node, so no cached decision can depend on it.
-  acls_.back().generation = store_generation_.fetch_add(1, std::memory_order_release) + 1;
+  // No stamp moves: the fresh ref is not yet reachable from any node, so no
+  // cached decision can depend on it.
+  acls_.push_back(Slot{std::move(acl), shard});
   return ref;
 }
 
@@ -183,19 +180,6 @@ ShardId AclStore::ShardOf(AclRef ref) const {
     return kUnknownShard;
   }
   return acls_[ref].shard;
-}
-
-void AclStore::BumpLocked(Slot& slot) {
-  if (IsConcreteShard(slot.shard)) {
-    shard_generation_[slot.shard].fetch_add(1, std::memory_order_release);
-  } else {
-    // Unknown or multi-shard slots: every shard's decisions may read this
-    // ACL, so all of them go stale ("spuriously stale, never wrongly fresh").
-    for (auto& g : shard_generation_) {
-      g.fetch_add(1, std::memory_order_release);
-    }
-  }
-  slot.generation = store_generation_.fetch_add(1, std::memory_order_release) + 1;
 }
 
 const Acl* AclStore::Get(AclRef ref) const {
@@ -230,7 +214,7 @@ Status AclStore::Replace(AclRef ref, Acl acl) {
     return NotFoundError("no such ACL");
   }
   acls_[ref].acl = std::move(acl);
-  BumpLocked(acls_[ref]);
+  stamps_.Bump(acls_[ref].shard);
   return OkStatus();
 }
 
@@ -246,7 +230,7 @@ Status AclStore::AddEntry(AclRef ref, const AclEntry& entry) {
   Acl edited = acls_[ref].acl;
   edited.AddEntry(entry);
   acls_[ref].acl = std::move(edited);
-  BumpLocked(acls_[ref]);
+  stamps_.Bump(acls_[ref].shard);
   return OkStatus();
 }
 
@@ -258,16 +242,8 @@ Status AclStore::RemoveEntriesFor(AclRef ref, PrincipalId who) {
   Acl edited = acls_[ref].acl;  // never in place; see AddEntry
   edited.RemoveEntriesFor(who);
   acls_[ref].acl = std::move(edited);
-  BumpLocked(acls_[ref]);
+  stamps_.Bump(acls_[ref].shard);
   return OkStatus();
-}
-
-uint64_t AclStore::GenerationOf(AclRef ref) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (ref >= acls_.size()) {
-    return 0;
-  }
-  return acls_[ref].generation;
 }
 
 size_t AclStore::size() const {

@@ -104,9 +104,8 @@ class Acl {
   std::shared_ptr<const EntryList> entries_;
 };
 
-// Storage for ACLs referenced from name-space nodes. Each stored ACL carries
-// a generation stamp; any mutation bumps both the ACL's and the store's
-// generation, which invalidates cached decisions.
+// Storage for ACLs referenced from name-space nodes. Any edit of a stored
+// ACL bumps a validity-domain stamp, which invalidates cached decisions.
 //
 // Thread safety: all methods may be called concurrently; mutators take the
 // store lock exclusively. The monitor's check path evaluates in place under
@@ -115,13 +114,12 @@ class Acl {
 // storage), but the Acl it points at may be concurrently replaced or edited;
 // it is intended for single-threaded setup, tests, and serialization.
 // Sharding (docs/MODEL.md §15): each slot carries a monitor-shard tag. A
-// slot starts kUnknownShard; the reference monitor calls AttachShard when it
-// binds the ref to a node, narrowing the tag to that node's shard. Mutating
-// a concretely tagged slot bumps only that shard's generation; unknown-,
-// all-shards-, or multiply-attached slots conservatively bump every shard.
-// Creating a slot bumps no per-shard generation at all — an unreferenced ref
-// cannot be behind any cached decision. The store generation (aggregate
-// domain) is still bumped by every create/mutate.
+// slot starts kUnknownShard unless Create is given its node's shard (the
+// monitor's mutators do; AttachShard narrows the tag too). Editing a
+// concretely tagged slot bumps only that shard's stamp; an unknown-,
+// all-shards- (the root's), or multiply-attached slot bumps every shard and
+// the root's domain. Creating a slot bumps nothing — an unreferenced ref
+// cannot be behind any cached decision.
 class AclStore {
  public:
   using AclRef = uint32_t;
@@ -146,21 +144,18 @@ class AclStore {
   // Copies the stored ACL out under the shared lock. False on a bad ref.
   bool CopyAcl(AclRef ref, Acl* out) const;
 
-  // Replaces the ACL at `ref`; bumps generations.
+  // Replaces the ACL at `ref`; bumps its tag's stamps.
   Status Replace(AclRef ref, Acl acl);
 
-  // In-place entry edits; bump generations.
+  // In-place entry edits; bump the tag's stamps.
   Status AddEntry(AclRef ref, const AclEntry& entry);
   Status RemoveEntriesFor(AclRef ref, PrincipalId who);
 
-  uint64_t GenerationOf(AclRef ref) const;
-  // Published with release ordering after the mutation it stamps.
-  uint64_t store_generation() const { return store_generation_.load(std::memory_order_acquire); }
-  // Per-shard ACL generation; bumped only by mutations tagged to the shard
-  // (or by conservatively tagged mutations, which bump all of them).
-  uint64_t shard_generation(ShardId shard) const {
-    return shard_generation_[shard % kMonitorShardCount].load(std::memory_order_acquire);
-  }
+  // The ACL generation of one validity domain (a concrete shard, or
+  // kAllShards for the root's); bumped only by edits tagged to it (or by
+  // conservatively tagged edits, which bump all of them). Published with
+  // release ordering after the edit it stamps.
+  uint64_t shard_generation(ShardId domain) const { return stamps_.Read(domain); }
   size_t size() const;
 
   // Intern-pool telemetry: how many Creates aliased an existing entry list
@@ -172,19 +167,16 @@ class AclStore {
  private:
   struct Slot {
     Acl acl;
-    uint64_t generation = 0;
     ShardId shard = kUnknownShard;
   };
 
-  void BumpLocked(Slot& slot);
-
   mutable std::shared_mutex mu_;
   std::deque<Slot> acls_;
-  std::atomic<uint64_t> store_generation_{0};
-  std::array<std::atomic<uint64_t>, kMonitorShardCount> shard_generation_{};
+  ShardStamps stamps_;
 
   // Shard-local intern pools: content-hash → shared immutable entry lists.
-  // Pool index kMonitorShardCount serves unknown/aggregate-tagged creates.
+  // Pool index kMonitorShardCount serves creates not tagged with a concrete
+  // shard.
   std::array<std::unordered_multimap<uint64_t, std::shared_ptr<const Acl::EntryList>>,
              kMonitorShardCount + 1>
       intern_pools_;

@@ -38,8 +38,7 @@ Status LabelAuthority::DefineLevels(const std::vector<std::string>& ascending_na
   }
   level_names_ = ascending_names;
   level_by_name_ = std::move(by_name);
-  BumpShardEpoch(kAllShards);
-  label_epoch_.fetch_add(1, std::memory_order_release);
+  stamps_.Bump(kAllShards);
   return OkStatus();
 }
 
@@ -55,8 +54,7 @@ StatusOr<size_t> LabelAuthority::DefineCategory(std::string_view name) {
   size_t id = category_names_.size();
   category_names_.push_back(key);
   category_by_name_.emplace(std::move(key), id);
-  BumpShardEpoch(kAllShards);
-  label_epoch_.fetch_add(1, std::memory_order_release);
+  stamps_.Bump(kAllShards);
   return id;
 }
 
@@ -146,25 +144,12 @@ std::string LabelAuthority::ClassToString(const SecurityClass& cls) const {
   return StrFormat("%s:{%s}", level.c_str(), cats.c_str());
 }
 
-void LabelAuthority::BumpShardEpoch(ShardId shard) {
-  if (IsConcreteShard(shard)) {
-    shard_epoch_[shard].fetch_add(1, std::memory_order_release);
-    return;
-  }
-  for (auto& e : shard_epoch_) {
-    e.fetch_add(1, std::memory_order_release);
-  }
-}
-
 LabelAuthority::LabelRef LabelAuthority::StoreLabel(const SecurityClass& cls) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   LabelRef ref = static_cast<LabelRef>(labels_.size());
   labels_.push_back(std::make_shared<const SecurityClass>(cls));
   label_shards_.push_back(kUnknownShard);
-  // Mutate, then publish (release): readers that observe the new epoch see
-  // the new label. Per-shard epochs stay put: an unreferenced ref cannot be
-  // behind any cached decision.
-  label_epoch_.fetch_add(1, std::memory_order_release);
+  // No epoch moves: an unreferenced ref cannot be behind any cached decision.
   return ref;
 }
 
@@ -206,15 +191,13 @@ std::shared_ptr<const SecurityClass> LabelAuthority::LabelHandle(LabelRef ref) c
 void LabelAuthority::SetClearance(uint32_t principal_id, SecurityClass clearance) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   clearances_[principal_id] = std::move(clearance);
-  BumpShardEpoch(kAllShards);
-  label_epoch_.fetch_add(1, std::memory_order_release);
+  stamps_.Bump(kAllShards);
 }
 
 void LabelAuthority::ClearClearance(uint32_t principal_id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   clearances_.erase(principal_id);
-  BumpShardEpoch(kAllShards);
-  label_epoch_.fetch_add(1, std::memory_order_release);
+  stamps_.Bump(kAllShards);
 }
 
 const SecurityClass* LabelAuthority::ClearanceOf(uint32_t principal_id) const {
@@ -231,8 +214,7 @@ Status LabelAuthority::ReplaceLabel(LabelRef ref, const SecurityClass& cls) {
   // Swap in a fresh immutable object; handles issued before this call keep
   // the old label alive for their in-flight evaluations.
   labels_[ref] = std::make_shared<const SecurityClass>(cls);
-  BumpShardEpoch(label_shards_[ref]);
-  label_epoch_.fetch_add(1, std::memory_order_release);
+  stamps_.Bump(label_shards_[ref]);
   return OkStatus();
 }
 

@@ -6,7 +6,8 @@
 // "outside"); examples/applet_orgs.cpp reproduces it verbatim.
 //
 // Thread safety: all methods may be called concurrently; mutators take the
-// authority's lock exclusively and bump label_epoch_ before releasing it.
+// authority's lock exclusively, and those that can change a decision bump
+// their domain's epoch before releasing it.
 // Stored labels are immutable SecurityClass objects held by shared_ptr:
 // ReplaceLabel swaps in a fresh object, so LabelHandle() hands the check path
 // shared ownership of a consistent label with no copy on the hot path. The
@@ -16,8 +17,6 @@
 #ifndef XSEC_SRC_MAC_LABEL_AUTHORITY_H_
 #define XSEC_SRC_MAC_LABEL_AUTHORITY_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -79,21 +78,18 @@ class LabelAuthority {
 
   // Shard tagging mirrors AclStore (docs/MODEL.md §15): a stored label
   // starts kUnknownShard; the monitor narrows it to the referencing node's
-  // shard, and attachment from a second shard escalates to kAllShards.
-  // ReplaceLabel on a concretely tagged slot bumps only that shard's epoch.
-  // Level/category definitions and clearances are system-wide MAC state, so
-  // they bump every shard.
+  // shard (kAllShards for the root), and attachment from a second shard
+  // escalates to kAllShards. ReplaceLabel on a concretely tagged slot bumps
+  // only that shard's epoch; any other tag bumps every shard and the root's
+  // domain. Level/category definitions and clearances are system-wide MAC
+  // state, so they bump every domain. Storing a label bumps nothing.
   void AttachShard(LabelRef ref, ShardId shard);
   ShardId ShardOf(LabelRef ref) const;
 
-  // Bumped on every label mutation; decision-cache validity. Published with
-  // release ordering after the mutation it stamps.
-  uint64_t label_epoch() const { return label_epoch_.load(std::memory_order_acquire); }
-
-  // Per-shard label epoch (see AttachShard).
-  uint64_t shard_epoch(ShardId shard) const {
-    return shard_epoch_[shard % kMonitorShardCount].load(std::memory_order_acquire);
-  }
+  // The label epoch of one validity domain (a concrete shard, or kAllShards
+  // for the root's). Published with release ordering after the mutation it
+  // stamps.
+  uint64_t shard_epoch(ShardId domain) const { return stamps_.Read(domain); }
 
   // -- Per-principal clearances ------------------------------------------------
   // The paper has threads "function at the same security class as the
@@ -115,7 +111,6 @@ class LabelAuthority {
   // Unlocked internals; callers hold mu_.
   StatusOr<TrustLevel> LevelByNameLocked(std::string_view name) const;
   StatusOr<size_t> CategoryByNameLocked(std::string_view name) const;
-  void BumpShardEpoch(ShardId shard);
 
   mutable std::shared_mutex mu_;
   std::vector<std::string> level_names_;
@@ -127,8 +122,7 @@ class LabelAuthority {
   std::deque<std::shared_ptr<const SecurityClass>> labels_;
   std::deque<ShardId> label_shards_;  // parallel to labels_; under mu_
   std::unordered_map<uint32_t, SecurityClass> clearances_;
-  std::atomic<uint64_t> label_epoch_{0};
-  std::array<std::atomic<uint64_t>, kMonitorShardCount> shard_epoch_{};
+  ShardStamps stamps_;
 };
 
 }  // namespace xsec

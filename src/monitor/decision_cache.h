@@ -2,16 +2,13 @@
 //
 // Keyed by (principal, node, requested modes, subject class, and whether the
 // entry covers the node alone or the whole path walk to it); an entry also
-// snapshots the validity stamps — name-space generation, ACL-store
-// generation, membership epoch, label epoch — plus the *domain* the stamps
-// were read from. In the legacy aggregate domain any policy-relevant
-// mutation anywhere bumps one of the stamps and thereby invalidates every
-// cached decision — coarse, but sound, and the common workload (many checks
-// between rare policy changes) is exactly what experiment F8 measures. With
-// sharded stamps (docs/MODEL.md §15) the monitor reads the target node's
-// shard-local stamp set instead, so a mutation confined to one subtree
-// leaves other shards' entries valid; the domain field keeps the two regimes
-// from ever validating against each other's numerically equal stamps.
+// snapshots the validity stamps of the node's domain (docs/MODEL.md §15) —
+// name-space generation, ACL generation, membership epoch, label epoch,
+// policy epoch — plus the *domain* they were read from: the node's shard, or
+// the root's domain. A mutation bumps the stamps of the domains it can
+// affect, so a mutation confined to one subtree leaves other domains'
+// entries valid; the domain field keeps two domains from ever validating
+// against each other's numerically equal stamps.
 //
 // The table is direct-mapped (power-of-two slots, overwrite on collision)
 // and sharded: the key hash selects a shard, each shard owns a disjoint
@@ -57,11 +54,10 @@ struct CacheStamps {
   uint64_t policy_epoch = 0;
 
   // Validity domain the stamps were read from: a concrete monitor shard, or
-  // kAggregateShard for the legacy global stamps (also used for unknown node
-  // ids). Part of the key equality: a decision cached under one domain must
-  // never be revalidated by a *coincidentally equal* stamp vector from
-  // another — shard-local and aggregate counters advance independently, so
-  // value equality across domains is meaningless.
+  // kAllShards for the root's. Part of the key equality: a decision cached
+  // under one domain must never be revalidated by a *coincidentally equal*
+  // stamp vector from another — each domain's counters advance
+  // independently, so value equality across domains is meaningless.
   ShardId domain = kAggregateShard;
 
   bool operator==(const CacheStamps&) const = default;

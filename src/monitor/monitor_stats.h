@@ -63,9 +63,9 @@ class MonitorStats {
   static constexpr uint64_t kSampleEvery = 256;
   // Threads with a private slot; the rest share the overflow slot.
   static constexpr size_t kSlots = 32;
-  // One check counter per concrete monitor shard, plus one (the last) for
-  // the aggregate domain: unknown nodes, the root, or every check with
-  // shard stamps off.
+  // One check counter per concrete monitor shard, plus one (the last)
+  // shared by the root's domain and ids the name space cannot place (the
+  // aggregate domain).
   static constexpr size_t kShardBuckets = kMonitorShardCount + 1;
   static constexpr size_t ShardIndex(ShardId shard) {
     return IsConcreteShard(shard) ? shard : kMonitorShardCount;
@@ -122,7 +122,7 @@ class MonitorStats {
   // Counts a CheckPath that a resolved-path cache entry answered exactly as
   // its walk would have: `list_steps` allowed `list` decisions, then one
   // allowed decision on `modes`. The walk's first step is the root (the
-  // aggregate domain); every later step and the leaf are in `leaf_shard`.
+  // last bucket); every later step and the leaf are in `leaf_shard`.
   // Same release discipline as RecordDecision.
   void RecordAllowedPath(uint64_t list_steps, AccessModeSet modes, ShardId leaf_shard) {
     Slot& slot = *LocalEntry().slot;
@@ -156,7 +156,7 @@ class MonitorStats {
   uint64_t by_reason(DenyReason reason) const;
   uint64_t by_mode(AccessMode mode) const;
   // Decisions about nodes in `shard`'s validity domain; every non-concrete
-  // id reads the aggregate domain's counter.
+  // id (the root's domain, the aggregate domain) reads the last bucket.
   uint64_t by_shard(ShardId shard) const;
   uint64_t latency_samples() const;
   uint64_t latency_bucket(size_t i) const;

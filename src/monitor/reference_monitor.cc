@@ -43,22 +43,13 @@ ReferenceMonitor::ReferenceMonitor(NameSpace* name_space, AclStore* acls,
   }
 }
 
-CacheStamps ReferenceMonitor::CurrentStamps() const {
-  return CacheStamps{name_space_->global_generation(), acls_->store_generation(),
-                     principals_->membership_epoch(), labels_->label_epoch(),
-                     policy_epoch_.load(std::memory_order_acquire)};
-}
-
-CacheStamps ReferenceMonitor::CurrentStampsFor(ShardId shard) const {
-  if (!IsConcreteShard(shard)) {
-    return CurrentStamps();
-  }
-  // Shard-local name-space / ACL generations and label epoch, plus the two
-  // domain-wide counters: membership and policy-reload events affect every
-  // decision regardless of subtree, so each shard's stamp carries them.
-  return CacheStamps{name_space_->shard_generation(shard), acls_->shard_generation(shard),
-                     principals_->membership_epoch(), labels_->shard_epoch(shard),
-                     policy_epoch_.load(std::memory_order_acquire), shard};
+CacheStamps ReferenceMonitor::CurrentStampsFor(ShardId domain) const {
+  // The domain's name-space / ACL generations and label epoch, plus the two
+  // counters no domain confines: membership and policy-reload events affect
+  // every decision regardless of subtree, so each stamp vector carries them.
+  return CacheStamps{name_space_->shard_generation(domain), acls_->shard_generation(domain),
+                     principals_->membership_epoch(), labels_->shard_epoch(domain),
+                     policy_epoch_.load(std::memory_order_acquire), domain};
 }
 
 ShardId ReferenceMonitor::DomainOf(NodeId node) const {
@@ -235,7 +226,9 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
                                           AccessModeSet modes, std::string_view path) {
   Decision decision;
   ShardId domain = DomainOf(node);
-  if (options_.cache_enabled) {
+  // An id the name space cannot place has no domain stamps to validate an
+  // entry against, so its checks are always interpreted.
+  if (options_.cache_enabled && domain != kAggregateShard) {
     // The cache clear epoch and the stamps are read (acquire) BEFORE
     // evaluating. If a store mutates mid-evaluation its bump lands after our
     // loads, so the entry we insert carries stamps that are already stale —

@@ -183,13 +183,14 @@ class ReferenceMonitor {
 
   // The validity domain used to stamp decisions about `node` (docs/MODEL.md
   // §15): its monitor shard, so a mutation confined to one subtree
-  // invalidates only that shard's cached decisions, or kAggregateShard for
-  // non-concrete shards (unknown node ids, the root). Lock-free.
+  // invalidates only that shard's cached decisions; kAllShards for the
+  // root; kAggregateShard for ids the name space cannot place, whose checks
+  // are never cached. Lock-free.
   ShardId DomainOf(NodeId node) const;
 
-  // The stamp vector of one validity domain: the shard's own generations
-  // when `shard` is concrete, else the legacy aggregate stamps.
-  CacheStamps CurrentStampsFor(ShardId shard) const;
+  // The stamp vector of one validity domain: a concrete shard's or, for
+  // kAllShards, the root's. kAggregateShard has no stamps of its own.
+  CacheStamps CurrentStampsFor(ShardId domain) const;
 
   // The pure interpreted decision procedure — no cache, no audit, no stats.
   // Every cache miss is decided by it; it is also the differential-fuzz
@@ -266,7 +267,6 @@ class ReferenceMonitor {
   // to a leaf in `leaf_domain` right now; false where the walk's per-step
   // records or overrides differ.
   bool PathEntryUsable(AccessModeSet modes, ShardId leaf_domain) const;
-  CacheStamps CurrentStamps() const;
   // Counts the decision in the stats (under validity domain `domain`) and
   // hands it to the audit log if its policy retains it. An empty `path`
   // records the node's path, built only for a retained record.

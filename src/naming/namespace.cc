@@ -35,7 +35,7 @@ NameSpace::NameSpace() {
   root.kind = NodeKind::kDirectory;
   root.name = "";
   // Every node can inherit the root's ACL/label, so root metadata mutations
-  // must invalidate every shard.
+  // must invalidate every shard as well as the root's own domain.
   root.shard = kAllShards;
   nodes_.push_back(std::move(root));
   PublishShardLocked(0, kAllShards);
@@ -60,32 +60,10 @@ const Node* NameSpace::Get(NodeId id) const {
   return GetLocked(id);
 }
 
-void NameSpace::BumpShard(ShardId shard) {
-  if (IsConcreteShard(shard)) {
-    shard_generation_[shard].fetch_add(1, std::memory_order_release);
-    return;
-  }
-  // kAllShards (root) / kAggregateShard: the effect is not confined to one
-  // subtree, so every shard's cached decisions must go stale.
-  for (auto& g : shard_generation_) {
-    g.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void NameSpace::Touch(Node& node) {
-  ++node.generation;
-  BumpShard(node.shard);
-  // Release: the mutation this stamp publishes happened-before any reader
-  // that observes the new generation value. The aggregate stamp is bumped by
-  // *every* mutation — it is the validity domain for unknown node ids and
-  // for monitors running with sharding disabled.
-  global_generation_.fetch_add(1, std::memory_order_release);
-}
-
 void NameSpace::PublishShardLocked(uint32_t index, ShardId shard) {
   size_t chunk = index >> kShardChunkBits;
   if (chunk >= kShardMaxChunks) {
-    return;  // beyond capacity: ShardOf reports kAggregateShard, still sound
+    return;  // beyond capacity: ShardOf reports kAggregateShard (never cached)
   }
   ShardChunk* c = shard_chunks_[chunk].load(std::memory_order_relaxed);
   if (c == nullptr) {
@@ -155,13 +133,8 @@ StatusOr<NodeId> NameSpace::BindLocked(NodeId parent, std::string_view name, Nod
   PublishShardLocked(id.value, child_shard);
   p->children.emplace(std::string(name), id);
   // The structural change is confined to the child's validity domain: no
-  // cached decision about the *parent* depends on its children map, but a
-  // cached NotFound (aggregate domain) or a cached decision in the child's
-  // shard must go stale. The parent keeps its node-local generation
-  // bump for observers of Node::generation.
-  ++p->generation;
-  BumpShard(child_shard);
-  global_generation_.fetch_add(1, std::memory_order_release);
+  // cached decision about the *parent* depends on its children map.
+  stamps_.Bump(child_shard);
   return id;
 }
 
@@ -217,11 +190,10 @@ Status NameSpace::Unbind(NodeId node) {
   parent.children.erase(n->name);
   n->alive = false;
   // As in BindLocked: the structural edit only affects decisions in the
-  // removed node's validity domain (and the aggregate domain, via Touch's
-  // global bump). Bumping the parent's shard here would re-create the
-  // invalidation storm for top-level unbinds, whose parent is the root.
-  ++parent.generation;
-  Touch(*n);
+  // removed node's validity domain. Bumping the parent's domain here would
+  // re-create the invalidation storm for top-level unbinds, whose parent is
+  // the root.
+  stamps_.Bump(n->shard);
   return OkStatus();
 }
 
@@ -360,7 +332,7 @@ Status NameSpace::SetAclRef(NodeId id, uint32_t acl_ref) {
     return NotFoundError("node does not exist");
   }
   n->acl_ref = acl_ref;
-  Touch(*n);
+  stamps_.Bump(n->shard);
   return OkStatus();
 }
 
@@ -371,7 +343,7 @@ Status NameSpace::SetLabelRef(NodeId id, uint32_t label_ref) {
     return NotFoundError("node does not exist");
   }
   n->label_ref = label_ref;
-  Touch(*n);
+  stamps_.Bump(n->shard);
   return OkStatus();
 }
 
@@ -382,7 +354,7 @@ Status NameSpace::SetOwner(NodeId id, PrincipalId owner) {
     return NotFoundError("node does not exist");
   }
   n->owner = owner;
-  Touch(*n);
+  stamps_.Bump(n->shard);
   return OkStatus();
 }
 

@@ -13,7 +13,7 @@
 // handles and never interprets them. Interpretation is the reference
 // monitor's job (src/monitor/), keeping the mechanism in exactly one place.
 //
-/// Thread safety: all public methods may be called concurrently. Mutators
+// Thread safety: all public methods may be called concurrently. Mutators
 // take the tree lock exclusively; readers share it. Methods that return
 // values (ids, paths, SecuritySnapshot) are safe under concurrent mutation.
 // Get() returns a pointer whose *address* is stable for the life of the
@@ -81,13 +81,12 @@ struct Node {
   NodeKind kind = NodeKind::kDirectory;
   std::string name;          // component name; "" for the root
   bool alive = true;         // false once unbound (ids are never reused)
-  uint64_t generation = 0;   // bumped on any structural or metadata change
 
   // Monitor shard (validity domain). Assigned at Bind and immutable after:
   // top-level containers hash by name, top-level leaves by owner (flat-
   // namespace fallback), deeper nodes inherit their parent's. The root is
-  // kAllShards: mutating its metadata invalidates every shard, since every
-  // node can inherit its ACL/label.
+  // kAllShards: mutating its metadata invalidates every shard and the
+  // root's own domain, since every node can inherit its ACL/label.
   ShardId shard = kAggregateShard;
 
   PrincipalId owner;         // creating principal; administrate fallback
@@ -168,32 +167,32 @@ class NameSpace {
   // Reconstructs the absolute path of a live node.
   std::string PathOf(NodeId id) const;
 
-  // Security-metadata mutators (called by the monitor; bump generations).
+  // Security-metadata mutators (called by the monitor; bump the node's
+  // domain stamp). The ref setters never retag the ref. One node per ref
+  // (docs/MODEL.md §15): a ref the monitor created carries its node's shard
+  // tag, so its edits bump only that shard, and trusted code must not bind
+  // it to any other node. Untagged refs (AclStore::Create(acl),
+  // LabelAuthority::StoreLabel) bump every domain and may be bound anywhere.
   Status SetAclRef(NodeId id, uint32_t acl_ref);
   Status SetLabelRef(NodeId id, uint32_t label_ref);
   Status SetOwner(NodeId id, PrincipalId owner);
 
   size_t node_count() const;
 
-  // Bumped on every mutation anywhere in the tree; decision-cache validity.
-  // Published with release ordering *after* the mutation is complete, so a
-  // reader that observes a given generation and then reads the tree sees at
-  // least that mutation (see docs/MODEL.md, "Concurrency model").
-  uint64_t global_generation() const { return global_generation_.load(std::memory_order_acquire); }
-
-  // Per-shard generation: bumped only by mutations whose validity domain is
-  // (or includes) that shard. Same release discipline as global_generation.
-  // A root-metadata mutation bumps every shard; a Bind/Unbind or metadata
-  // change elsewhere bumps only the affected node's shard. The global
-  // generation is still bumped by *every* mutation (aggregate domain).
-  uint64_t shard_generation(ShardId shard) const {
-    return shard_generation_[shard % kMonitorShardCount].load(std::memory_order_acquire);
-  }
+  // The generation of one validity domain (a concrete shard, or kAllShards
+  // for the root's): bumped only by mutations whose domain is (or includes)
+  // it. Published with release ordering *after* the mutation is complete, so
+  // a reader that observes a given generation and then reads the tree sees
+  // at least that mutation (see docs/MODEL.md, "Concurrency model"). A
+  // root-metadata mutation bumps every shard and the root's domain; a
+  // Bind/Unbind or metadata change elsewhere bumps only the node's shard.
+  uint64_t shard_generation(ShardId domain) const { return stamps_.Read(domain); }
 
   // Monitor shard of a node id, readable without taking the tree lock (the
   // assignment is immutable once the id is published). Unknown / not-yet-
-  // published ids — including NotFound targets — report kAggregateShard, the
-  // domain whose stamps every mutation bumps. The root reports kAllShards.
+  // published ids — including NotFound targets — and ids past the map's
+  // capacity report kAggregateShard, the domain the monitor never caches.
+  // The root reports kAllShards.
   ShardId ShardOf(NodeId id) const;
 
  private:
@@ -205,22 +204,19 @@ class NameSpace {
   StatusOr<NodeId> BindLocked(NodeId parent, std::string_view name, NodeKind kind,
                               PrincipalId owner);
   std::string PathOfLocked(NodeId id) const;
-  void Touch(Node& node);
-  void BumpShard(ShardId shard);
   void PublishShardLocked(uint32_t index, ShardId shard);
 
   mutable std::shared_mutex mu_;
   // Deque, not vector: node addresses stay stable across Bind, so Get()'s
   // returned pointers never dangle.
   std::deque<Node> nodes_;
-  std::atomic<uint64_t> global_generation_{0};
-  std::array<std::atomic<uint64_t>, kMonitorShardCount> shard_generation_{};
+  ShardStamps stamps_;
 
   // Lock-free id→shard map for the cached-check hot path: fixed-size chunks
   // published with release stores. Writers append under mu_; readers never
   // take a lock. Ids beyond the published count (or beyond capacity, ~16M
   // nodes) fall back to the aggregate domain, which stays sound because the
-  // aggregate stamps are bumped by every mutation.
+  // monitor decides that domain's checks uncached.
   static constexpr size_t kShardChunkBits = 12;
   static constexpr size_t kShardChunkSize = size_t{1} << kShardChunkBits;
   static constexpr size_t kShardMaxChunks = 4096;

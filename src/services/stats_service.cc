@@ -470,8 +470,8 @@ uint64_t StatsService::Tick() {
     epoch->audit_retained = audit_retained;
     epoch->audit_dropped = audit_dropped;
     epoch->tick_ns = now;
-    epoch->checks_per_sec = ChecksPerSecLocked();
-    epoch->denials_per_sec = DenialsPerSecLocked();
+    epoch->checks_per_sec = RatePerSecLocked(&RateEpoch::checks);
+    epoch->denials_per_sec = RatePerSecLocked(&RateEpoch::denials);
     epoch->rendered = RenderEpoch(*epoch);
     next = std::move(epoch);
     Publish(next);
@@ -718,29 +718,16 @@ size_t StatsService::active_subscribers() const {
   return subscribers_.size();
 }
 
-double StatsService::ChecksPerSecLocked() const {
+double StatsService::RatePerSecLocked(uint64_t RateEpoch::*counter) const {
   if (rate_ring_.size() < 2) {
     return 0.0;
   }
   const RateEpoch& oldest = rate_ring_.front();
   const RateEpoch& newest = rate_ring_.back();
-  if (newest.t_ns <= oldest.t_ns || newest.checks < oldest.checks) {
+  if (newest.t_ns <= oldest.t_ns || newest.*counter < oldest.*counter) {
     return 0.0;
   }
-  return static_cast<double>(newest.checks - oldest.checks) * 1e9 /
-         static_cast<double>(newest.t_ns - oldest.t_ns);
-}
-
-double StatsService::DenialsPerSecLocked() const {
-  if (rate_ring_.size() < 2) {
-    return 0.0;
-  }
-  const RateEpoch& oldest = rate_ring_.front();
-  const RateEpoch& newest = rate_ring_.back();
-  if (newest.t_ns <= oldest.t_ns || newest.denials < oldest.denials) {
-    return 0.0;
-  }
-  return static_cast<double>(newest.denials - oldest.denials) * 1e9 /
+  return static_cast<double>(newest.*counter - oldest.*counter) * 1e9 /
          static_cast<double>(newest.t_ns - oldest.t_ns);
 }
 

@@ -124,7 +124,8 @@ class StatsService {
 
   // Mounts the per-monitor-shard telemetry leaves
   // (shard/count and shard/<i>/checks|ns_gen|acl_gen|label_epoch for each
-  // concrete shard, plus shard/aggregate/checks for the aggregate domain),
+  // concrete shard, plus shard/aggregate/checks for the root's domain and
+  // ids the name space cannot place),
   // reading the monitor's shard-local stamps and check counters. Call after
   // Install; the monitor must outlive this service.
   Status MountShards(ReferenceMonitor* monitor);
@@ -245,10 +246,6 @@ class StatsService {
   // Renders every leaf of `cur` as the full snapshot text.
   std::string RenderEpoch(const PublishedEpoch& cur) const;
 
-  // Windowed rates over the epoch ring. Caller holds pub_mu_.
-  double ChecksPerSecLocked() const;
-  double DenialsPerSecLocked() const;
-
   struct Leaf {
     NodeId node;
     std::function<std::string()> render;
@@ -262,6 +259,10 @@ class StatsService {
     uint64_t checks = 0;
     uint64_t denials = 0;
   };
+
+  // The windowed rate of one RateEpoch counter over the epoch ring, per
+  // second. Caller holds pub_mu_.
+  double RatePerSecLocked(uint64_t RateEpoch::*counter) const;
 
   // A subscription channel. All mutable state is guarded by the
   // service-wide sub_mu_; the cv is per channel so pollers of different

@@ -187,10 +187,14 @@ TEST(AclStoreTest, CreateGetReplace) {
   EXPECT_EQ(store.Get(ref)->entries().size(), 1u);
   EXPECT_EQ(store.Get(999), nullptr);
 
-  uint64_t g0 = store.GenerationOf(ref);
+  // An untagged ref may be bound anywhere, so replacing it moves every
+  // domain's generation: each shard's and the root's.
+  uint64_t shard0 = store.shard_generation(0);
+  uint64_t root0 = store.shard_generation(kAllShards);
   Acl replacement;
   ASSERT_TRUE(store.Replace(ref, std::move(replacement)).ok());
-  EXPECT_GT(store.GenerationOf(ref), g0);
+  EXPECT_GT(store.shard_generation(0), shard0);
+  EXPECT_GT(store.shard_generation(kAllShards), root0);
   EXPECT_TRUE(store.Get(ref)->empty());
   EXPECT_EQ(store.Replace(999, Acl()).code(), StatusCode::kNotFound);
 }
@@ -198,13 +202,17 @@ TEST(AclStoreTest, CreateGetReplace) {
 TEST(AclStoreTest, InPlaceEditsBumpGenerations) {
   AclStore store;
   AclStore::AclRef ref = store.Create(Acl());
-  uint64_t s0 = store.store_generation();
+  uint64_t s0 = store.shard_generation(kMonitorShardCount - 1);
+  uint64_t r0 = store.shard_generation(kAllShards);
   ASSERT_TRUE(
       store.AddEntry(ref, {AclEntryType::kAllow, kBob, AccessModeSet(AccessMode::kRead)}).ok());
-  EXPECT_GT(store.store_generation(), s0);
-  uint64_t s1 = store.store_generation();
+  EXPECT_GT(store.shard_generation(kMonitorShardCount - 1), s0);
+  EXPECT_GT(store.shard_generation(kAllShards), r0);
+  uint64_t s1 = store.shard_generation(kMonitorShardCount - 1);
+  uint64_t r1 = store.shard_generation(kAllShards);
   ASSERT_TRUE(store.RemoveEntriesFor(ref, kBob).ok());
-  EXPECT_GT(store.store_generation(), s1);
+  EXPECT_GT(store.shard_generation(kMonitorShardCount - 1), s1);
+  EXPECT_GT(store.shard_generation(kAllShards), r1);
   EXPECT_TRUE(store.Get(ref)->empty());
 }
 

@@ -7,9 +7,13 @@
 // checks. For every check the pipeline must agree with the oracle on
 // allowed and deny reason, and a cache miss must return the oracle's detail
 // string too (a hit carries none: cache entries keep allowed and reason
-// only). Explain's closing verdict line must name the oracle's decision. Further sweeps hold the pipeline to the oracle right after each
-// mutation (a stale cached decision is never served), sharded against
-// aggregate stamp domains, and cache-on against cache-off CheckPath.
+// only). Explain's closing verdict line must name the oracle's decision.
+// Further sweeps hold the pipeline to the oracle right after each mutation
+// (a stale cached decision is never served), and cache-on against cache-off
+// CheckPath. Mutations come both from trusted code swapping and editing
+// store refs and from the monitor's own mutators, which edit a node's ACL
+// and label in place — on the root too, whose decisions are cached in a
+// validity domain of their own.
 //
 // The fault-sweep variant arms random failpoints (policy I/O, stats
 // fan-out) while reloading policy files mid-fuzz: injected failures may
@@ -105,6 +109,10 @@ class RandomWorld {
         labels_.SetClearance(p.value, RandomClass());
       }
     }
+    // Owners and the officer edit policy through the monitor (MonitorEdit).
+    (void)ns_.SetOwner(ns_.root(), RandomPrincipal());
+    officer_ = RandomPrincipal();
+    monitor_->set_security_officer(officer_);
   }
 
   SecurityClass RandomClass() {
@@ -135,6 +143,11 @@ class RandomWorld {
 
   PrincipalId RandomPrincipal() {
     return principals_pool_[rng_.NextBelow(principals_pool_.size())];
+  }
+
+  // The root half the time, else any container.
+  NodeId RandomAncestor() {
+    return rng_.NextBool(1, 2) ? ns_.root() : containers_[rng_.NextBelow(containers_.size())];
   }
 
   NodeId RandomNode() {
@@ -194,7 +207,7 @@ class RandomWorld {
 
   // One random policy mutation; every branch leaves the world consistent.
   void Mutate() {
-    switch (rng_.NextBelow(8)) {
+    switch (rng_.NextBelow(9)) {
       case 0: {  // swap a random node's ACL
         NodeId node = nodes_[rng_.NextBelow(nodes_.size())];
         (void)ns_.SetAclRef(node, acls_.Create(RandomAcl()));
@@ -249,6 +262,42 @@ class RandomWorld {
         (void)ns_.SetOwner(node, RandomPrincipal());
         break;
       }
+      case 8: {  // an in-place edit through the monitor, mostly of an ancestor
+        MonitorEdit(rng_.NextBool(2, 3) ? RandomAncestor() : nodes_[rng_.NextBelow(nodes_.size())]);
+        break;
+      }
+    }
+  }
+
+  // One policy edit of `node` through the monitor's mutators, each allowed:
+  // its owner adds an ACL entry (the first gives an inheriting node an ACL
+  // of its own, tagged with the node's domain; later ones edit that slot in
+  // place) or removes a principal's entries, or the officer or the owner
+  // relabels it (the owner at a class dominating the current label).
+  void MonitorEdit(NodeId node) {
+    NameSpace::SecuritySnapshot snap;
+    if (!ns_.SnapshotSecurity(node, &snap)) {
+      return;
+    }
+    Subject owner{snap.owner, RandomClass(), 1};
+    switch (rng_.NextBelow(3)) {
+      case 0:
+        (void)monitor_->AddAclEntry(
+            owner, node,
+            {rng_.NextBool(1, 3) ? AclEntryType::kDeny : AclEntryType::kAllow, RandomPrincipal(),
+             AccessModeSet(static_cast<uint32_t>(1 + rng_.NextBelow(255)))});
+        break;
+      case 1:
+        (void)monitor_->RemoveAclEntriesFor(owner, node, RandomPrincipal());
+        break;
+      case 2:
+        if (rng_.NextBool(1, 2)) {
+          (void)monitor_->SetNodeLabel(Subject{officer_, RandomClass(), 1}, node, RandomClass());
+        } else {
+          owner.security_class = monitor_->EffectiveLabel(node).Join(owner.security_class);
+          (void)monitor_->SetNodeLabel(owner, node, owner.security_class);
+        }
+        break;
     }
   }
 
@@ -319,8 +368,8 @@ class RandomWorld {
   }
 
   // One event on the chain `path` resolves through: the root, an ancestor or
-  // the node itself gets a new ACL or label, or the node (if childless) is
-  // unbound.
+  // the node itself gets a new ACL or label from trusted code or is edited
+  // through the monitor, or the node (if childless) is unbound.
   void EditOnPath(std::string_view path) {
     AncestorBuffer chain;
     auto leaf = ns_.LookupWithAncestors(path, &chain);
@@ -329,7 +378,7 @@ class RandomWorld {
     }
     size_t pick = rng_.NextBelow(chain.size() + 1);
     NodeId node = pick < chain.size() ? chain[pick] : *leaf;
-    switch (rng_.NextBelow(3)) {
+    switch (rng_.NextBelow(4)) {
       case 0:
         (void)ns_.SetAclRef(node, acls_.Create(RandomAcl()));
         break;
@@ -340,6 +389,9 @@ class RandomWorld {
         if (node == *leaf && node != ns_.root() && ns_.Unbind(node).ok()) {
           unbound_paths_.emplace_back(path);
         }
+        break;
+      case 3:
+        MonitorEdit(node);
         break;
     }
   }
@@ -365,8 +417,8 @@ class RandomWorld {
   Rng& rng() { return rng_; }
 
   // A second monitor over the SAME stores, for configuration-equivalence
-  // sweeps (e.g. sharded vs. aggregate stamp domains): both monitors see
-  // every mutation; only their caching/validity machinery differs.
+  // sweeps (e.g. cache-on vs. cache-off): both monitors see every mutation;
+  // only their options differ.
   ReferenceMonitor& ShadowMonitor(MonitorOptions options) {
     shadow_ = std::make_unique<ReferenceMonitor>(&ns_, &acls_, &principals_, &labels_, options);
     return *shadow_;
@@ -383,6 +435,7 @@ class RandomWorld {
   std::unique_ptr<ReferenceMonitor> monitor_;
   std::unique_ptr<ReferenceMonitor> shadow_;
   std::unique_ptr<ReferenceMonitor> scout_;
+  PrincipalId officer_;
   std::vector<PrincipalId> principals_pool_;
   std::vector<NodeId> nodes_;
   std::vector<NodeId> containers_;
@@ -499,6 +552,47 @@ TEST(DiffFuzz, MutationIsNeverServedStale) {
     ASSERT_EQ(after.reason, oracle.reason) << "stale cached decision served";
   }
   // The sweep must actually have exercised the staleness diversion.
+  EXPECT_GT(world.monitor().cache().stale_hits(), 0u);
+}
+
+TEST(DiffFuzz, MonitorEditsOfAncestorsAreNeverServedStale) {
+  const uint64_t seed = SeedFromEnv(0xed17u);
+  SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  MonitorOptions options = RandomOptions(rng);
+  options.cache_enabled = true;
+  options.dac_enabled = true;  // so ACL edits can change decisions
+  options.mac_enabled = true;  // and relabels too
+  RandomWorld world(rng, options);
+
+  // Each round caches eight checks, half of them on one ancestor (the root
+  // half the time), then edits that ancestor through the monitor one to
+  // three times: the first ACL entry gives it an ACL of its own, tagged
+  // with its domain, and later entries and relabels edit its slots in place.
+  // Every check must then render the post-edit decision.
+  for (int i = 0; i < 300; ++i) {
+    const NodeId target = world.RandomAncestor();
+    std::vector<RandomWorld::CheckTuple> probes;
+    for (int k = 0; k < 8; ++k) {
+      RandomWorld::CheckTuple probe = world.RandomCheck();
+      if (k % 2 == 0) {
+        probe.node = target;
+      }
+      (void)world.monitor().Check(probe.subject, probe.node, probe.modes);
+      probes.push_back(std::move(probe));
+    }
+    for (size_t edits = 1 + rng.NextBelow(3); edits > 0; --edits) {
+      world.MonitorEdit(target);
+    }
+    for (const auto& [subject, node, modes] : probes) {
+      Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
+      Decision after = world.monitor().Check(subject, node, modes);
+      ASSERT_EQ(after.allowed, oracle.allowed)
+          << "stale cached decision served: node=" << node.value << " edited=" << target.value;
+      ASSERT_EQ(after.reason, oracle.reason)
+          << "stale cached decision served: node=" << node.value << " edited=" << target.value;
+    }
+  }
   EXPECT_GT(world.monitor().cache().stale_hits(), 0u);
 }
 

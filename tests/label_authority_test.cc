@@ -97,16 +97,20 @@ TEST(LabelAuthorityTest, LabelStorage) {
   LabelAuthority auth;
   ASSERT_TRUE(auth.DefineLevels({"low", "high"}).ok());
   (void)*auth.DefineCategory("a");
-  uint64_t e0 = auth.label_epoch();
+  // Storing a label moves no epoch: no node references it yet.
+  uint64_t e0 = auth.shard_epoch(0);
+  uint64_t r0 = auth.shard_epoch(kAllShards);
   LabelAuthority::LabelRef ref = auth.StoreLabel(*auth.MakeClass("high", {"a"}));
-  EXPECT_GT(auth.label_epoch(), e0);
+  EXPECT_EQ(auth.shard_epoch(0), e0);
+  EXPECT_EQ(auth.shard_epoch(kAllShards), r0);
   ASSERT_NE(auth.GetLabel(ref), nullptr);
   EXPECT_EQ(auth.GetLabel(ref)->level(), 1);
   EXPECT_EQ(auth.GetLabel(9999), nullptr);
 
-  uint64_t e1 = auth.label_epoch();
+  // Replacing an untagged label moves every domain's epoch.
   ASSERT_TRUE(auth.ReplaceLabel(ref, auth.Bottom()).ok());
-  EXPECT_GT(auth.label_epoch(), e1);
+  EXPECT_GT(auth.shard_epoch(0), e0);
+  EXPECT_GT(auth.shard_epoch(kAllShards), r0);
   EXPECT_EQ(auth.GetLabel(ref)->level(), 0);
   EXPECT_EQ(auth.ReplaceLabel(9999, auth.Bottom()).code(), StatusCode::kNotFound);
 }

@@ -136,16 +136,19 @@ TEST(NameSpaceTest, LookupWithAncestorsReportsChain) {
 
 TEST(NameSpaceTest, GenerationsAdvanceOnMutation) {
   NameSpace ns;
-  uint64_t g0 = ns.global_generation();
+  // A top-level leaf's domain is its owner's shard.
+  const ShardId shard = ShardOfPrincipal(Owner().value);
+  uint64_t g0 = ns.shard_generation(shard);
   auto node = ns.BindPath("/x", NodeKind::kFile, Owner());
   ASSERT_TRUE(node.ok());
-  uint64_t g1 = ns.global_generation();
+  ASSERT_EQ(ns.ShardOf(*node), shard);
+  uint64_t g1 = ns.shard_generation(shard);
   EXPECT_GT(g1, g0);
   ASSERT_TRUE(ns.SetAclRef(*node, 5).ok());
-  uint64_t g2 = ns.global_generation();
+  uint64_t g2 = ns.shard_generation(shard);
   EXPECT_GT(g2, g1);
   ASSERT_TRUE(ns.SetLabelRef(*node, 3).ok());
-  EXPECT_GT(ns.global_generation(), g2);
+  EXPECT_GT(ns.shard_generation(shard), g2);
 }
 
 TEST(NameSpaceTest, SecurityMetadataRoundTrip) {

@@ -1,7 +1,8 @@
 // Sharded stamp domains (docs/MODEL.md §15): shard assignment and
 // inheritance, per-shard generation bumps, cross-shard cache isolation
-// (down to a kernel loading and unloading code), the domain field's
-// anti-aliasing role, and shard-local ACL interning.
+// (down to a kernel loading and unloading code), the root's own domain,
+// uncached unplaceable ids, the domain field's anti-aliasing role, and
+// shard-local ACL interning.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +65,7 @@ TEST(ShardStampsTest, MetadataMutationBumpsOnlyItsShard) {
   for (ShardId s = 0; s < kMonitorShardCount; ++s) {
     before[s] = ns.shard_generation(s);
   }
-  uint64_t global_before = ns.global_generation();
+  uint64_t root_before = ns.shard_generation(kAllShards);
   ASSERT_TRUE(ns.SetOwner(a, PrincipalId{2}).ok());
   for (ShardId s = 0; s < kMonitorShardCount; ++s) {
     if (s == shard_a) {
@@ -73,8 +74,8 @@ TEST(ShardStampsTest, MetadataMutationBumpsOnlyItsShard) {
       EXPECT_EQ(ns.shard_generation(s), before[s]) << "shard " << s;
     }
   }
-  // The aggregate domain still sees every mutation.
-  EXPECT_GT(ns.global_generation(), global_before);
+  // Nor does the root's domain: no root decision reads a's metadata.
+  EXPECT_EQ(ns.shard_generation(kAllShards), root_before);
 }
 
 TEST(ShardStampsTest, RootMetadataMutationBumpsEveryShard) {
@@ -83,11 +84,13 @@ TEST(ShardStampsTest, RootMetadataMutationBumpsEveryShard) {
   for (ShardId s = 0; s < kMonitorShardCount; ++s) {
     before[s] = ns.shard_generation(s);
   }
+  uint64_t root_before = ns.shard_generation(kAllShards);
   // Every node may inherit the root's ACL, so this must invalidate all shards.
   ASSERT_TRUE(ns.SetAclRef(ns.root(), 7).ok());
   for (ShardId s = 0; s < kMonitorShardCount; ++s) {
     EXPECT_GT(ns.shard_generation(s), before[s]) << "shard " << s;
   }
+  EXPECT_GT(ns.shard_generation(kAllShards), root_before);
 }
 
 TEST(ShardStampsTest, AclStoreTagsNarrowOnceAndEscalateOnSharing) {
@@ -197,6 +200,116 @@ TEST(ShardStampsTest, ExtensionLoadAndUnloadKeepSvcDecisionsCached) {
   EXPECT_TRUE(monitor.CheckPath(dev_s, "/svc/app/op", AccessMode::kExecute).allowed);
   EXPECT_EQ(monitor.cache().hits(), hits + 1) << "the warm path entry was served";
   EXPECT_EQ(monitor.cache().stale_hits(), stale) << "load/unload staled a /svc decision";
+}
+
+// The root has a domain of its own: a mutation confined to one shard leaves
+// a warm root entry valid.
+TEST(ShardStampsTest, RootEntrySurvivesAMutationConfinedToOneShard) {
+  ShardedMonitorFixture f;
+  Acl open;
+  open.AddEntry({AclEntryType::kAllow, f.user, AccessModeSet(AccessMode::kList)});
+  ASSERT_TRUE(f.ns.SetAclRef(f.ns.root(), f.acls.Create(std::move(open))).ok());
+  ASSERT_TRUE(f.monitor->Check(f.subject, f.ns.root(), AccessMode::kList).allowed);  // warm
+  const uint64_t stale = f.monitor->cache().stale_hits();
+
+  // Metadata, an in-place ACL edit through the monitor, a bind and an
+  // unbind, all in obj_a's shard.
+  ASSERT_TRUE(f.ns.SetOwner(f.obj_a, f.user).ok());
+  ASSERT_TRUE(f.monitor
+                  ->AddAclEntry(f.subject, f.obj_a,
+                                {AclEntryType::kAllow, f.user, AccessModeSet(AccessMode::kWrite)})
+                  .ok());
+  NodeId extra = *f.ns.Bind(f.ns.Get(f.obj_a)->parent, "extra", NodeKind::kFile, f.user);
+  ASSERT_EQ(f.ns.ShardOf(extra), f.ns.ShardOf(f.obj_a));
+  ASSERT_TRUE(f.ns.Unbind(extra).ok());
+
+  const uint64_t hits = f.monitor->cache().hits();
+  EXPECT_TRUE(f.monitor->Check(f.subject, f.ns.root(), AccessMode::kList).allowed);
+  EXPECT_EQ(f.monitor->cache().hits(), hits + 1) << "the warm root entry was served";
+  EXPECT_EQ(f.monitor->cache().stale_hits(), stale) << "a one-shard mutation staled the root";
+}
+
+// The root's in-place ACL and label edits through the monitor move the
+// root's stamps and every shard's: each warm entry goes stale.
+TEST(ShardStampsTest, InPlaceRootEditsStaleTheRootAndEveryShard) {
+  ShardedMonitorFixture f;
+  PrincipalId officer = *f.principals.CreateUser("officer");
+  f.monitor->set_security_officer(officer);
+  ASSERT_TRUE(f.ns.SetOwner(f.ns.root(), f.user).ok());
+  // The owner's first entry gives the root an ACL of its own, tagged with
+  // the root's domain; later entries edit that slot in place.
+  ASSERT_TRUE(f.monitor
+                  ->AddAclEntry(f.subject, f.ns.root(),
+                                {AclEntryType::kAllow, f.user, AccessModeSet(AccessMode::kList)})
+                  .ok());
+  ASSERT_EQ(f.acls.ShardOf(f.ns.Get(f.ns.root())->acl_ref), kAllShards);
+
+  auto warm = [&f] {
+    for (NodeId node : {f.ns.root(), f.obj_a, f.obj_b}) {
+      (void)f.monitor->Check(f.subject, node, AccessMode::kList | AccessMode::kRead);
+      (void)f.monitor->Check(f.subject, node, AccessMode::kList | AccessMode::kRead);
+    }
+  };
+  auto expect_all_stale = [&f](const char* edit, const std::vector<CacheStamps>& before) {
+    for (ShardId d = 0; d < kMonitorShardCount; ++d) {
+      EXPECT_FALSE(f.monitor->CurrentStampsFor(d) == before[d]) << edit << ": shard " << d;
+    }
+    EXPECT_FALSE(f.monitor->CurrentStampsFor(kAllShards) == before[kMonitorShardCount])
+        << edit << ": the root's domain";
+    for (NodeId node : {f.ns.root(), f.obj_a, f.obj_b}) {
+      const uint64_t stale = f.monitor->cache().stale_hits();
+      (void)f.monitor->Check(f.subject, node, AccessMode::kList | AccessMode::kRead);
+      EXPECT_EQ(f.monitor->cache().stale_hits(), stale + 1) << edit << ": node " << node.value;
+    }
+  };
+  auto stamps = [&f] {
+    std::vector<CacheStamps> out;
+    for (ShardId d = 0; d < kMonitorShardCount; ++d) {
+      out.push_back(f.monitor->CurrentStampsFor(d));
+    }
+    out.push_back(f.monitor->CurrentStampsFor(kAllShards));
+    return out;
+  };
+
+  warm();
+  std::vector<CacheStamps> before = stamps();
+  ASSERT_TRUE(f.monitor
+                  ->AddAclEntry(f.subject, f.ns.root(),
+                                {AclEntryType::kAllow, f.user, AccessModeSet(AccessMode::kRead)})
+                  .ok());
+  expect_all_stale("add-acl-entry", before);
+
+  warm();
+  before = stamps();
+  ASSERT_TRUE(f.monitor->RemoveAclEntriesFor(f.subject, f.ns.root(), officer).ok());
+  expect_all_stale("remove-acl-entries", before);
+
+  // The root's label is the constructor's ⊥, stored untagged; the officer
+  // replaces it in place.
+  warm();
+  before = stamps();
+  Subject officer_s{officer, f.labels.Bottom(), 1};
+  ASSERT_TRUE(f.monitor->SetNodeLabel(officer_s, f.ns.root(), f.labels.Bottom()).ok());
+  expect_all_stale("set-label", before);
+}
+
+// An id the name space has never published has no domain stamps: its
+// checks are interpreted every time and never touch the cache.
+TEST(ShardStampsTest, UnplaceableIdIsNeverCached) {
+  ShardedMonitorFixture f;
+  const NodeId unknown{999999};
+  ASSERT_EQ(f.monitor->DomainOf(unknown), kAggregateShard);
+  const uint64_t hits = f.monitor->cache().hits();
+  const uint64_t misses = f.monitor->cache().misses();
+  for (int i = 0; i < 3; ++i) {
+    Decision d = f.monitor->Check(f.subject, unknown, AccessMode::kRead);
+    EXPECT_FALSE(d.allowed);
+    EXPECT_EQ(d.reason, DenyReason::kNotFound);
+  }
+  EXPECT_EQ(f.monitor->cache().hits(), hits);
+  EXPECT_EQ(f.monitor->cache().misses(), misses);
+  // Still counted, in the aggregate bucket.
+  EXPECT_EQ(f.monitor->stats().by_shard(kAggregateShard), 3u);
 }
 
 TEST(ShardStampsTest, PerShardCheckCountersFeedTelemetry) {
