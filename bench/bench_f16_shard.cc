@@ -15,9 +15,9 @@
 //   CheckWithCrossShardMutationEvery/<k>   cached check cost with a mutation
 //                                 in a *different* shard every k checks; flat
 //                                 across k, unlike F8's InvalidationEvery
-//   AclInternSharing              1024 objects sharing one ACL shape per
-//                                 shard-local pool — intern_hits proves the
-//                                 store deduplicates entry lists
+//   AclInternSharing              1024 objects in 32 subtrees sharing one
+//                                 ACL shape — intern_hits proves the store
+//                                 deduplicates entry lists
 //
 // ci/check_bench_f16.py gates the counters (cross-shard staleness exactly 0,
 // control > 0, ACL interning effective).
@@ -126,8 +126,8 @@ void BM_CheckWithCrossShardMutationEvery(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckWithCrossShardMutationEvery)->RangeMultiplier(4)->Range(1, 4096);
 
-// Many objects sharing one ACL shape: the store's shard-local intern pools
-// must collapse them to one entry list per shard.
+// Many objects sharing one ACL shape: the store's intern pool must collapse
+// them to one entry list, whatever their shards.
 void BM_AclInternSharing(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

@@ -5,7 +5,9 @@
 // at once. The figure compares:
 //
 //   XsecLink/<n>         full LoadExtension with n imports (per-import
-//                        monitor checks + capability construction)
+//                        monitor checks + capability construction), every
+//                        check a cache miss (a membership change, untimed,
+//                        stales the cache before each link)
 //   XsecLinkCached/<n>   same, with the decision cache warm
 //   SpinStyleLink/<n>    all-or-nothing domain membership (one set probe per
 //                        domain plus one per import symbol resolution)
@@ -46,23 +48,30 @@ struct LinkFixture {
     }
     manifest.name = "bench-ext";
     subject = kernel->CreateSubject(user, kernel->labels().Bottom());
+    throwaway_group = *kernel->principals().CreateGroup("throwaway");
+  }
+
+  // Moves every domain's stamps without changing any decision: a throwaway
+  // group gains and loses a member, so every cached decision goes stale.
+  void StaleEveryCachedDecision() {
+    (void)kernel->principals().AddMember(throwaway_group, user);
+    (void)kernel->principals().RemoveMember(throwaway_group, user);
   }
 
   std::unique_ptr<Kernel> kernel;
   PrincipalId user;
+  PrincipalId throwaway_group;
   ExtensionManifest manifest;
   Subject subject;
 };
 
 void XsecLink(benchmark::State& state, bool cached) {
   LinkFixture fixture(static_cast<int>(state.range(0)));
-  if (!cached) {
-    // Defeat the decision cache by clearing it every iteration.
-  }
   for (auto _ : state) {
     if (!cached) {
+      // Every link check misses: its cached decision is stale.
       state.PauseTiming();
-      fixture.kernel->monitor().cache().Clear();
+      fixture.StaleEveryCachedDecision();
       state.ResumeTiming();
     }
     auto id = fixture.kernel->LoadExtension(fixture.manifest, fixture.subject);

@@ -13,7 +13,7 @@
 #
 # --faults runs only the randomized fault-injection sweep: the fault suites
 # (Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|
-# AuditFanOut|ShardClearRace|Supervisor|Quarantine) plus the DiffFuzz
+# AuditFanOut|Supervisor|Quarantine) plus the DiffFuzz
 # differential oracle under ASan+UBSan and TSan with a randomized
 # XSEC_FAULT_SEED. The seed is printed so a failing sweep replays exactly:
 # XSEC_FAULT_SEED=<seed> ci/run_checks.sh --faults.
@@ -77,7 +77,7 @@ FAULTS=0
 # DiffFuzz (tests/diff_fuzz_test.cc) rides in the fault sweep: it arms the
 # same failpoints and must never see the Check pipeline diverge from the
 # interpreted oracle.
-FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|DiffFuzz|ShardClearRace|AuditFanOut|Supervisor|Quarantine'
+FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|NdjsonDiskFull|DiffFuzz|AuditFanOut|Supervisor|Quarantine'
 
 # Randomized but replayable in every mode: the differential fuzzer and the
 # failpoint sweeps read XSEC_FAULT_SEED from the environment and print it in

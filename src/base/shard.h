@@ -12,8 +12,8 @@
 // Two sentinel domains complete the picture:
 //   kAllShards      — the root's domain, and the tag of mutations whose
 //     effect is not confined to one shard (root metadata, ACL and label
-//     slots that are unattached or shared, lattice definitions,
-//     clearances): they bump every shard's stamp and the root's.
+//     slots created without a shard tag, lattice definitions, clearances):
+//     they bump every shard's stamp and the root's.
 //   kAggregateShard — ids NameSpace::ShardOf cannot place: ids it has never
 //     published (NotFound targets) and ids past its capacity. The domain
 //     has no stamps; the monitor decides its checks uncached.
@@ -45,8 +45,8 @@ inline constexpr ShardId kAggregateShard = kMonitorShardCount;
 // The root's domain; as a mutation tag, "applies to every shard".
 inline constexpr ShardId kAllShards = kMonitorShardCount + 1;
 
-// Tag for store slots that have not (yet) been attached to any node. Until a
-// slot is attached its mutations conservatively bump every shard.
+// Tag for store slots created without a node's shard. Their mutations
+// conservatively bump every shard.
 inline constexpr ShardId kUnknownShard = kMonitorShardCount + 2;
 
 inline constexpr bool IsConcreteShard(ShardId s) {

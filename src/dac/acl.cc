@@ -125,13 +125,12 @@ AclStore::AclRef AclStore::Create(Acl acl) { return Create(std::move(acl), kUnkn
 
 AclStore::AclRef AclStore::Create(Acl acl, ShardId shard) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  // Intern the entry list into the shard-local pool: identical ACLs (the
-  // overwhelmingly common case in a generated million-node policy) collapse
-  // to one immutable vector shared by every slot that carries them.
+  // Intern the entry list: identical ACLs (the overwhelmingly common case in
+  // a generated million-node policy) collapse to one immutable vector shared
+  // by every slot that carries them, whatever their shards.
   if (!acl.empty()) {
-    auto& pool = intern_pools_[IsConcreteShard(shard) ? shard : kMonitorShardCount];
     uint64_t hash = HashEntries(acl.entries());
-    auto [it, end] = pool.equal_range(hash);
+    auto [it, end] = intern_pool_.equal_range(hash);
     bool hit = false;
     for (; it != end; ++it) {
       if (*it->second == acl.entries()) {
@@ -144,7 +143,7 @@ AclStore::AclRef AclStore::Create(Acl acl, ShardId shard) {
       intern_hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       std::shared_ptr<const Acl::EntryList> canon = acl.shared_entries();
-      pool.emplace(hash, std::move(canon));
+      intern_pool_.emplace(hash, std::move(canon));
       intern_unique_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -153,33 +152,6 @@ AclStore::AclRef AclStore::Create(Acl acl, ShardId shard) {
   // cached decision can depend on it.
   acls_.push_back(Slot{std::move(acl), shard});
   return ref;
-}
-
-void AclStore::AttachShard(AclRef ref, ShardId shard) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (ref >= acls_.size()) {
-    return;
-  }
-  Slot& slot = acls_[ref];
-  if (slot.shard == shard) {
-    return;
-  }
-  if (slot.shard == kUnknownShard) {
-    // First attachment narrows the tag (or records kAllShards for the root).
-    slot.shard = IsConcreteShard(shard) ? shard : kAllShards;
-  } else {
-    // Referenced from two different domains: mutations must invalidate both,
-    // so escalate permanently to the conservative tag.
-    slot.shard = kAllShards;
-  }
-}
-
-ShardId AclStore::ShardOf(AclRef ref) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (ref >= acls_.size()) {
-    return kUnknownShard;
-  }
-  return acls_[ref].shard;
 }
 
 const Acl* AclStore::Get(AclRef ref) const {

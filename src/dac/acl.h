@@ -18,7 +18,6 @@
 #ifndef XSEC_SRC_DAC_ACL_H_
 #define XSEC_SRC_DAC_ACL_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -113,25 +112,21 @@ class Acl {
 // lock release. Get() returns a pointer with a stable address (deque
 // storage), but the Acl it points at may be concurrently replaced or edited;
 // it is intended for single-threaded setup, tests, and serialization.
-// Sharding (docs/MODEL.md §15): each slot carries a monitor-shard tag. A
-// slot starts kUnknownShard unless Create is given its node's shard (the
-// monitor's mutators do; AttachShard narrows the tag too). Editing a
-// concretely tagged slot bumps only that shard's stamp; an unknown-,
-// all-shards- (the root's), or multiply-attached slot bumps every shard and
-// the root's domain. Creating a slot bumps nothing — an unreferenced ref
-// cannot be behind any cached decision.
+// Sharding (docs/MODEL.md §15): each slot carries a monitor-shard tag,
+// fixed at Create: its node's shard when the monitor's mutators create it,
+// kUnknownShard otherwise. Editing a concretely tagged slot bumps only that
+// shard's stamp; an unknown- or all-shards- (the root's) slot bumps every
+// shard and the root's domain. Creating a slot bumps nothing — an
+// unreferenced ref cannot be behind any cached decision.
 class AclStore {
  public:
   using AclRef = uint32_t;
 
-  // Creates a new ACL, returning its reference. Identical entry lists are
-  // interned per shard: the new slot aliases the existing immutable list.
+  // Creates a new ACL tagged `shard`, returning its reference. Identical
+  // entry lists are interned: the new slot aliases the existing immutable
+  // list.
   AclRef Create(Acl acl);
   AclRef Create(Acl acl, ShardId shard);
-
-  // Narrows (or escalates) the slot's shard tag; see class comment.
-  void AttachShard(AclRef ref, ShardId shard);
-  ShardId ShardOf(AclRef ref) const;
 
   const Acl* Get(AclRef ref) const;
 
@@ -174,12 +169,8 @@ class AclStore {
   std::deque<Slot> acls_;
   ShardStamps stamps_;
 
-  // Shard-local intern pools: content-hash → shared immutable entry lists.
-  // Pool index kMonitorShardCount serves creates not tagged with a concrete
-  // shard.
-  std::array<std::unordered_multimap<uint64_t, std::shared_ptr<const Acl::EntryList>>,
-             kMonitorShardCount + 1>
-      intern_pools_;
+  // The intern pool: content-hash → shared immutable entry lists.
+  std::unordered_multimap<uint64_t, std::shared_ptr<const Acl::EntryList>> intern_pool_;
   std::atomic<uint64_t> intern_hits_{0};
   std::atomic<uint64_t> intern_unique_{0};
 };

@@ -144,31 +144,13 @@ std::string LabelAuthority::ClassToString(const SecurityClass& cls) const {
   return StrFormat("%s:{%s}", level.c_str(), cats.c_str());
 }
 
-LabelAuthority::LabelRef LabelAuthority::StoreLabel(const SecurityClass& cls) {
+LabelAuthority::LabelRef LabelAuthority::StoreLabel(const SecurityClass& cls, ShardId shard) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   LabelRef ref = static_cast<LabelRef>(labels_.size());
   labels_.push_back(std::make_shared<const SecurityClass>(cls));
-  label_shards_.push_back(kUnknownShard);
+  label_shards_.push_back(shard);
   // No epoch moves: an unreferenced ref cannot be behind any cached decision.
   return ref;
-}
-
-void LabelAuthority::AttachShard(LabelRef ref, ShardId shard) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (ref >= label_shards_.size() || label_shards_[ref] == shard) {
-    return;
-  }
-  if (label_shards_[ref] == kUnknownShard) {
-    label_shards_[ref] = IsConcreteShard(shard) ? shard : kAllShards;
-  } else {
-    // Referenced from a second domain: escalate permanently.
-    label_shards_[ref] = kAllShards;
-  }
-}
-
-ShardId LabelAuthority::ShardOf(LabelRef ref) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return ref < label_shards_.size() ? label_shards_[ref] : kUnknownShard;
 }
 
 const SecurityClass* LabelAuthority::GetLabel(LabelRef ref) const {

@@ -69,22 +69,21 @@ class LabelAuthority {
   // -- Label storage for name-space nodes -----------------------------------
   // Nodes reference labels by opaque ref (Node::label_ref).
   using LabelRef = uint32_t;
-  LabelRef StoreLabel(const SecurityClass& cls);
+  // Stores a label tagged `shard` (see below), returning its reference.
+  LabelRef StoreLabel(const SecurityClass& cls, ShardId shard = kUnknownShard);
   const SecurityClass* GetLabel(LabelRef ref) const;
   // Shared ownership of the stored label; stays valid across a concurrent
   // ReplaceLabel. Null on a bad ref. This is the check path's accessor.
   std::shared_ptr<const SecurityClass> LabelHandle(LabelRef ref) const;
   Status ReplaceLabel(LabelRef ref, const SecurityClass& cls);
 
-  // Shard tagging mirrors AclStore (docs/MODEL.md §15): a stored label
-  // starts kUnknownShard; the monitor narrows it to the referencing node's
-  // shard (kAllShards for the root), and attachment from a second shard
-  // escalates to kAllShards. ReplaceLabel on a concretely tagged slot bumps
-  // only that shard's epoch; any other tag bumps every shard and the root's
-  // domain. Level/category definitions and clearances are system-wide MAC
-  // state, so they bump every domain. Storing a label bumps nothing.
-  void AttachShard(LabelRef ref, ShardId shard);
-  ShardId ShardOf(LabelRef ref) const;
+  // Shard tagging mirrors AclStore (docs/MODEL.md §15): the tag is fixed
+  // at StoreLabel — the monitor passes the referencing node's shard
+  // (kAllShards for the root), other callers leave it kUnknownShard.
+  // ReplaceLabel on a concretely tagged slot bumps only that shard's epoch;
+  // any other tag bumps every shard and the root's domain. Level/category
+  // definitions and clearances are system-wide MAC state, so they bump
+  // every domain. Storing a label bumps nothing.
 
   // The label epoch of one validity domain (a concrete shard, or kAllShards
   // for the root's). Published with release ordering after the mutation it

@@ -549,12 +549,12 @@ std::vector<AuditSinkStats> AuditLog::SinkStats() const {
 
 size_t AuditLog::retained() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_sequence_ - FirstRetainedLocked();
+  return next_sequence_ - OldestLocked();
 }
 
 uint64_t AuditLog::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return FirstRetainedLocked() - cleared_;
+  return OldestLocked();
 }
 
 std::vector<AuditRecord> AuditLog::records() const {
@@ -565,27 +565,13 @@ std::vector<AuditRecord> AuditLog::Query(
     const std::function<bool(const AuditRecord&)>& pred) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<AuditRecord> out;
-  for (uint64_t seq = FirstRetainedLocked(); seq < next_sequence_; ++seq) {
+  for (uint64_t seq = OldestLocked(); seq < next_sequence_; ++seq) {
     const AuditRecord& record = *ring_[seq % ring_.size()];
     if (pred(record)) {
       out.push_back(record);
     }
   }
   return out;
-}
-
-void AuditLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // A watermark, not a wipe: the records stay in the ring for the sinks
-  // still owed them. next_sequence_ deliberately survives: resetting it
-  // would reissue ids already written to rotated NDJSON files, breaking
-  // dedup by `seq`.
-  cleared_ = next_sequence_;
-  total_denials_.store(0, std::memory_order_relaxed);
-  for (const std::shared_ptr<Cursor>& cursor : *cursors_) {
-    cursor->delivered.store(0, std::memory_order_relaxed);
-    cursor->dropped.store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace xsec

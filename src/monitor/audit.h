@@ -366,20 +366,13 @@ class AuditLog {
   // Retained records matching a predicate, oldest first.
   std::vector<AuditRecord> Query(const std::function<bool(const AuditRecord&)>& pred) const;
 
-  // Denial records this log has stamped (since the last Clear). No allow
-  // touches it. Under the denials-only policy with no Clear it equals the
-  // next record's sequence number.
+  // Denial records this log has stamped. No allow touches it. Under the
+  // denials-only policy it equals the next record's sequence number. Like
+  // every counter of the log it only grows: a caller that wants a window
+  // takes a mark and reads the difference.
   uint64_t total_denials() const { return total_denials_.load(std::memory_order_relaxed); }
-  // Records stamped since the last Clear that the ring has overwritten.
+  // Records the ring has overwritten.
   uint64_t dropped() const;
-
-  // Sets a watermark at the next sequence: the records before it leave
-  // records(), retained() and dropped(), but every sink owed them is still
-  // handed them. Zeroes total_denials() and the per-sink counters. Sequence
-  // numbers are NOT reset: records emitted after a Clear continue the
-  // sequence, so ids already exported (e.g. to rotated NDJSON files) are
-  // never reused and cross-rotation dedup/ordering by `seq` stays sound.
-  void Clear();
 
  private:
   using RecordPtr = std::shared_ptr<const AuditRecord>;
@@ -388,12 +381,10 @@ class AuditLog {
   struct Cursor;
   using CursorList = std::vector<std::shared_ptr<Cursor>>;
 
-  // The oldest sequence the ring still holds, and the oldest retained one
-  // (not before the Clear watermark). Caller holds mu_.
+  // The oldest sequence the ring still holds. Caller holds mu_.
   uint64_t OldestLocked() const {
     return next_sequence_ - std::min<uint64_t>(next_sequence_, ring_.size());
   }
-  uint64_t FirstRetainedLocked() const { return std::max(cleared_, OldestLocked()); }
 
   // Unregisters sink `remove_id` (0: none) and registers `sink` (null: none)
   // in one critical section, then hands the removed sink everything it is
@@ -427,7 +418,6 @@ class AuditLog {
   // here to ctl_mu_.
   mutable std::mutex mu_;
   uint64_t next_sequence_ = 0;
-  uint64_t cleared_ = 0;  // Clear's watermark
   // The record store: record `seq` lives in slot seq % size() until it is
   // overwritten.
   std::vector<RecordPtr> ring_;

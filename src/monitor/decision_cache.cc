@@ -92,27 +92,11 @@ uint64_t DecisionCache::stale_hits() const {
 }
 
 void DecisionCache::Insert(const Subject& subject, NodeId node, AccessModeSet modes,
-                           const CacheStamps& current, CachedDecision decision) {
-  Insert(subject, node, modes, current, decision, clear_epoch());
-}
-
-void DecisionCache::Insert(const Subject& subject, NodeId node, AccessModeSet modes,
-                           const CacheStamps& current, CachedDecision decision,
-                           uint64_t observed_clear_epoch, bool via_path) {
+                           const CacheStamps& current, CachedDecision decision, bool via_path) {
   uint64_t mode_key = ModeKey(modes, via_path);
   uint64_t hash = KeyHash(subject, node, mode_key);
   Shard& shard = shards_[hash & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Clear() bumps the epoch before it wipes any shard, and the wipe takes
-  // this same shard mutex. Holding the mutex, either the wipe has not
-  // happened yet (our entry will be wiped with the rest) or it has, in which
-  // case the pre-wipe epoch bump is visible here and we refuse — so a
-  // decision evaluated against pre-clear stamps can never outlive the clear.
-  // Relaxed suffices: the mutex orders us against the wipe, and the bump is
-  // sequenced before the wipe in Clear().
-  if (observed_clear_epoch != clear_epoch_.load(std::memory_order_relaxed)) {
-    return;
-  }
   Slot& slot = shard.slots[(hash >> shard_bits_) & slot_mask_];
   slot.occupied = true;
   slot.key_hash = hash;
@@ -122,17 +106,6 @@ void DecisionCache::Insert(const Subject& subject, NodeId node, AccessModeSet mo
   slot.subject_class = subject.security_class;
   slot.stamps = current;
   slot.decision = decision;
-}
-
-void DecisionCache::Clear() {
-  // Epoch first, wipe second — the order the epoch-carrying Insert relies on.
-  clear_epoch_.fetch_add(1, std::memory_order_release);
-  for (size_t i = 0; i < shard_count_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    for (Slot& slot : shards_[i].slots) {
-      slot.occupied = false;
-    }
-  }
 }
 
 }  // namespace xsec

@@ -3,12 +3,13 @@
 // Keyed by (principal, node, requested modes, subject class, and whether the
 // entry covers the node alone or the whole path walk to it); an entry also
 // snapshots the validity stamps of the node's domain (docs/MODEL.md §15) —
-// name-space generation, ACL generation, membership epoch, label epoch,
-// policy epoch — plus the *domain* they were read from: the node's shard, or
-// the root's domain. A mutation bumps the stamps of the domains it can
-// affect, so a mutation confined to one subtree leaves other domains'
-// entries valid; the domain field keeps two domains from ever validating
-// against each other's numerically equal stamps.
+// name-space generation, ACL generation, membership epoch, label epoch —
+// plus the *domain* they were read from: the node's shard, or the root's
+// domain. The stamps are the only way an entry goes stale: every mutation
+// that can change a decision bumps the stamps of the domains it can affect,
+// so a mutation confined to one subtree leaves other domains' entries valid;
+// the domain field keeps two domains from ever validating against each
+// other's numerically equal stamps.
 //
 // The table is direct-mapped (power-of-two slots, overwrite on collision)
 // and sharded: the key hash selects a shard, each shard owns a disjoint
@@ -26,7 +27,6 @@
 #ifndef XSEC_SRC_MONITOR_DECISION_CACHE_H_
 #define XSEC_SRC_MONITOR_DECISION_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,12 +46,6 @@ struct CacheStamps {
   uint64_t acl_generation = 0;
   uint64_t membership_epoch = 0;
   uint64_t label_epoch = 0;
-  // The monitor's policy-reload epoch (ReferenceMonitor::NotePolicyReload):
-  // bumped on every LoadPolicy/LoadPolicyFile swap, so decisions cached
-  // against the pre-reload policy can never survive a reload even when no
-  // individual store stamp moved (a reload whose only effect is a directive
-  // the four store generations do not cover, e.g. a security-officer change).
-  uint64_t policy_epoch = 0;
 
   // Validity domain the stamps were read from: a concrete monitor shard, or
   // kAllShards for the root's. Part of the key equality: a decision cached
@@ -79,24 +73,11 @@ class DecisionCache {
   bool Lookup(const Subject& subject, NodeId node, AccessModeSet modes,
               const CacheStamps& current, CachedDecision* out, bool via_path = false);
 
+  // Stores `decision` under the stamps `current` the caller read *before*
+  // evaluating it, so a mutation that raced the evaluation leaves the entry
+  // already stale (ReferenceMonitor::CheckUnsampled).
   void Insert(const Subject& subject, NodeId node, AccessModeSet modes,
-              const CacheStamps& current, CachedDecision decision);
-
-  // Insert that cannot survive a Clear() issued after the caller captured
-  // its stamps: `observed_clear_epoch` must be read (clear_epoch()) at the
-  // same point the stamps are, *before* evaluating. Clear() bumps the epoch
-  // before wiping slots, so an insert that raced a clear either lands before
-  // the wipe (and is wiped) or observes the bumped epoch and refuses —
-  // either way no pre-clear decision re-enters the cache. The ReferenceMonitor
-  // check path uses this form; see ShardClearRaceTest.
-  void Insert(const Subject& subject, NodeId node, AccessModeSet modes,
-              const CacheStamps& current, CachedDecision decision,
-              uint64_t observed_clear_epoch, bool via_path = false);
-
-  void Clear();
-
-  // Completed-Clear counter; see the epoch-carrying Insert overload.
-  uint64_t clear_epoch() const { return clear_epoch_.load(std::memory_order_acquire); }
+              const CacheStamps& current, CachedDecision decision, bool via_path = false);
 
   // Counters are kept per shard (updated under the shard lock the probe
   // already holds, so the hot path shares no counter cache line across
@@ -147,7 +128,6 @@ class DecisionCache {
   // Shards are allocated once in the constructor and never resized (Shard
   // holds a mutex, so the container must never move them).
   std::unique_ptr<Shard[]> shards_;
-  std::atomic<uint64_t> clear_epoch_{0};
   size_t shard_count_ = 1;
   size_t shard_mask_ = 0;
   unsigned shard_bits_ = 0;

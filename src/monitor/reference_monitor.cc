@@ -44,12 +44,11 @@ ReferenceMonitor::ReferenceMonitor(NameSpace* name_space, AclStore* acls,
 }
 
 CacheStamps ReferenceMonitor::CurrentStampsFor(ShardId domain) const {
-  // The domain's name-space / ACL generations and label epoch, plus the two
-  // counters no domain confines: membership and policy-reload events affect
-  // every decision regardless of subtree, so each stamp vector carries them.
+  // The domain's name-space / ACL generations and label epoch, plus the one
+  // counter no domain confines: a membership change can affect any
+  // decision regardless of subtree, so each stamp vector carries it.
   return CacheStamps{name_space_->shard_generation(domain), acls_->shard_generation(domain),
-                     principals_->membership_epoch(), labels_->shard_epoch(domain),
-                     policy_epoch_.load(std::memory_order_acquire), domain};
+                     principals_->membership_epoch(), labels_->shard_epoch(domain), domain};
 }
 
 ShardId ReferenceMonitor::DomainOf(NodeId node) const {
@@ -229,14 +228,10 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
   // An id the name space cannot place has no domain stamps to validate an
   // entry against, so its checks are always interpreted.
   if (options_.cache_enabled && domain != kAggregateShard) {
-    // The cache clear epoch and the stamps are read (acquire) BEFORE
-    // evaluating. If a store mutates mid-evaluation its bump lands after our
-    // loads, so the entry we insert carries stamps that are already stale —
-    // a future probe re-evaluates. The race costs a redundant evaluation,
-    // never a wrong cached decision. The clear epoch makes the same argument
-    // against Clear(): an insert that raced a clear either lands before the
-    // wipe or refuses (see DecisionCache::Insert).
-    uint64_t clear_epoch = cache_.clear_epoch();
+    // The stamps are read (acquire) BEFORE evaluating. If a store mutates
+    // mid-evaluation its bump lands after our loads, so the entry we insert
+    // carries stamps that are already stale — a future probe re-evaluates.
+    // The race costs a redundant evaluation, never a wrong cached decision.
     CacheStamps stamps = CurrentStampsFor(domain);
     DecisionCache::CachedDecision cached;
     if (cache_.Lookup(subject, node, modes, stamps, &cached)) {
@@ -244,8 +239,7 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
     } else {
       decision = CheckUncached(subject, node, modes);
       cache_.Insert(subject, node, modes, stamps,
-                    DecisionCache::CachedDecision{decision.allowed, decision.reason},
-                    clear_epoch);
+                    DecisionCache::CachedDecision{decision.allowed, decision.reason});
     }
   } else {
     decision = CheckUncached(subject, node, modes);
@@ -309,13 +303,11 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
   // Probe once: the resolved-path entry holds "every step and the leaf
   // allowed" for this tuple. It is stamped with the leaf's domain, which
   // covers every step (docs/MODEL.md §15). As in CheckUnsampled, the stamps
-  // and the clear epoch are read before any step is checked.
+  // are read before any step is checked.
   const ShardId domain = leaf.ok() ? DomainOf(*leaf) : kAggregateShard;
   const bool path_entry = leaf.ok() && !chain.empty() && PathEntryUsable(modes, domain);
-  uint64_t clear_epoch = 0;
   CacheStamps stamps;
   if (path_entry) {
-    clear_epoch = cache_.clear_epoch();
     stamps = CurrentStampsFor(domain);
     DecisionCache::CachedDecision cached;
     if (cache_.Lookup(subject, *leaf, modes, stamps, &cached, /*via_path=*/true)) {
@@ -364,8 +356,7 @@ Decision ReferenceMonitor::CheckPathUnsampled(const Subject& subject, std::strin
   Decision decision = CheckUnsampled(subject, *leaf, modes, path);
   if (path_entry && decision.allowed) {
     cache_.Insert(subject, *leaf, modes, stamps,
-                  DecisionCache::CachedDecision{true, DenyReason::kNone}, clear_epoch,
-                  /*via_path=*/true);
+                  DecisionCache::CachedDecision{true, DenyReason::kNone}, /*via_path=*/true);
   }
   return decision;
 }
@@ -514,9 +505,7 @@ Status ReferenceMonitor::SetNodeLabel(const Subject& subject, NodeId node,
     }
   }
   if (snap.own_label_ref == kNoRef) {
-    LabelAuthority::LabelRef ref = labels_->StoreLabel(label);
-    labels_->AttachShard(ref, snap.shard);
-    return name_space_->SetLabelRef(node, ref);
+    return name_space_->SetLabelRef(node, labels_->StoreLabel(label, snap.shard));
   }
   return labels_->ReplaceLabel(snap.own_label_ref, label);
 }

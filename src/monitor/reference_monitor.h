@@ -21,7 +21,8 @@
 //
 // Decisions are cached (src/monitor/decision_cache.h) under generation
 // stamps of the node's validity domain, so a mutation invalidates the
-// decisions it can affect. CheckPath resolves the whole path once and, when
+// decisions it can affect; the stamps are the only way a cached decision
+// goes stale. CheckPath resolves the whole path once and, when
 // the walk is warm and fully allowed, answers it with one resolved-path
 // cache entry (docs/MODEL.md §15).
 //
@@ -171,15 +172,7 @@ class ReferenceMonitor {
   // The root always has one (⊥ by default).
   SecurityClass EffectiveLabel(NodeId node) const;
 
-  // -- Policy epoch and validity domains ------------------------------------
-
-  // Called by policy deserialization after swapping in a loaded policy:
-  // bumps the policy epoch, which by construction invalidates every cached
-  // decision (the epoch is part of CacheStamps). This closes the
-  // reload-staleness hole even for reload effects no store stamp covers
-  // (e.g. a security-officer change).
-  void NotePolicyReload() { policy_epoch_.fetch_add(1, std::memory_order_release); }
-  uint64_t policy_epoch() const { return policy_epoch_.load(std::memory_order_acquire); }
+  // -- Validity domains -----------------------------------------------------
 
   // The validity domain used to stamp decisions about `node` (docs/MODEL.md
   // §15): its monitor shard, so a mutation confined to one subtree
@@ -295,11 +288,6 @@ class ReferenceMonitor {
   // Armed by the supervision layer (breaker cascade or operator); checked
   // on every decision with one relaxed load.
   std::atomic<bool> lockdown_{false};
-
-  // Monitor-owned stamp: policy reloads bump it (NotePolicyReload), making
-  // it impossible for decisions cached against the pre-reload policy to be
-  // consulted afterwards.
-  std::atomic<uint64_t> policy_epoch_{0};
 };
 
 }  // namespace xsec

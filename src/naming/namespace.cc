@@ -132,9 +132,9 @@ StatusOr<NodeId> NameSpace::BindLocked(NodeId parent, std::string_view name, Nod
   nodes_.push_back(std::move(child));
   PublishShardLocked(id.value, child_shard);
   p->children.emplace(std::string(name), id);
-  // The structural change is confined to the child's validity domain: no
-  // cached decision about the *parent* depends on its children map.
-  stamps_.Bump(child_shard);
+  // No stamp moves: a bind changes no decision the cache can hold. Before
+  // PublishShardLocked the id had no domain, so no check on it was cached,
+  // and no decision about any other node depends on a children map.
   return id;
 }
 
@@ -189,10 +189,10 @@ Status NameSpace::Unbind(NodeId node) {
   Node& parent = nodes_[n->parent.value];
   parent.children.erase(n->name);
   n->alive = false;
-  // As in BindLocked: the structural edit only affects decisions in the
-  // removed node's validity domain. Bumping the parent's domain here would
-  // re-create the invalidation storm for top-level unbinds, whose parent is
-  // the root.
+  // A dead id's cached decisions must go stale (a cached allow would outlive
+  // the node), and they all live in the node's own validity domain. Bumping
+  // the parent's domain as well would re-create the invalidation storm for
+  // top-level unbinds, whose parent is the root.
   stamps_.Bump(n->shard);
   return OkStatus();
 }

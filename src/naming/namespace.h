@@ -184,8 +184,9 @@ class NameSpace {
   // it. Published with release ordering *after* the mutation is complete, so
   // a reader that observes a given generation and then reads the tree sees
   // at least that mutation (see docs/MODEL.md, "Concurrency model"). A
-  // root-metadata mutation bumps every shard and the root's domain; a
-  // Bind/Unbind or metadata change elsewhere bumps only the node's shard.
+  // root-metadata mutation bumps every shard and the root's domain; an
+  // Unbind or metadata change elsewhere bumps only the node's shard. A Bind
+  // bumps nothing: no cached decision names an unpublished id.
   uint64_t shard_generation(ShardId domain) const { return stamps_.Read(domain); }
 
   // Monitor shard of a node id, readable without taking the tree lock (the

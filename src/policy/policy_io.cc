@@ -173,9 +173,10 @@ StatusOr<std::string> SerializePolicy(Kernel& kernel) {
   return out;
 }
 
-namespace {
-
-Status LoadPolicyImpl(std::string_view text, Kernel* kernel) {
+Status LoadPolicy(std::string_view text, Kernel* kernel) {
+  // Each directive applies through the store mutator that moves the stamps
+  // of what it changes, so the cached decisions it can change go stale as
+  // it applies (docs/MODEL.md §8).
   auto fail = [](size_t line_number, std::string message) {
     return InvalidArgumentError(
         StrFormat("policy line %zu: %s", line_number, message.c_str()));
@@ -386,19 +387,6 @@ Status LoadPolicyImpl(std::string_view text, Kernel* kernel) {
     return InvalidArgumentError("empty policy: missing 'xsec-policy v1' header");
   }
   return OkStatus();
-}
-
-}  // namespace
-
-Status LoadPolicy(std::string_view text, Kernel* kernel) {
-  Status status = LoadPolicyImpl(text, kernel);
-  // Unconditionally mark the reload, success or failure: directives are
-  // applied as they parse, so even a failed load may have mutated policy —
-  // and some directives (officer) bump no store stamp at all. The epoch
-  // bump invalidates every cached decision, closing the hole where an allow
-  // cached against the pre-reload policy survived the swap.
-  kernel->monitor().NotePolicyReload();
-  return status;
 }
 
 namespace {

@@ -132,29 +132,6 @@ TEST(AuditLogTest, QueryFilters) {
   EXPECT_EQ(flow.size(), 1u);
 }
 
-TEST(AuditLogTest, ClearResetsEverything) {
-  AuditLog log;
-  log.set_policy(AuditPolicy::kAll);
-  log.Record(MakeRecord(false, DenyReason::kMacFlow));
-  log.Clear();
-  EXPECT_TRUE(log.records().empty());
-  EXPECT_EQ(log.total_denials(), 0u);
-}
-
-TEST(AuditLogTest, ClearKeepsSequenceNumbersMonotone) {
-  AuditLog log;
-  log.set_policy(AuditPolicy::kAll);
-  log.Record(MakeRecord(true));
-  log.Record(MakeRecord(true));
-  uint64_t last_before = log.records().back().sequence;
-  log.Clear();
-  log.Record(MakeRecord(true));
-  // Sequences already exported (e.g. into a rotated NDJSON file) must never
-  // be reused: records after a Clear continue the numbering, so `seq` keeps
-  // identifying each decision uniquely across rotations.
-  EXPECT_GT(log.records().front().sequence, last_before);
-}
-
 TEST(AuditLogTest, SinkRunsOutsideTheRingLock) {
   AuditLog log;
   log.set_policy(AuditPolicy::kAll);
@@ -223,38 +200,6 @@ TEST(AuditLogTest, WedgedSinkLosesWhatTheRingOverwrote) {
   EXPECT_EQ(log.dropped(), 29u);
   EXPECT_GT(log.sink_dropped(), 0u);
   EXPECT_EQ(static_cast<uint64_t>(delivered.load()) + log.sink_dropped(), 33u);
-}
-
-TEST(AuditLogTest, ClearKeepsOwedRecordsForADrainedSink) {
-  AuditLog log;
-  log.set_policy(AuditPolicy::kAll);
-  std::atomic<bool> release{false};
-  std::vector<uint64_t> seen;  // read after StopDrain, which orders the calls
-  log.set_sink([&](const AuditRecord& r) {
-    while (!release.load()) {
-      std::this_thread::yield();  // hold delivery until after the Clear
-    }
-    seen.push_back(r.sequence);
-  });
-  log.StartDrain();
-  for (int i = 0; i < 10; ++i) {
-    log.Record(MakeRecord(true));
-  }
-  log.Clear();
-  // Clear is a watermark: the records leave the retained view at once...
-  EXPECT_TRUE(log.records().empty());
-  EXPECT_EQ(log.retained(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
-  log.Record(MakeRecord(true));
-  ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records().front().sequence, 10u);
-  release.store(true);
-  log.StopDrain();
-  // ...while the sink owed them is still handed every one, in order.
-  ASSERT_EQ(seen.size(), 11u);
-  for (size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], i);
-  }
 }
 
 TEST(AuditLogTest, ConcurrentRecordersUnderTheDrainKeepEveryCounter) {
@@ -365,8 +310,7 @@ TEST(AuditLogTest, RetainedGaugeCountsWithoutCopying) {
     log.Record(MakeRecord(false, DenyReason::kMacFlow));
   }
   EXPECT_EQ(log.retained(), 4u);
-  log.Clear();
-  EXPECT_EQ(log.retained(), 0u);
+  EXPECT_EQ(log.dropped(), 9u);
 }
 
 class NdjsonRotationTest : public ::testing::Test {

@@ -92,20 +92,6 @@ TEST(DecisionCacheTest, CachesDenialsToo) {
   EXPECT_EQ(out.reason, DenyReason::kDacExplicitDeny);
 }
 
-TEST(DecisionCacheTest, ClearEmptiesEverySlot) {
-  DecisionCache cache(64);
-  Subject s = MakeSubject(1);
-  CacheStamps stamps{1, 1, 1, 1};
-  for (uint32_t n = 0; n < 32; ++n) {
-    cache.Insert(s, NodeId{n}, AccessMode::kRead, stamps, {true, DenyReason::kNone});
-  }
-  cache.Clear();
-  DecisionCache::CachedDecision out;
-  for (uint32_t n = 0; n < 32; ++n) {
-    EXPECT_FALSE(cache.Lookup(s, NodeId{n}, AccessMode::kRead, stamps, &out));
-  }
-}
-
 // Multiplicative inverse of an odd m modulo 2^64 (Newton iteration).
 uint64_t Inv64(uint64_t m) {
   uint64_t x = m;
@@ -200,10 +186,10 @@ TEST(DecisionCacheTest, PathEntryAndNodeEntryBothHit) {
   DecisionCache::CachedDecision out;
   for (uint32_t n = 0; n < 16; ++n) {
     NodeId node{n};
-    cache.Insert(s, node, AccessMode::kExecute, stamps, {false, DenyReason::kMacFlow}, 0);
+    cache.Insert(s, node, AccessMode::kExecute, stamps, {false, DenyReason::kMacFlow});
     EXPECT_FALSE(cache.Lookup(s, node, AccessMode::kExecute, stamps, &out, /*via_path=*/true))
         << "a per-node entry must not answer a path probe";
-    cache.Insert(s, node, AccessMode::kExecute, stamps, {true, DenyReason::kNone}, 0,
+    cache.Insert(s, node, AccessMode::kExecute, stamps, {true, DenyReason::kNone},
                  /*via_path=*/true);
     ASSERT_TRUE(cache.Lookup(s, node, AccessMode::kExecute, stamps, &out)) << n;
     EXPECT_FALSE(out.allowed);

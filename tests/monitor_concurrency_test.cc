@@ -10,6 +10,7 @@
 // cached entries spuriously stale, never wrongly fresh.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -249,6 +250,56 @@ TEST_F(MonitorConcurrencyTest, ExplainBesideAclWritesAndUnbind) {
     t.join();
   }
   EXPECT_EQ(without_verdict.load(), 0);
+}
+
+// Checks racing ACL tightening in several validity domains converge on the
+// final policy: each check reads its domain's stamps before evaluating, so
+// an allow evaluated against the old ACL and inserted after the tightening
+// carries stamps that are already stale and is never served again. The
+// nodes sit in eight top-level subtrees, and their ACL refs are tagged with
+// their node's shard, so each Replace moves only its own domain's stamp.
+TEST_F(MonitorConcurrencyTest, ChecksRacingAclTighteningConvergeOnFinalPolicy) {
+  constexpr int kSubtrees = 8;
+  std::vector<NodeId> nodes;
+  std::vector<AclStore::AclRef> refs;
+  for (int i = 0; i < kSubtrees; ++i) {
+    NodeId node = *ns_.BindPath("/t" + std::to_string(i) + "/obj", NodeKind::kObject, admin_);
+    Acl acl;
+    acl.AddEntry({AclEntryType::kAllow, users_[0], AccessModeSet(AccessMode::kRead)});
+    AclStore::AclRef ref = acls_.Create(std::move(acl), ns_.ShardOf(node));
+    ASSERT_TRUE(ns_.SetAclRef(node, ref).ok());
+    nodes.push_back(node);
+    refs.push_back(ref);
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (uint64_t t = 0; t < 3; ++t) {
+    clients.emplace_back([&, t] {
+      Subject me{users_[0], labels_.Bottom(), t + 1};
+      for (uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+        (void)monitor_->Check(me, nodes[(i + t) % kSubtrees], AccessMode::kRead);
+      }
+    });
+  }
+  // Tighten policy under load: strip the allow entry from every node.
+  for (int i = 0; i < kSubtrees; ++i) {
+    ASSERT_TRUE(acls_.Replace(refs[i], Acl()).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : clients) {
+    t.join();
+  }
+
+  // Quiescent: every node now denies, and no raced check left an allow
+  // behind that a probe could still serve.
+  for (NodeId node : nodes) {
+    Decision d = monitor_->Check(Low(users_[0]), node, AccessMode::kRead);
+    EXPECT_FALSE(d.allowed) << "node " << node.value << ": a pre-tightening allow was served";
+    EXPECT_EQ(d.reason, monitor_->CheckInterpreted(Low(users_[0]), node, AccessMode::kRead).reason);
+  }
 }
 
 }  // namespace

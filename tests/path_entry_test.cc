@@ -306,8 +306,12 @@ TEST_F(ReferenceMonitorPathEntryTest, ConcurrentCheckPathMatchesOracleAfterQuies
                                      {AclEntryType::kAllow, group_, CallerModes()});
         }
         break;
-      case 4:
-        monitor->cache().Clear();
+      case 4:  // membership moves every domain's stamps
+        if ((i / 5) % 2 == 0) {
+          (void)principals_.RemoveMember(group_, users_[0]);
+        } else {
+          (void)principals_.AddMember(group_, users_[0]);
+        }
         break;
     }
     std::this_thread::yield();

@@ -356,13 +356,11 @@ TEST(PolicyIoReloadTest, ReloadInvalidatesCachedAllows) {
   ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
   ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
 
-  uint64_t epoch_before = kernel.monitor().policy_epoch();
   constexpr std::string_view kRevoke =
       "xsec-policy v1\n"
       "node /fs/doc file alice\n"
       "acl /fs/doc none\n";
   ASSERT_TRUE(LoadPolicy(kRevoke, &kernel).ok());
-  EXPECT_GT(kernel.monitor().policy_epoch(), epoch_before);
 
   // The cached allow must not survive the reload.
   Decision after = kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead));
@@ -370,32 +368,93 @@ TEST(PolicyIoReloadTest, ReloadInvalidatesCachedAllows) {
   EXPECT_EQ(after.reason, DenyReason::kDacNoGrant);
 }
 
-TEST(PolicyIoReloadTest, ReloadWithNoStoreMutationStillInvalidates) {
-  // An officer-only reload bumps no store generation — only the policy epoch
-  // protects the cache here. The regression this pins: such a reload must
-  // still force re-evaluation (observable as a cache miss, not a hit).
+TEST(PolicyIoReloadTest, OfficerOnlyReloadKeepsTheCacheWarm) {
+  // The officer is read only by SetNodeLabel, which is never cached, so a
+  // reload that only names an officer moves no stamp: the cached allow is
+  // served as a hit, and the new officer's relabel is honoured at once.
   Kernel kernel;
   constexpr std::string_view kBase =
       "xsec-policy v1\n"
+      "levels low high\n"
       "user alice\n"
       "user bob\n"
+      "user carol\n"
       "node /fs/doc file alice\n"
       "acl /fs/doc allow bob read\n";
   ASSERT_TRUE(LoadPolicy(kBase, &kernel).ok());
   NodeId doc = *kernel.name_space().Lookup("/fs/doc");
-  PrincipalId bob = *kernel.principals().FindByName("bob");
-  Subject subject{bob, SecurityClass(), 1};
-  ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
+  Subject bob{*kernel.principals().FindByName("bob"), kernel.labels().Bottom(), 1};
+  ASSERT_TRUE(kernel.monitor().Check(bob, doc, AccessModeSet(AccessMode::kRead)).allowed);
 
   constexpr std::string_view kOfficerOnly =
       "xsec-policy v1\n"
-      "officer alice\n";
+      "officer carol\n";
   ASSERT_TRUE(LoadPolicy(kOfficerOnly, &kernel).ok());
+  const uint64_t hits = kernel.monitor().cache().hits();
+  const uint64_t misses = kernel.monitor().cache().misses();
+  EXPECT_TRUE(kernel.monitor().Check(bob, doc, AccessModeSet(AccessMode::kRead)).allowed);
+  EXPECT_EQ(kernel.monitor().cache().hits(), hits + 1);
+  EXPECT_EQ(kernel.monitor().cache().misses(), misses);
 
-  uint64_t misses_before = kernel.monitor().cache().misses();
-  ASSERT_TRUE(kernel.monitor().Check(subject, doc, AccessModeSet(AccessMode::kRead)).allowed);
-  EXPECT_GT(kernel.monitor().cache().misses(), misses_before)
-      << "reload did not invalidate the cached decision";
+  // Carol neither owns the node nor holds administrate on it: only the
+  // officer rule lets her relabel it above her own class.
+  Subject carol{*kernel.principals().FindByName("carol"), kernel.labels().Bottom(), 2};
+  ASSERT_TRUE(
+      kernel.monitor().SetNodeLabel(carol, doc, *kernel.labels().MakeClass("high", {})).ok());
+  Decision after = kernel.monitor().Check(bob, doc, AccessModeSet(AccessMode::kRead));
+  EXPECT_FALSE(after.allowed);
+  EXPECT_EQ(after.reason, DenyReason::kMacFlow);
+}
+
+TEST(PolicyIoReloadTest, EveryDirectiveThatChangesADecisionStalesIt) {
+  // One row per directive that can change a cached decision. Each row loads
+  // its setup, primes bob's decision on /fs/doc (the second check is a
+  // hit), reloads, and expects the decision to flip to the interpreted one:
+  // the directive moved a stamp of the node's domain.
+  constexpr std::string_view kBase =
+      "xsec-policy v1\n"
+      "levels low high\n"
+      "user alice\n"
+      "user bob\n"
+      "group readers\n"
+      "node /fs directory alice\n"
+      "node /fs/doc file alice\n";
+  struct Row {
+    const char* directive;
+    const char* setup;
+    const char* reload;
+    AccessMode mode;
+  };
+  const Row rows[] = {
+      {"node (owner change)", "", "node /fs/doc file bob\n", AccessMode::kAdministrate},
+      {"label", "acl /fs/doc allow bob read\nlabel /fs/doc low\n", "label /fs/doc high\n",
+       AccessMode::kRead},
+      {"acl none", "acl /fs allow bob read\n", "acl /fs/doc none\n", AccessMode::kRead},
+      {"first acl", "acl /fs/doc allow bob read\n", "acl /fs/doc deny bob read\n",
+       AccessMode::kRead},
+      {"appended acl", "acl /fs/doc allow bob read\n",
+       "acl /fs/doc allow bob read\nacl /fs/doc deny bob read\n", AccessMode::kRead},
+      {"member", "acl /fs/doc allow readers read\n", "member readers bob\n", AccessMode::kRead},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.directive);
+    Kernel kernel;
+    ASSERT_TRUE(LoadPolicy(std::string(kBase) + row.setup, &kernel).ok());
+    NodeId doc = *kernel.name_space().Lookup("/fs/doc");
+    Subject bob{*kernel.principals().FindByName("bob"), kernel.labels().Bottom(), 1};
+    ReferenceMonitor& monitor = kernel.monitor();
+    const Decision before = monitor.Check(bob, doc, AccessModeSet(row.mode));
+    const uint64_t hits = monitor.cache().hits();
+    ASSERT_EQ(monitor.Check(bob, doc, AccessModeSet(row.mode)).allowed, before.allowed);
+    ASSERT_EQ(monitor.cache().hits(), hits + 1) << "the decision was not cached";
+
+    ASSERT_TRUE(LoadPolicy(std::string("xsec-policy v1\n") + row.reload, &kernel).ok());
+    const Decision after = monitor.Check(bob, doc, AccessModeSet(row.mode));
+    const Decision oracle = monitor.CheckInterpreted(bob, doc, AccessModeSet(row.mode));
+    EXPECT_NE(after.allowed, before.allowed);
+    EXPECT_EQ(after.allowed, oracle.allowed);
+    EXPECT_EQ(after.reason, oracle.reason);
+  }
 }
 
 TEST(PolicyIoReloadTest, LoadPolicyFileInvalidatesToo) {

@@ -323,7 +323,6 @@ TEST_F(ReferenceMonitorTest, EffectiveAclAndLabelResolution) {
 
 TEST_F(ReferenceMonitorTest, AuditRecordsDenialsWithReason) {
   monitor_->set_audit_policy(AuditPolicy::kDenialsOnly);
-  monitor_->audit().Clear();
   (void)monitor_->Check(Bottom(bob_), obj_, AccessMode::kRead);
   ASSERT_EQ(monitor_->audit().records().size(), 1u);
   // records() returns a snapshot by value; copy the record out of it.
@@ -345,13 +344,14 @@ TEST_F(ReferenceMonitorTest, CheckPathLeafDenialRecordsTheRequestedPath) {
   // resolved node: same path text, same everything but the sequence.
   auto expect_leaf_record = [&](const Subject& who, AccessModeSet modes, DenyReason reason) {
     AuditLog& audit = monitor_->audit();
-    audit.Clear();
+    const uint64_t mark = audit.total_denials();  // denials only: the next sequence
     Decision by_path = monitor_->CheckPath(who, "/d/sub/obj", modes);
     ASSERT_FALSE(by_path.allowed);
     EXPECT_EQ(by_path.reason, reason);
     Decision by_node = monitor_->Check(who, obj_, modes);
     ASSERT_FALSE(by_node.allowed);
-    std::vector<AuditRecord> records = audit.records();
+    std::vector<AuditRecord> records =
+        audit.Query([mark](const AuditRecord& r) { return r.sequence >= mark; });
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].path, "/d/sub/obj");
     EXPECT_EQ(records[0].node, obj_);
@@ -375,7 +375,6 @@ TEST_F(ReferenceMonitorTest, CheckPathTraversalDenialRecordsTheAncestorPath) {
   // /d/sub's own ACL leaves bob out: the walk stops there, with the step's
   // own denial and the traversal denial.
   AuditLog& audit = monitor_->audit();
-  audit.Clear();
   Decision d = monitor_->CheckPath(Bottom(bob_), "/d/sub/obj", AccessMode::kRead);
   ASSERT_FALSE(d.allowed);
   EXPECT_EQ(d.reason, DenyReason::kTraversal);
@@ -394,7 +393,6 @@ TEST_F(ReferenceMonitorTest, CheckPathTraversalDenialRecordsTheAncestorPath) {
 
 TEST_F(ReferenceMonitorTest, AuditPolicyAllRecordsAllows) {
   monitor_->set_audit_policy(AuditPolicy::kAll);
-  monitor_->audit().Clear();
   GrantOn(obj_, bob_, AccessModeSet(AccessMode::kRead));
   (void)monitor_->Check(Bottom(bob_), obj_, AccessMode::kRead);
   ASSERT_GE(monitor_->audit().records().size(), 1u);

@@ -107,10 +107,10 @@ TEST(SecureSystemTest, AuditSeesDeniedServiceCalls) {
   SecureSystem sys;
   auto alice = sys.CreateUser("alice");
   Subject subject = sys.Login(*alice, sys.labels().Bottom());
-  sys.monitor().audit().Clear();
+  const uint64_t mark = sys.monitor().audit().total_denials();  // denials only: next sequence
   (void)sys.fs().Create(subject, "/fs/forbidden");
   auto denials = sys.monitor().audit().Query(
-      [](const AuditRecord& r) { return !r.allowed; });
+      [mark](const AuditRecord& r) { return r.sequence >= mark && !r.allowed; });
   ASSERT_FALSE(denials.empty());
   EXPECT_EQ(denials.front().principal, *alice);
 }

@@ -2,7 +2,7 @@
 // inheritance, per-shard generation bumps, cross-shard cache isolation
 // (down to a kernel loading and unloading code), the root's own domain,
 // uncached unplaceable ids, the domain field's anti-aliasing role, and
-// shard-local ACL interning.
+// ACL interning.
 
 #include <gtest/gtest.h>
 
@@ -93,30 +93,57 @@ TEST(ShardStampsTest, RootMetadataMutationBumpsEveryShard) {
   EXPECT_GT(ns.shard_generation(kAllShards), root_before);
 }
 
-TEST(ShardStampsTest, AclStoreTagsNarrowOnceAndEscalateOnSharing) {
+// A slot's tag, fixed when it is created, decides which stamps its edits
+// move: a concrete shard's alone, or every shard's and the root's.
+TEST(ShardStampsTest, SlotTagsDecideWhichStampsAnEditMoves) {
+  struct Gens {
+    uint64_t shard3, shard5, root;
+  };
   AclStore acls;
+  auto acl_gens = [&] {
+    return Gens{acls.shard_generation(3), acls.shard_generation(5),
+                acls.shard_generation(kAllShards)};
+  };
   Acl acl;
   acl.AddEntry({AclEntryType::kAllow, PrincipalId{1}, AccessModeSet(AccessMode::kRead)});
-  AclStore::AclRef ref = acls.Create(Acl(acl), ShardId{3});
-  EXPECT_EQ(acls.ShardOf(ref), 3u);
+  AclStore::AclRef tagged = acls.Create(Acl(acl), ShardId{3});
+  AclStore::AclRef untagged = acls.Create(Acl(acl));
+  const AclEntry entry{AclEntryType::kAllow, PrincipalId{2}, AccessModeSet(AccessMode::kWrite)};
 
-  uint64_t gen3 = acls.shard_generation(3);
-  uint64_t gen5 = acls.shard_generation(5);
-  ASSERT_TRUE(
-      acls.AddEntry(ref, {AclEntryType::kAllow, PrincipalId{2}, AccessModeSet(AccessMode::kWrite)})
-          .ok());
-  EXPECT_GT(acls.shard_generation(3), gen3);
-  EXPECT_EQ(acls.shard_generation(5), gen5);
+  Gens before = acl_gens();
+  ASSERT_TRUE(acls.AddEntry(tagged, entry).ok());
+  Gens after = acl_gens();
+  EXPECT_GT(after.shard3, before.shard3);
+  EXPECT_EQ(after.shard5, before.shard5);
+  EXPECT_EQ(after.root, before.root);
 
-  // A second attach from a different shard means the ref is shared across
-  // subtrees: the tag escalates permanently and edits bump every shard.
-  acls.AttachShard(ref, ShardId{5});
-  EXPECT_EQ(acls.ShardOf(ref), kAllShards);
-  gen5 = acls.shard_generation(5);
-  ASSERT_TRUE(
-      acls.AddEntry(ref, {AclEntryType::kAllow, PrincipalId{3}, AccessModeSet(AccessMode::kList)})
-          .ok());
-  EXPECT_GT(acls.shard_generation(5), gen5);
+  before = after;
+  ASSERT_TRUE(acls.Replace(untagged, Acl()).ok());
+  after = acl_gens();
+  EXPECT_GT(after.shard3, before.shard3);
+  EXPECT_GT(after.shard5, before.shard5);
+  EXPECT_GT(after.root, before.root);
+
+  LabelAuthority labels;
+  auto label_gens = [&] {
+    return Gens{labels.shard_epoch(3), labels.shard_epoch(5), labels.shard_epoch(kAllShards)};
+  };
+  LabelAuthority::LabelRef tagged_label = labels.StoreLabel(labels.Bottom(), ShardId{3});
+  LabelAuthority::LabelRef root_label = labels.StoreLabel(labels.Bottom(), kAllShards);
+
+  before = label_gens();
+  ASSERT_TRUE(labels.ReplaceLabel(tagged_label, labels.Top()).ok());
+  after = label_gens();
+  EXPECT_GT(after.shard3, before.shard3);
+  EXPECT_EQ(after.shard5, before.shard5);
+  EXPECT_EQ(after.root, before.root);
+
+  before = after;
+  ASSERT_TRUE(labels.ReplaceLabel(root_label, labels.Top()).ok());
+  after = label_gens();
+  EXPECT_GT(after.shard3, before.shard3);
+  EXPECT_GT(after.shard5, before.shard5);
+  EXPECT_GT(after.root, before.root);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,6 +179,23 @@ struct ShardedMonitorFixture {
   NodeId obj_b;
   Subject subject;
 };
+
+// A bind moves no stamp: no cached decision names the fresh id, and no
+// decision about another node reads a children map. So binding a sibling
+// leaves a warm entry in the same shard valid.
+TEST(ShardStampsTest, BindKeepsItsShardsEntriesWarm) {
+  ShardedMonitorFixture f;
+  EXPECT_TRUE(f.monitor->Check(f.subject, f.obj_a, AccessMode::kRead).allowed);  // warm
+  const uint64_t stale = f.monitor->cache().stale_hits();
+
+  NodeId sibling = *f.ns.Bind(f.ns.Get(f.obj_a)->parent, "sibling", NodeKind::kFile, f.user);
+  ASSERT_EQ(f.ns.ShardOf(sibling), f.ns.ShardOf(f.obj_a));
+
+  const uint64_t hits = f.monitor->cache().hits();
+  EXPECT_TRUE(f.monitor->Check(f.subject, f.obj_a, AccessMode::kRead).allowed);
+  EXPECT_EQ(f.monitor->cache().hits(), hits + 1) << "the warm entry was served";
+  EXPECT_EQ(f.monitor->cache().stale_hits(), stale) << "the bind staled its shard";
+}
 
 TEST(ShardStampsTest, CrossShardMutationKeepsCacheEntriesValid) {
   ShardedMonitorFixture f;
@@ -242,7 +286,6 @@ TEST(ShardStampsTest, InPlaceRootEditsStaleTheRootAndEveryShard) {
                   ->AddAclEntry(f.subject, f.ns.root(),
                                 {AclEntryType::kAllow, f.user, AccessModeSet(AccessMode::kList)})
                   .ok());
-  ASSERT_EQ(f.acls.ShardOf(f.ns.Get(f.ns.root())->acl_ref), kAllShards);
 
   auto warm = [&f] {
     for (NodeId node : {f.ns.root(), f.obj_a, f.obj_b}) {
@@ -361,7 +404,7 @@ TEST(ShardStampsTest, BindPathIntermediatesInheritEnclosingOwner) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-local interning.
+// ACL interning.
 
 TEST(ShardInternTest, AclStoreSharesIdenticalEntryListsWithinShard) {
   AclStore acls;
@@ -372,7 +415,7 @@ TEST(ShardInternTest, AclStoreSharesIdenticalEntryListsWithinShard) {
   };
   AclStore::AclRef r1 = acls.Create(make(), ShardId{2});
   AclStore::AclRef r2 = acls.Create(make(), ShardId{2});
-  // Same content, same shard pool: one shared entry list.
+  // Same content: one shared entry list.
   EXPECT_EQ(acls.Get(r1)->shared_entries(), acls.Get(r2)->shared_entries());
   EXPECT_EQ(acls.intern_hits(), 1u);
 
@@ -383,9 +426,11 @@ TEST(ShardInternTest, AclStoreSharesIdenticalEntryListsWithinShard) {
   EXPECT_EQ(acls.Get(r1)->entries().size(), 1u);
   EXPECT_EQ(acls.Get(r2)->entries().size(), 2u);
 
-  // Different shard pools intern independently (no cross-shard sharing).
+  // One pool serves every shard: a slot tagged with another shard shares
+  // the same list (the tag is the slot's, not the list's).
   AclStore::AclRef r3 = acls.Create(make(), ShardId{4});
-  EXPECT_NE(acls.Get(r1)->shared_entries(), acls.Get(r3)->shared_entries());
+  EXPECT_EQ(acls.Get(r1)->shared_entries(), acls.Get(r3)->shared_entries());
+  EXPECT_EQ(acls.intern_hits(), 2u);
 }
 
 }  // namespace
